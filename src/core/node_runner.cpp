@@ -246,6 +246,58 @@ struct Listener {
   std::uint16_t port = 0;
 };
 
+/// The orchestrator's listening sockets. The parent closes them once every
+/// child holds its own copy, and on any earlier exit.
+struct Listeners {
+  std::vector<Listener> all;
+
+  Listeners() = default;
+  Listeners(const Listeners&) = delete;
+  Listeners& operator=(const Listeners&) = delete;
+  ~Listeners() { close_all(); }
+
+  void close_all() {
+    for (Listener& l : all) {
+      if (l.fd >= 0) ::close(l.fd);
+      l.fd = -1;
+    }
+  }
+};
+
+/// A fresh directory for the config and result files, under $TMPDIR (else
+/// /tmp). Removed, with both files, on every exit path.
+class RunDir {
+ public:
+  RunDir() {
+    const char* tmpdir = std::getenv("TMPDIR");
+    std::string path = tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+    path += "/garfield_mp.XXXXXX";
+    if (::mkdtemp(path.data()) == nullptr) {
+      const std::string err = std::strerror(errno);
+      throw std::runtime_error("transport=tcp: cannot create '" + path +
+                               "': " + err);
+    }
+    path_ = std::move(path);
+  }
+  RunDir(const RunDir&) = delete;
+  RunDir& operator=(const RunDir&) = delete;
+  ~RunDir() {
+    ::unlink(config_path().c_str());
+    ::unlink(result_path().c_str());
+    ::rmdir(path_.c_str());
+  }
+
+  [[nodiscard]] std::string config_path() const {
+    return path_ + "/deployment.conf";
+  }
+  [[nodiscard]] std::string result_path() const {
+    return path_ + "/result.grtr";
+  }
+
+ private:
+  std::string path_;
+};
+
 /// Bind a kernel-assigned loopback port and put it into listen() — done in
 /// the parent for every rank before any fork, so no child can race another
 /// child's bind and every connect() in the mesh handshake finds an
@@ -324,7 +376,11 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
         "the tools (GARFIELD_BUILD_TOOLS) or set GARFIELD_NODE_BIN");
   }
 
-  std::vector<Listener> listeners;
+  const RunDir dir;
+  const std::string config_path = dir.config_path();
+  const std::string result_path = dir.result_path();
+  Listeners listening;
+  std::vector<Listener>& listeners = listening.all;
   listeners.reserve(nodes);
   for (std::size_t r = 0; r < nodes; ++r) {
     listeners.push_back(bind_loopback(int(nodes) + 8));
@@ -335,14 +391,6 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
     ports_arg += std::to_string(listeners[r].port);
   }
 
-  char dir_template[] = "/tmp/garfield_mp.XXXXXX";
-  if (::mkdtemp(dir_template) == nullptr) {
-    for (const Listener& l : listeners) ::close(l.fd);
-    throw std::runtime_error("mkdtemp failed");
-  }
-  const std::string dir(dir_template);
-  const std::string config_path = dir + "/deployment.conf";
-  const std::string result_path = dir + "/result.grtr";
   const std::string config_text = format_config(config);
   write_file(config_path,
              std::span<const std::uint8_t>(
@@ -368,14 +416,14 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
   for (std::size_t r = 0; r < nodes; ++r) {
     const pid_t pid = ::fork();
     if (pid < 0) {
+      const std::string err = std::strerror(errno);
       for (std::size_t k = 0; k < nodes; ++k) {
         if (pids[k] > 0) ::kill(pids[k], SIGKILL);
       }
       for (std::size_t k = 0; k < nodes; ++k) {
         if (pids[k] > 0) (void)::waitpid(pids[k], nullptr, 0);
       }
-      for (const Listener& l : listeners) ::close(l.fd);
-      throw std::runtime_error("fork failed");
+      throw std::runtime_error("transport=tcp: fork: " + err);
     }
     if (pid == 0) {
       // Child: keep only our own listener; exec the launcher.
@@ -391,7 +439,7 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
     }
     pids[r] = pid;
   }
-  for (const Listener& l : listeners) ::close(l.fd);
+  listening.close_all();
 
   // Reap every child, SIGKILLing the stragglers once the deadline passes —
   // a wedged mesh must become a thrown error, not a hung parent.
@@ -426,37 +474,17 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
     }
   }
 
-  std::string failure;
   if (killed) {
-    failure = "transport=tcp: node processes exceeded the run deadline";
-  } else {
-    for (std::size_t r = 0; r < nodes; ++r) {
-      if (status[r] != 0) {
-        failure = "transport=tcp: node rank " + std::to_string(r) +
-                  " failed (" + describe_exit(status[r]) + ")";
-        break;
-      }
+    throw std::runtime_error(
+        "transport=tcp: node processes exceeded the run deadline");
+  }
+  for (std::size_t r = 0; r < nodes; ++r) {
+    if (status[r] != 0) {
+      throw std::runtime_error("transport=tcp: node rank " + std::to_string(r) +
+                               " failed (" + describe_exit(status[r]) + ")");
     }
   }
-
-  TrainResult result;
-  std::string decode_failure;
-  if (failure.empty()) {
-    try {
-      const std::vector<std::uint8_t> blob = read_file(result_path);
-      result = decode_result(blob);
-    } catch (const std::exception& e) {
-      decode_failure = e.what();
-    }
-  }
-
-  ::unlink(config_path.c_str());
-  ::unlink(result_path.c_str());
-  ::rmdir(dir.c_str());
-
-  if (!failure.empty()) throw std::runtime_error(failure);
-  if (!decode_failure.empty()) throw std::runtime_error(decode_failure);
-  return result;
+  return decode_result(read_file(result_path));
 }
 
 }  // namespace detail

@@ -9,7 +9,8 @@
 //          1. binds one 127.0.0.1:0 listener per rank *before* forking —
 //             ports are kernel-assigned, race-free, and every child's
 //             connect() lands on an established backlog;
-//          2. writes the config as formatted text to a temp dir (floats
+//          2. writes the config as formatted text to a fresh directory
+//             under $TMPDIR, else /tmp, removed on every exit path (floats
 //             round-trip bit-exactly — see fmt_float in controller.cpp);
 //          3. fork+execs the `garfield_node` launcher once per rank, each
 //             child inheriting exactly its own listening socket;

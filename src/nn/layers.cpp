@@ -31,6 +31,12 @@ Tensor Linear::forward(const Tensor& input, bool /*train*/) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // dX = dY @ W ({b,out} x {out,in})
+  return tensor::matmul(grad_output, weight_);
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
   assert(grad_output.rank() == 2 && grad_output.dim(1) == out_);
   // dW = dY^T @ X  ({out,b} x {b,in})
   grad_weight_ += tensor::matmul_tn(grad_output, input_cache_);
@@ -38,8 +44,6 @@ Tensor Linear::backward(const Tensor& grad_output) {
   for (std::size_t i = 0; i < b; ++i)
     for (std::size_t j = 0; j < out_; ++j)
       grad_bias_[j] += grad_output.at(i, j);
-  // dX = dY @ W ({b,out} x {out,in})
-  return tensor::matmul(grad_output, weight_);
 }
 
 std::vector<Param> Linear::params() {
@@ -192,7 +196,7 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::accumulate_param_grads(const Tensor& grad_output) {
   const std::size_t b = input_shape_[0];
   const std::size_t oh = grad_output.dim(2), ow = grad_output.dim(3);
   // Back to {b*oh*ow, out_ch} layout.
@@ -208,11 +212,21 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   for (std::size_t r = 0; r < grad_rows.dim(0); ++r)
     for (std::size_t ch = 0; ch < out_ch_; ++ch)
       grad_bias_[ch] += grad_rows.at(r, ch);
+  return grad_rows;
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  const Tensor grad_rows = accumulate_param_grads(grad_output);
   // dcols = dY @ W: {b*oh*ow, out_ch} x {out_ch, ckk}.
   Tensor grad_cols = tensor::matmul(grad_rows, weight_);
   Tensor grad_input(input_shape_);
-  col2im(grad_cols, kernel_, stride_, padding_, oh, ow, grad_input);
+  col2im(grad_cols, kernel_, stride_, padding_, grad_output.dim(2),
+         grad_output.dim(3), grad_input);
   return grad_input;
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  (void)accumulate_param_grads(grad_output);
 }
 
 std::vector<Param> Conv2d::params() {
@@ -406,6 +420,16 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   for (auto it = modules_.rbegin(); it != modules_.rend(); ++it)
     g = (*it)->backward(g);
   return g;
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  std::size_t first = 0;
+  while (first < modules_.size() && modules_[first]->params().empty()) ++first;
+  if (first == modules_.size()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = modules_.size() - 1; i > first; --i)
+    g = modules_[i]->backward(g);
+  modules_[first]->backward_params(g);
 }
 
 std::vector<Param> Sequential::params() {

@@ -17,6 +17,7 @@ class Linear : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
@@ -62,6 +63,7 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
 
@@ -69,6 +71,9 @@ class Conv2d : public Module {
   [[nodiscard]] std::size_t out_size(std::size_t in) const {
     return (in + 2 * padding_ - kernel_) / stride_ + 1;
   }
+  /// Accumulates dL/dW and dL/db; returns dL/d(output) as {b*oh*ow, out_ch}
+  /// rows, the layout of forward's GEMM.
+  Tensor accumulate_param_grads(const Tensor& grad_output);
 
   std::size_t in_ch_, out_ch_, kernel_, stride_, padding_;
   Tensor weight_, bias_;  // {out_ch, in_ch*k*k}, {out_ch}
@@ -161,6 +166,9 @@ class Sequential : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Stops at the first module with parameters, which gets
+  /// backward_params(): the modules in front of it have no dL/dW to add.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<Param> params() override;
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 

@@ -49,7 +49,8 @@ GradientResult Model::gradient(const Tensor& inputs,
   zero_grad();
   const Tensor logits = net_->forward(inputs, /*train=*/true);
   LossResult loss = loss_fn_.compute(logits, labels);
-  net_->backward(loss.grad);
+  // dL/d(inputs) would be a gradient on the data batch: never computed.
+  net_->backward_params(loss.grad);
   GradientResult result;
   result.loss = loss.value;
   result.gradient.reserve(dimension_);

@@ -44,6 +44,9 @@ class Model {
   [[nodiscard]] std::size_t dimension() const { return dimension_; }
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
   [[nodiscard]] const tensor::Shape& input_shape() const { return input_shape_; }
+  /// The network itself, for code that drives forward/backward directly
+  /// (kernel benchmarks, reference backward passes in tests).
+  [[nodiscard]] Module& net() { return *net_; }
 
   /// Snapshot all parameters into one flat vector (deterministic order).
   [[nodiscard]] FlatVector parameters() const;

@@ -39,6 +39,13 @@ class Module {
   virtual Tensor forward(const Tensor& input, bool train) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() for a caller that discards dL/d(input), as Model::gradient
+  /// does for its input batch: accumulates the same dL/dW, bit for bit,
+  /// and may skip computing dL/d(input).
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Learnable parameters in a fixed, deterministic order.
   virtual std::vector<Param> params() { return {}; }
 

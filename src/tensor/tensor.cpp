@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -128,18 +129,69 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+namespace {
+
+// Two doubles: one SSE2 register on x86-64 (GCC/Clang vector extension).
+// Each lane performs exactly the scalar IEEE operation.
+using Double2 = double __attribute__((vector_size(16)));
+
+// matmul_nt tiles: kNtRows rows of a share every packed row of b^T, and
+// kNtCols output columns are summed side by side in Double2 lanes.
+constexpr std::size_t kNtRows = 4;
+constexpr std::size_t kNtCols = 8;
+
+// One tile of matmul_nt: `rows` rows of a (row stride k) against one panel
+// (kNtCols packed columns of b^T, row p at panel + p * kNtCols), written to
+// the first `cols` columns of out. Each output is its own accumulator, fed
+// p = 0, 1, ..., k-1 in order, exactly like the scalar dot product.
+template <std::size_t rows>
+void matmul_nt_tile(const float* a, std::size_t k, const double* panel,
+                    float* out, std::size_t out_stride, std::size_t cols) {
+  constexpr std::size_t lanes = kNtCols / 2;
+  Double2 acc[rows][lanes] = {};
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double av = a[r * k + p];
+      const Double2 a2 = {av, av};
+      for (std::size_t l = 0; l < lanes; ++l) {
+        Double2 b2;
+        std::memcpy(&b2, panel + p * kNtCols + 2 * l, sizeof(b2));
+        acc[r][l] += a2 * b2;
+      }
+    }
+  }
+  // Copy out once, so the accumulators stay in registers inside the loop.
+  double sums[rows][kNtCols];
+  static_assert(sizeof(sums) == sizeof(acc));
+  std::memcpy(sums, acc, sizeof(sums));
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c)
+      out[r * out_stride + c] = float(sums[r][c]);
+}
+
+}  // namespace
+
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1));
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   Tensor out({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* arow = a.data().data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* brow = b.data().data() + j * k;
-      double acc = 0.0;
-      for (std::size_t p = 0; p < k; ++p) acc += double(arow[p]) * brow[p];
-      out.at(i, j) = float(acc);
-    }
+  const float* ap = a.data().data();
+  const float* bp = b.data().data();
+  float* op = out.data().data();
+  std::vector<double> panel(k * kNtCols);
+  for (std::size_t j = 0; j < n; j += kNtCols) {
+    // Pack columns j.. of b^T as double; the zero padding past column n
+    // feeds lanes that are never stored.
+    const std::size_t cols = std::min(kNtCols, n - j);
+    for (std::size_t p = 0; p < k; ++p)
+      for (std::size_t c = 0; c < kNtCols; ++c)
+        panel[p * kNtCols + c] = c < cols ? bp[(j + c) * k + p] : 0.0;
+    std::size_t i = 0;
+    for (; i + kNtRows <= m; i += kNtRows)
+      matmul_nt_tile<kNtRows>(ap + i * k, k, panel.data(), op + i * n + j, n,
+                              cols);
+    for (; i < m; ++i)
+      matmul_nt_tile<1>(ap + i * k, k, panel.data(), op + i * n + j, n, cols);
   }
   return out;
 }

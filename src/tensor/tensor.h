@@ -56,7 +56,7 @@ class Tensor {
   float& at(std::size_t r, std::size_t c);
   float at(std::size_t r, std::size_t c) const;
 
-  /// Reinterpret the same storage with a new shape of identical numel.
+  /// A copy of the storage under a new shape of identical numel.
   [[nodiscard]] Tensor reshaped(Shape shape) const;
 
   void fill(float v);
@@ -77,13 +77,24 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// out = a @ b for rank-2 tensors: (m,k) x (k,n) -> (m,n).
+// The three GEMM kernels fix each output's sequence of operations: out[i][j]
+// sums its k terms for p = 0, 1, ..., k-1 in order. Tiling or vectorizing
+// them may change their speed, never their bits (tests/tensor_test.cpp holds
+// each one to a scalar reference by memcmp).
+
+/// out = a @ b for rank-2 tensors: (m,k) x (k,n) -> (m,n). Sums
+/// a[i][p] * b[p][j] in float over p in order, skipping terms whose
+/// a[i][p] is zero. The input-gradient kernel of Linear and Conv2d.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 
-/// out = a @ b^T: (m,k) x (n,k) -> (m,n). Hot kernel for Linear backward.
+/// out = a @ b^T: (m,k) x (n,k) -> (m,n). out[i][j] is float(acc), where
+/// the double acc sums double(a[i][p]) * double(b[j][p]) over p in order.
+/// The forward kernel of Linear and Conv2d.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
-/// out = a^T @ b: (k,m) x (k,n) -> (m,n).
+/// out = a^T @ b: (k,m) x (k,n) -> (m,n). Sums a[p][i] * b[p][j] in float
+/// over p in order, skipping terms whose a[p][i] is zero. The
+/// weight-gradient kernel of Linear and Conv2d.
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
 /// Rank-2 transpose.

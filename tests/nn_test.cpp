@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "data/dataset.h"
@@ -439,6 +440,37 @@ TEST(Zoo, AllModelsConstructAndTrainOneStep) {
     auto g = model->gradient(x, {0, 1});
     EXPECT_EQ(g.gradient.size(), model->dimension()) << name;
     EXPECT_TRUE(gt::all_finite(g.gradient)) << name;
+  }
+}
+
+TEST(Zoo, GradientMatchesFullBackwardBitwise) {
+  // Model::gradient never computes dL/d(input) of the first layer with
+  // parameters (Module::backward_params); a full backward pass does. The
+  // parameter gradients must not tell the two apart.
+  for (const std::string& name : nn::model_names()) {
+    gt::Rng rng(24), twin_rng(24);
+    nn::ModelPtr model = nn::make_model(name, rng);
+    nn::ModelPtr twin = nn::make_model(name, twin_rng);  // same dropout draws
+    gt::Shape batch_shape = model->input_shape();
+    batch_shape.insert(batch_shape.begin(), 16);
+    const gt::Tensor x = gt::Tensor::randn(batch_shape, rng);
+    std::vector<std::size_t> labels(16);
+    for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = i % 10;
+    const nn::GradientResult fast = model->gradient(x, labels);
+
+    nn::Module& net = twin->net();
+    const gt::Tensor logits = net.forward(x, /*train=*/true);
+    const gt::Tensor grad_input =
+        net.backward(nn::SoftmaxCrossEntropy().compute(logits, labels).grad);
+    EXPECT_EQ(grad_input.shape(), x.shape()) << name;
+    gt::FlatVector full;
+    for (const nn::Param& p : net.params())
+      full.insert(full.end(), p.grad->data().begin(), p.grad->data().end());
+    ASSERT_EQ(fast.gradient.size(), full.size()) << name;
+    EXPECT_EQ(std::memcmp(fast.gradient.data(), full.data(),
+                          full.size() * sizeof(float)),
+              0)
+        << name;
   }
 }
 

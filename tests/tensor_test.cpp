@@ -1,8 +1,14 @@
 // Unit tests for garfield::tensor — Tensor, vecops, Rng, parallel_for.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
@@ -82,16 +88,195 @@ TEST(Matmul, MatchesHandComputation) {
   EXPECT_EQ(c.at(1, 1), 154.0F);
 }
 
-TEST(Matmul, TransposedVariantsAgree) {
+// ------------------------------------------- matmul kernels, bit for bit
+//
+// The reference kernels are the plain loops the library kernels started
+// from: every output sums its terms for p = 0, 1, ..., k-1 in order. A
+// tiled or vectorized kernel must reproduce them bit for bit, which a
+// tolerance cannot check: a reordered sum is off by a rounding error.
+
+namespace {
+
+gt::Tensor reference_matmul(const gt::Tensor& a, const gt::Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  gt::Tensor out({m, n});
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a.data()[i * k + p];
+      if (av == 0.0F) continue;
+      const float* brow = b.data().data() + p * n;
+      float* orow = out.data().data() + i * n;
+      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
+  return out;
+}
+
+gt::Tensor reference_matmul_nt(const gt::Tensor& a, const gt::Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  gt::Tensor out({m, n});
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a.data().data() + i * k;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* brow = b.data().data() + j * k;
+      double acc = 0.0;
+      for (std::size_t p = 0; p < k; ++p) acc += double(arow[p]) * brow[p];
+      out.at(i, j) = float(acc);
+    }
+  }
+  return out;
+}
+
+gt::Tensor reference_matmul_tn(const gt::Tensor& a, const gt::Tensor& b) {
+  const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
+  gt::Tensor out({m, n});
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* arow = a.data().data() + p * m;
+    const float* brow = b.data().data() + p * n;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0F) continue;
+      float* orow = out.data().data() + i * n;
+      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
+  return out;
+}
+
+/// One layer's GEMMs: forward {m,k} x {n,k}^T, input gradient
+/// {m,n} x {n,k}, weight gradient {m,n}^T x {m,k}.
+struct Gemm {
+  std::size_t m, k, n;
+};
+
+/// Every GEMM the zoo models run at batch 16: Linear(in, out) is
+/// {16, in, out}; Conv2d is {16*oh*ow, in_ch*kernel^2, out_ch}.
+const std::vector<Gemm> kZooGemms = {
+    {16, 16, 32},    {16, 32, 10},     {16, 64, 128},  {16, 128, 64},
+    {16, 64, 10},    {4096, 9, 8},     {1024, 72, 16}, {16, 256, 64},
+    {4096, 27, 16},  {1024, 144, 32},  {16, 512, 128}, {16, 128, 10},
+    {4096, 27, 8},   {4096, 72, 8},    {1024, 72, 8},  {1024, 8, 4},
+    {1024, 36, 8},   {1024, 8, 2},     {1024, 18, 4},  {1024, 36, 4},
+    {16, 256, 10},   {1024, 144, 16},  {16, 256, 256}};
+
+/// Random entries over 2^-8..2^8 in magnitude, so a float sum of their
+/// products depends on the order of its additions; `zero_frac` of them 0.
+gt::Tensor operand(std::size_t rows, std::size_t cols, gt::Rng& rng,
+                   double zero_frac = 0.0) {
+  gt::Tensor t({rows, cols});
+  for (float& v : t.data()) {
+    v = rng.bernoulli(zero_frac)
+            ? 0.0F
+            : std::ldexp(rng.normal(), int(rng.index(17)) - 8);
+  }
+  return t;
+}
+
+/// Makes the terms of a @ b^T cancel in pairs: for about half of the
+/// p < k/2, term k-1-p is the negation of term p, and both are 2^40 times
+/// larger than the rest. The terms added between such a pair are rounded
+/// to the big partial sum's precision, so a kernel that adds in any other
+/// order than p = 0, 1, ..., k-1 gets other bits.
+void cancel_in_pairs(gt::Tensor& a, gt::Tensor& b, gt::Rng& rng) {
+  const std::size_t k = a.dim(1);
+  for (std::size_t p = 0; p < k / 2; ++p) {
+    if (!rng.bernoulli(0.5)) continue;
+    const std::size_t q = k - 1 - p;
+    for (std::size_t i = 0; i < a.dim(0); ++i) {
+      a.at(i, p) = std::ldexp(a.at(i, p), 40);
+      a.at(i, q) = -a.at(i, p);
+    }
+    for (std::size_t j = 0; j < b.dim(0); ++j) b.at(j, q) = b.at(j, p);
+  }
+}
+
+void expect_same_bytes(const gt::Tensor& got, const gt::Tensor& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        want.numel() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// All three kernels against their references on one GEMM's operands.
+void check_gemm(const Gemm& g, gt::Rng& rng, double zero_frac) {
+  const std::string what = "m=" + std::to_string(g.m) + " k=" +
+                           std::to_string(g.k) + " n=" + std::to_string(g.n);
+  gt::Tensor x = operand(g.m, g.k, rng, zero_frac);         // input / cols
+  gt::Tensor w = operand(g.n, g.k, rng);                     // weight
+  const gt::Tensor dy = operand(g.m, g.n, rng, zero_frac);  // grad rows
+  expect_same_bytes(gt::matmul_nt(x, w), reference_matmul_nt(x, w),
+                    "matmul_nt " + what);
+  expect_same_bytes(gt::matmul(dy, w), reference_matmul(dy, w),
+                    "matmul " + what);
+  expect_same_bytes(gt::matmul_tn(dy, x), reference_matmul_tn(dy, x),
+                    "matmul_tn " + what);
+  cancel_in_pairs(x, w, rng);
+  expect_same_bytes(gt::matmul_nt(x, w), reference_matmul_nt(x, w),
+                    "matmul_nt, cancelling terms, " + what);
+}
+
+}  // namespace
+
+TEST(Matmul, KernelsMatchReferenceOnZooShapes) {
   gt::Rng rng(3);
-  gt::Tensor a = gt::Tensor::randn({4, 5}, rng);
-  gt::Tensor b = gt::Tensor::randn({5, 6}, rng);
-  gt::Tensor direct = gt::matmul(a, b);
-  gt::Tensor via_nt = gt::matmul_nt(a, gt::transpose(b));
-  gt::Tensor via_tn = gt::matmul_tn(gt::transpose(a), b);
-  for (std::size_t i = 0; i < direct.numel(); ++i) {
-    EXPECT_NEAR(direct[i], via_nt[i], 1e-4F);
-    EXPECT_NEAR(direct[i], via_tn[i], 1e-4F);
+  for (const Gemm& g : kZooGemms) check_gemm(g, rng, 0.0);
+}
+
+TEST(Matmul, KernelsMatchReferenceOffTileSizes) {
+  gt::Rng rng(4);
+  for (std::size_t m = 1; m <= 9; ++m)
+    for (std::size_t k = 1; k <= 9; ++k)
+      for (std::size_t n = 1; n <= 9; ++n) check_gemm({m, k, n}, rng, 0.0);
+}
+
+TEST(Matmul, KernelsMatchReferenceWithHalfZeroLeftOperands) {
+  // Zero entries of the left operand are skipped by matmul and matmul_tn.
+  gt::Rng rng(5);
+  for (const Gemm& g : kZooGemms) check_gemm(g, rng, 0.5);
+  for (std::size_t s = 1; s <= 9; ++s) check_gemm({s, 10 - s, s + 2}, rng, 0.5);
+}
+
+TEST(Matmul, KernelsMatchReferenceOnNonFiniteInputs) {
+  // Vectorized adds may swap their operands, and the NaN a sum propagates
+  // is the first operand's: NaN sign and payload may differ, NaN positions
+  // and every other bit may not.
+  gt::Rng rng(6);
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  const auto poisoned = [&](std::size_t rows, std::size_t cols) {
+    gt::Tensor t = operand(rows, cols, rng, 0.3);
+    for (float& v : t.data())
+      if (rng.bernoulli(0.01)) v = specials[rng.index(3)];
+    return t;
+  };
+  const auto expect_same_up_to_nan = [](const gt::Tensor& got,
+                                        const gt::Tensor& want,
+                                        const std::string& what) {
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    for (std::size_t i = 0; i < want.numel(); ++i) {
+      if (std::isnan(want[i])) {
+        EXPECT_TRUE(std::isnan(got[i])) << what << " entry " << i;
+      } else {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << what << " entry " << i;
+      }
+    }
+  };
+  for (const Gemm& g : {Gemm{7, 9, 5}, Gemm{16, 27, 16}, Gemm{33, 20, 10},
+                        Gemm{1024, 36, 4}}) {
+    const gt::Tensor x = poisoned(g.m, g.k), w = poisoned(g.n, g.k),
+                     dy = poisoned(g.m, g.n);
+    const std::string what = "m=" + std::to_string(g.m);
+    expect_same_up_to_nan(gt::matmul_nt(x, w), reference_matmul_nt(x, w),
+                          "matmul_nt " + what);
+    expect_same_up_to_nan(gt::matmul(dy, w), reference_matmul(dy, w),
+                          "matmul " + what);
+    expect_same_up_to_nan(gt::matmul_tn(dy, x), reference_matmul_tn(dy, x),
+                          "matmul_tn " + what);
   }
 }
 

@@ -11,14 +11,20 @@
 //   - SSMW / MSMW / decentralized parity, each rank its own process
 //   - crash/recovery over TCP: a `churn:` schedule derived independently
 //     by every process walks the same trajectory as the in-process FSM
+//   - the orchestrator's run files: under $TMPDIR, removed after the run,
+//     and a missing $TMPDIR named in the error
 //   - config validation scope limits of the tcp backend
 //   - the ScenarioMatrix `transports` axis: twins share one seed
 //
 // Tests that spawn node processes carry the `multiproc` ctest label and
 // skip when the garfield_node launcher is not built.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -208,6 +214,73 @@ TEST(TransportBackend, FaultInjectionIsBitwiseIdenticalAcrossBackends) {
             0)
       << "recovered faults leaked into the learning trajectory";
   EXPECT_EQ(baseline.net_stats.retries, 0u);
+}
+
+// ------------------------------------------------- orchestrator run files
+
+namespace {
+
+/// Sets an environment variable for one scope, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value.c_str(), 1);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+gc::DeploymentConfig tiny_ssmw() {
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kSsmw);
+  cfg.nw = 3;
+  cfg.fw = 0;
+  cfg.nps = 1;
+  cfg.gradient_gar = "median";
+  return cfg;
+}
+
+}  // namespace
+
+TEST(TransportBackend, TcpRunFilesLiveUnderTmpdirAndAreRemoved) {
+  std::string tmpdir = testing::TempDir() + "garfield_tmpdir.XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpdir.data()), nullptr) << std::strerror(errno);
+  std::optional<gc::TrainResult> tcp;
+  {
+    const ScopedEnv env("TMPDIR", tmpdir);
+    tcp = try_tcp(tiny_ssmw());
+  }
+  const bool left_nothing = std::filesystem::is_empty(tmpdir);
+  std::filesystem::remove_all(tmpdir);
+  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+  EXPECT_EQ(tcp->iterations_run, tiny_ssmw().iterations);
+  EXPECT_TRUE(left_nothing) << "the tcp run left files under TMPDIR";
+}
+
+TEST(TransportBackend, MissingTmpdirFailsNamingIt) {
+  const std::string missing = testing::TempDir() + "garfield_no_such_tmpdir";
+  std::filesystem::remove_all(missing);
+  const ScopedEnv env("TMPDIR", missing);
+  try {
+    if (!try_tcp(tiny_ssmw())) {
+      GTEST_SKIP() << "garfield_node launcher not built";
+    }
+    ADD_FAILURE() << "train() ran with TMPDIR pointing nowhere";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------- validation scope

@@ -2,10 +2,12 @@
 // checkpointing, including corruption/truncation detection and trainer
 // resume continuity.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/checkpoint.h"
 #include "core/trainer.h"
@@ -18,8 +20,11 @@ namespace gt = garfield::tensor;
 
 namespace {
 
+/// Per-process, so the parallel and serial ctest runs never share a file.
 std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          ("garfield_wire_" + std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 }  // namespace
