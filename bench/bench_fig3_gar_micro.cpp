@@ -13,11 +13,18 @@
 // timed through the aggregate_into hot path at 1 / 2 / max threads
 // (set_parallel_threads) and the serial-vs-parallel speedup is printed, so
 // the coordinate-sharding scaling is a recorded number, not an assumption.
+//
+// A fourth section ("fig3d") times aggregate_into at the GAR shapes of the
+// repository benchmark's workloads (garfield_bench/), with 1 caller and
+// with 4 concurrent callers, the way the 4 servers of an MSMW deployment
+// aggregate at once.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <latch>
+#include <thread>
 
 #include "bench_support.h"
 #include "gars/gar.h"
@@ -153,6 +160,78 @@ void thread_scaling_report() {
   }
 }
 
+// Fig 3d: aggregate_into µs at the benchmark workloads' GAR shapes. Each
+// caller owns its rule, context and output and shares the inputs; it runs
+// `warmup` calls, then times `calls` more. The table prints the median and
+// quartiles over all callers' timed calls. Smoke mode shrinks d and the
+// call count.
+void workload_shapes_report() {
+  using clock = std::chrono::steady_clock;
+  struct Shape {
+    const char* gar;
+    std::size_t n, f, d;
+    const char* use;
+  };
+  const Shape shapes[] = {
+      {"multi_krum", 8, 1, 17226, "msmw-mlp gradients"},
+      {"multi_krum", 8, 1, 72042, "ssmw-cnn gradients"},
+      {"multi_krum", 9, 2, 874, "ssmw-byz gradients"},
+      {"multi_krum", 8, 0, 874, "dec-mlp gradients"},
+      {"median", 4, 1, 17226, "msmw-mlp models"},
+      {"median", 8, 0, 874, "dec-mlp models"},
+  };
+  const bool smoke = garfield::bench::smoke_mode();
+  const int warmup = smoke ? 1 : 20;
+  const int calls = smoke ? 3 : 300;
+
+  std::printf(
+      "\nfig3d/workload_shapes: aggregate_into us, median and quartiles of "
+      "%d calls per caller after %d warm-up calls (hardware threads: %u)\n",
+      calls, warmup, std::thread::hardware_concurrency());
+  std::printf("%-11s %3s %3s %7s %8s %10s %10s %10s  %s\n", "gar", "n", "f",
+              "d", "callers", "median_us", "q1_us", "q3_us", "shape of");
+  for (const Shape& shape : shapes) {
+    const std::size_t d = smoke ? std::min<std::size_t>(shape.d, 1000)
+                                : shape.d;
+    const auto inputs = make_inputs(shape.n, d);
+    for (const int callers : {1, 4}) {
+      std::vector<std::vector<double>> us(static_cast<std::size_t>(callers));
+      std::latch start(callers);
+      std::vector<std::thread> threads;
+      for (int c = 0; c < callers; ++c) {
+        threads.emplace_back([&, c] {
+          const auto gar = garfield::gars::make_gar(shape.gar, shape.n,
+                                                    shape.f);
+          garfield::gars::AggregationContext ctx;
+          FlatVector out;
+          start.arrive_and_wait();
+          for (int k = 0; k < warmup; ++k)
+            gar->aggregate_into(inputs, ctx, out);
+          for (int k = 0; k < calls; ++k) {
+            const auto begin = clock::now();
+            gar->aggregate_into(inputs, ctx, out);
+            us[std::size_t(c)].push_back(
+                std::chrono::duration<double, std::micro>(clock::now() -
+                                                          begin)
+                    .count());
+          }
+          benchmark::DoNotOptimize(out.data());
+        });
+      }
+      for (std::thread& t : threads) t.join();
+      std::vector<double> all;
+      for (const auto& v : us) all.insert(all.end(), v.begin(), v.end());
+      std::sort(all.begin(), all.end());
+      const auto at = [&](double q) {
+        return all[std::size_t(q * double(all.size() - 1) + 0.5)];
+      };
+      std::printf("%-11s %3zu %3zu %7zu %8d %10.1f %10.1f %10.1f  %s\n",
+                  shape.gar, shape.n, shape.f, d, callers, at(0.5), at(0.25),
+                  at(0.75), shape.use);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,5 +239,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   thread_scaling_report();
+  workload_shapes_report();
   return 0;
 }

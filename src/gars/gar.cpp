@@ -1,7 +1,10 @@
 #include "gars/gar.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -62,7 +65,7 @@ void DistanceCache::reset(std::span<const FlatVector> inputs) {
   // Shard the upper triangle over cores by flat pair index. Each pair is
   // one O(d) squared-distance computation, so the grain (minimum pairs per
   // shard) scales inversely with d: small models stay on the inline serial
-  // path where a thread spawn would dwarf the work. Every pair writes two
+  // path where handing pairs to other cores would dwarf the work. Every pair writes two
   // disjoint matrix slots; results are bitwise independent of the layout.
   const std::size_t n = n_;
   const std::size_t pairs = n * (n - 1) / 2;
@@ -178,7 +181,64 @@ void Average::do_aggregate(std::span<const FlatVector> inputs,
 
 // ---------------------------------------------------------------- Median
 
-Median::Median(std::size_t n, std::size_t f) : Gar(n, f) {
+namespace {
+
+// Four floats: one SSE register on x86-64 (GCC/Clang vector extension),
+// and the matching lane mask type of a comparison. Each lane performs
+// exactly the scalar IEEE operation.
+using Float4 = float __attribute__((vector_size(16)));
+using Mask4 = std::int32_t __attribute__((vector_size(16)));
+
+// The median network runs on blocks of kMedianGroups Float4 groups (64
+// coordinates): each comparator handles the whole block, so consecutive
+// comparators do not wait on each other's results.
+constexpr std::size_t kMedianGroups = 16;
+constexpr std::size_t kMedianBlock = 4 * kMedianGroups;
+
+// Afterwards x holds the lane-wise smaller and y the larger of the two: the
+// lanes where y < x swap their bits. The select is bitwise, so it never
+// branches and needs no vector ternary.
+inline void compare_exchange(Float4& x, Float4& y) {
+  const Mask4 swap = ((Mask4)x ^ (Mask4)y) & (y < x);
+  x = (Float4)((Mask4)x ^ swap);
+  y = (Float4)((Mask4)y ^ swap);
+}
+
+// Batcher's odd-even merge sort over the next power of two >= n, without
+// the comparators that touch an index >= n: those only ever meet +inf
+// padding, so the rest still sorts n values ascending. A backward walk
+// then drops every comparator whose outputs cannot reach the median ranks
+// (n/2, and n/2-1 for even n).
+std::vector<std::array<std::uint32_t, 2>> median_network(std::size_t n) {
+  if (n < 2) return {};
+  std::size_t width = 1;
+  while (width < n) width <<= 1;
+  std::vector<std::array<std::uint32_t, 2>> sorter;
+  for (std::size_t p = 1; p < width; p <<= 1)
+    for (std::size_t k = p; k >= 1; k >>= 1)
+      for (std::size_t j = k % p; j + k < width; j += 2 * k)
+        for (std::size_t i = 0; i < k && i + j + k < n; ++i)
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p))
+            sorter.push_back({std::uint32_t(i + j), std::uint32_t(i + j + k)});
+  std::vector<bool> needed(n, false);
+  needed[n / 2] = true;
+  if (n % 2 == 0) needed[n / 2 - 1] = true;
+  std::vector<std::array<std::uint32_t, 2>> network;
+  for (auto it = sorter.rbegin(); it != sorter.rend(); ++it) {
+    const auto [lo, hi] = *it;
+    if (needed[lo] || needed[hi]) {
+      needed[lo] = needed[hi] = true;
+      network.push_back(*it);
+    }
+  }
+  std::reverse(network.begin(), network.end());
+  return network;
+}
+
+}  // namespace
+
+Median::Median(std::size_t n, std::size_t f)
+    : Gar(n, f), network_(median_network(n)) {
   require(n >= 2 * f + 1,
           "median: requires n >= 2f+1 (got n=" + std::to_string(n) +
               ", f=" + std::to_string(f) + ")");
@@ -203,24 +263,40 @@ void Median::do_aggregate(std::span<const FlatVector> inputs,
     });
     return;
   }
-  // General path: each core owns a contiguous share of coordinates and runs
-  // introselect (std::nth_element) per coordinate — the paper's CPU scheme.
+  // Any other n: each core owns a contiguous share of coordinates (§4.3)
+  // and runs the comparator network on one block of them at a time. Row i
+  // of `lanes` holds input i's block; a short last block leaves stale lanes
+  // behind, which are never stored.
+  const std::size_t mid = n / 2;
+  const Float4 half = {0.5F, 0.5F, 0.5F, 0.5F};
   parallel_for(d, [&](std::size_t begin, std::size_t end) {
-    std::vector<float> column(n);
-    for (std::size_t j = begin; j < end; ++j) {
-      for (std::size_t i = 0; i < n; ++i) column[i] = inputs[i][j];
-      const std::size_t mid = n / 2;
-      std::nth_element(column.begin(), column.begin() + long(mid),
-                       column.end());
-      if (n % 2 == 1) {
-        out[j] = column[mid];
-      } else {
-        // Even count: average the two central order statistics.
-        const float hi = column[mid];
-        const float lo =
-            *std::max_element(column.begin(), column.begin() + long(mid));
-        out[j] = 0.5F * (lo + hi);
+    std::vector<Float4> lanes(n * kMedianGroups);
+    for (std::size_t j = begin; j < end; j += kMedianBlock) {
+      const std::size_t width = std::min(kMedianBlock, end - j);
+      for (std::size_t i = 0; i < n; ++i) {
+        Float4* row = &lanes[i * kMedianGroups];
+        const float* src = inputs[i].data() + j;
+        // A constant size on full blocks compiles to plain vector moves.
+        if (width == kMedianBlock) {
+          std::memcpy(row, src, sizeof(Float4) * kMedianGroups);
+        } else {
+          std::memcpy(row, src, sizeof(float) * width);
+        }
       }
+      for (const auto& [lo, hi] : network_) {
+        Float4* x = &lanes[lo * kMedianGroups];
+        Float4* y = &lanes[hi * kMedianGroups];
+        for (std::size_t g = 0; g < kMedianGroups; ++g)
+          compare_exchange(x[g], y[g]);
+      }
+      Float4 median[kMedianGroups];
+      const Float4* upper = &lanes[mid * kMedianGroups];
+      const Float4* lower = &lanes[(mid - 1) * kMedianGroups];
+      for (std::size_t g = 0; g < kMedianGroups; ++g) {
+        // Even count: average the two central order statistics.
+        median[g] = n % 2 == 1 ? upper[g] : half * (lower[g] + upper[g]);
+      }
+      std::memcpy(out.data() + j, median, sizeof(float) * width);
     }
   });
 }

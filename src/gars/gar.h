@@ -26,7 +26,9 @@
 // typed options ("centered_clip:tau=0.5,iterations=20").
 #pragma once
 
+#include <array>
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -220,7 +222,21 @@ class Average final : public Gar {
                     AggregationContext& ctx, FlatVector& out) const override;
 };
 
-/// Coordinate-wise median [Xie et al.]. Requires n >= 2f+1. O(nd).
+/// Coordinate-wise median [Xie et al.]. Requires n >= 2f+1.
+///
+/// Per coordinate the output is sorted[n/2] for odd n and
+/// 0.5F * (sorted[n/2-1] + sorted[n/2]) for even n. n = 1 copies and n = 3
+/// runs the paper's median3_branchless (§4.3). Every other n generalizes
+/// that branchless primitive: a comparator network (Batcher's odd-even
+/// merge sort, cut to n inputs and to the comparators that reach the median
+/// ranks; O(n log^2 n) compare-exchanges per coordinate) runs on 4
+/// coordinates per SIMD register, with no data-dependent branch.
+///
+/// It selects the same order statistics as an introselect
+/// (std::nth_element), so finite and infinite inputs give the same bits,
+/// with one exception: when -0 and +0 tie at a median rank, the sign of a
+/// zero median may differ. NaN inputs are not ordered (Server::validate
+/// drops non-finite payloads before any GAR runs).
 class Median final : public Gar {
  public:
   Median(std::size_t n, std::size_t f);
@@ -229,6 +245,10 @@ class Median final : public Gar {
  protected:
   void do_aggregate(std::span<const FlatVector> inputs,
                     AggregationContext& ctx, FlatVector& out) const override;
+
+ private:
+  /// Compare-exchanges (lower index, higher index), in order.
+  std::vector<std::array<std::uint32_t, 2>> network_;
 };
 
 /// Coordinate-wise trimmed mean: drop the `trim` lowest and `trim` highest

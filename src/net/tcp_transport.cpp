@@ -150,7 +150,7 @@ TcpTransport::TcpTransport(const Options& options)
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
   }
-  pool_ = std::make_unique<ThreadPool>(threads);
+  pool_ = std::make_unique<util::ThreadPool>(threads);
   timer_ = std::make_unique<TimerWheel>(*pool_);
   {
     util::MutexLock lock(control_mutex_);

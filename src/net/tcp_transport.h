@@ -45,11 +45,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/thread_pool.h"
 #include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace garfield::net {
 
@@ -167,7 +167,7 @@ class TcpTransport final : public Transport {
 
   // Same delayed-execution machinery as InProcTransport; shutdown() stops
   // the wheel, drains the pool, then closes sockets.
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<TimerWheel> timer_;
 };
 

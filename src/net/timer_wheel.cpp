@@ -5,7 +5,7 @@
 
 namespace garfield::net {
 
-TimerWheel::TimerWheel(ThreadPool& pool)
+TimerWheel::TimerWheel(util::ThreadPool& pool)
     : pool_(pool), thread_([this] { run(); }) {}
 
 TimerWheel::~TimerWheel() { stop_and_flush(); }

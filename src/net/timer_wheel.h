@@ -23,9 +23,9 @@
 #include <thread>
 #include <vector>
 
-#include "net/thread_pool.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace garfield::net {
 
@@ -35,7 +35,7 @@ class TimerWheel {
 
   /// The wheel submits matured tasks to `pool`, which must outlive the
   /// wheel's *running* phase (until stop_and_flush() returns).
-  explicit TimerWheel(ThreadPool& pool);
+  explicit TimerWheel(util::ThreadPool& pool);
 
   /// Calls stop_and_flush() if it has not run yet.
   ~TimerWheel();
@@ -83,7 +83,7 @@ class TimerWheel {
 
   void run() GARFIELD_EXCLUDES(mutex_);
 
-  ThreadPool& pool_;
+  util::ThreadPool& pool_;
   mutable util::Mutex mutex_;
   util::CondVar cv_;
   /// std::push_heap/pop_heap with Later.

@@ -41,7 +41,7 @@ InProcTransport::InProcTransport(std::size_t pool_threads) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
   }
-  pool_ = std::make_unique<ThreadPool>(threads);
+  pool_ = std::make_unique<util::ThreadPool>(threads);
   timer_ = std::make_unique<TimerWheel>(*pool_);
 }
 

@@ -32,10 +32,10 @@
 #include <optional>
 #include <string>
 
-#include "net/thread_pool.h"
 #include "net/timer_wheel.h"
 #include "tensor/vecops.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace garfield::net {
 
@@ -184,7 +184,7 @@ class InProcTransport final : public Transport {
   // destroy both, so in-flight deliveries can never re-arm a dead timer or
   // submit to a dead pool (see ~Cluster's original comment, which moved
   // here with the members).
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<TimerWheel> timer_;
 };
 

@@ -253,8 +253,11 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
       const float* plane = in + (n * c + ch) * h * w;
       for (std::size_t oy = 0; oy < oh; ++oy) {
         for (std::size_t ox = 0; ox < ow; ++ox) {
+          // A window of only -inf or NaN keeps best = -inf and routes its
+          // gradient to its own first element.
           float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
+          std::size_t best_idx =
+              (n * c + ch) * h * w + oy * stride_ * w + ox * stride_;
           for (std::size_t ky = 0; ky < kernel_; ++ky) {
             for (std::size_t kx = 0; kx < kernel_; ++kx) {
               const std::size_t iy = oy * stride_ + ky;

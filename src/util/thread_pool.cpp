@@ -1,6 +1,6 @@
-#include "net/thread_pool.h"
+#include "util/thread_pool.h"
 
-namespace garfield::net {
+namespace garfield::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
@@ -11,7 +11,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     stop_ = true;
   }
   cv_.notify_all();
@@ -20,7 +20,7 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::submit(std::function<void()>&& task) {
   {
-    util::MutexLock lock(mutex_);
+    MutexLock lock(mutex_);
     if (stop_) return false;
     queue_.push_back(std::move(task));
   }
@@ -32,7 +32,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      util::MutexLock lock(mutex_);
+      MutexLock lock(mutex_);
       cv_.wait(mutex_, [this]() GARFIELD_REQUIRES(mutex_) {
         return stop_ || !queue_.empty();
       });
@@ -47,4 +47,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-}  // namespace garfield::net
+}  // namespace garfield::util

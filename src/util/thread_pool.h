@@ -1,8 +1,12 @@
-// Fixed-size thread pool used by the simulated cluster to execute RPC
-// handler invocations concurrently, the way a gRPC server's completion
-// queues would. Pool threads only ever run handler compute: simulated link
-// delay lives in the TimerWheel (timer_wheel.h), so the pool can be sized
-// to hardware concurrency instead of over-provisioned to hide sleeps.
+// Fixed-size thread pool. It has two users:
+//   - the transports (net/transport.h, net/tcp_transport.h) execute RPC
+//     handler invocations on one, the way a gRPC server's completion queues
+//     would. Pool threads only ever run handler compute: simulated link
+//     delay lives in the TimerWheel (net/timer_wheel.h), so the pool can be
+//     sized to hardware concurrency instead of over-provisioned to hide
+//     sleeps;
+//   - tensor::parallel_for (tensor/parallel.h) keeps one process-wide
+//     instance whose threads help callers run their coordinate shards.
 //
 // Locking discipline (compile-checked under the clang-analyze preset):
 // `mutex_` guards the task queue and the stop flag; workers hold it only
@@ -18,7 +22,7 @@
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
-namespace garfield::net {
+namespace garfield::util {
 
 class ThreadPool {
  public:
@@ -41,11 +45,11 @@ class ThreadPool {
  private:
   void worker_loop() GARFIELD_EXCLUDES(mutex_);
 
-  util::Mutex mutex_;
-  util::CondVar cv_;
+  Mutex mutex_;
+  CondVar cv_;
   std::deque<std::function<void()>> queue_ GARFIELD_GUARDED_BY(mutex_);
   bool stop_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };
 
-}  // namespace garfield::net
+}  // namespace garfield::util

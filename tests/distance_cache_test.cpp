@@ -7,10 +7,12 @@
 #include <numeric>
 
 #include "gars/gar.h"
+#include "support/test_support.h"
 #include "tensor/rng.h"
 
 namespace gg = garfield::gars;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 using gt::FlatVector;
 
@@ -52,8 +54,8 @@ TEST(DistanceCache, MatrixIsSymmetricWithZeroDiagonal) {
     for (std::size_t j = 0; j < 6; ++j) {
       EXPECT_DOUBLE_EQ(cache.squared_distance(i, j),
                        cache.squared_distance(j, i));
-      EXPECT_DOUBLE_EQ(cache.squared_distance(i, j),
-                       gt::squared_distance(in[i], in[j]));
+      EXPECT_EQ(cache.squared_distance(i, j),
+                gt::squared_distance(in[i], in[j]));
     }
   }
 }
@@ -207,8 +209,8 @@ TEST(DistanceCache, ResetReusesStorageAcrossInputSets) {
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(cache.is_active(i));
     for (std::size_t j = 0; j < 5; ++j) {
-      EXPECT_DOUBLE_EQ(cache.squared_distance(i, j),
-                       gt::squared_distance(second[i], second[j]));
+      EXPECT_EQ(cache.squared_distance(i, j),
+                gt::squared_distance(second[i], second[j]));
     }
   }
 
@@ -217,8 +219,26 @@ TEST(DistanceCache, ResetReusesStorageAcrossInputSets) {
   cache.reset(third);
   EXPECT_EQ(cache.size(), 11u);
   EXPECT_EQ(cache.active_count(), 11u);
-  EXPECT_DOUBLE_EQ(cache.squared_distance(10, 3),
-                   gt::squared_distance(third[10], third[3]));
+  EXPECT_EQ(cache.squared_distance(10, 3),
+            gt::squared_distance(third[10], third[3]));
+}
+
+TEST(DistanceCache, MatrixEqualsSquaredDistanceAtAnyThreadCount) {
+  // At d = 20000 the pair grain is 3, so the 36 pairs of 9 inputs split
+  // into as many shards as the thread count allows, run on the pool. Each
+  // entry must still be exactly the serial squared distance.
+  const auto in = random_inputs(9, 20000, 29);
+  for (const std::size_t threads : {1U, 2U, 5U}) {
+    const ts::ShardCount shards(threads);
+    const gg::DistanceCache cache(in);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      for (std::size_t j = 0; j < in.size(); ++j) {
+        EXPECT_EQ(cache.squared_distance(i, j),
+                  gt::squared_distance(in[i], in[j]))
+            << i << "," << j << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(DistanceCache, ContextReusedAcrossCallsYieldsSameAggregates) {

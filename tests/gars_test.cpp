@@ -6,14 +6,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "gars/gar.h"
 #include "gars/median3.h"
+#include "support/test_support.h"
+#include "tensor/parallel.h"
 #include "tensor/rng.h"
 #include "tensor/vecops.h"
 
 namespace gg = garfield::gars;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 using gt::FlatVector;
 
@@ -140,6 +146,121 @@ TEST(MedianGar, IgnoresFExtremes) {
   gg::GarPtr gar = gg::make_gar("median", 5, 2);
   std::vector<FlatVector> in = {{1.0F}, {1.1F}, {0.9F}, {1e9F}, {-1e9F}};
   EXPECT_NEAR(gar->aggregate(in)[0], 1.0F, 0.2F);
+}
+
+namespace {
+
+// The median before the comparator network: introselect per coordinate
+// (the former Median::do_aggregate loop, run serially).
+FlatVector introselect_median(const std::vector<FlatVector>& inputs) {
+  const std::size_t n = inputs.size();
+  const std::size_t d = inputs.front().size();
+  FlatVector out(d);
+  std::vector<float> column(n);
+  for (std::size_t j = 0; j < d; ++j) {
+    for (std::size_t i = 0; i < n; ++i) column[i] = inputs[i][j];
+    const std::size_t mid = n / 2;
+    std::nth_element(column.begin(), column.begin() + long(mid),
+                     column.end());
+    if (n % 2 == 1) {
+      out[j] = column[mid];
+    } else {
+      const float hi = column[mid];
+      const float lo =
+          *std::max_element(column.begin(), column.begin() + long(mid));
+      out[j] = 0.5F * (lo + hi);
+    }
+  }
+  return out;
+}
+
+// n inputs of dimension d whose coordinates are draw(rng).
+template <typename Draw>
+std::vector<FlatVector> cloud_of(std::size_t n, std::size_t d,
+                                 std::uint64_t seed, Draw draw) {
+  gt::Rng rng(seed);
+  std::vector<FlatVector> out(n, FlatVector(d));
+  for (FlatVector& v : out) {
+    for (float& x : v) x = draw(rng);
+  }
+  return out;
+}
+
+FlatVector median_of(const std::vector<FlatVector>& inputs) {
+  const gg::Median gar(inputs.size(), (inputs.size() - 1) / 2);
+  gg::AggregationContext ctx;
+  FlatVector out;
+  gar.aggregate_into(inputs, ctx, out);
+  return out;
+}
+
+bool same_bits(const FlatVector& a, const FlatVector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+const std::size_t kNetworkSizes[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,
+                                     10, 11, 12, 13, 14, 15, 16, 17, 23,
+                                     31, 64};
+
+}  // namespace
+
+TEST(MedianGar, NetworkMatchesIntroselectBitwise) {
+  for (const std::size_t threads : {0U, 1U, 5U}) {
+    const ts::ShardCount shards(threads);
+    for (const std::size_t n : kNetworkSizes) {
+      for (const std::size_t d : {1U, 3U, 4U, 5U, 874U, 17226U}) {
+        const auto inputs = cloud_of(n, d, 1000 * n + d, [](gt::Rng& rng) {
+          return rng.normal(0.0F, 1.0F);
+        });
+        EXPECT_TRUE(same_bits(median_of(inputs), introselect_median(inputs)))
+            << "n=" << n << " d=" << d << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(MedianGar, NetworkMatchesIntroselectAcrossShards) {
+  // Above two coordinate grains, so the shards split blocks unevenly.
+  const std::size_t d = 2 * gt::kParallelForGrain + 37;
+  for (const std::size_t threads : {1U, 2U, 5U}) {
+    const ts::ShardCount shards(threads);
+    for (const std::size_t n : {4U, 5U, 8U}) {
+      const auto inputs = cloud_of(n, d, n, [](gt::Rng& rng) {
+        return rng.normal(0.0F, 1.0F);
+      });
+      EXPECT_TRUE(same_bits(median_of(inputs), introselect_median(inputs)))
+          << "n=" << n << " threads=" << threads;
+    }
+  }
+}
+
+TEST(MedianGar, NetworkMatchesIntroselectOnTiesAndInfinities) {
+  // Few distinct values, so most ranks tie, plus both infinities: an even
+  // n then averages -inf and +inf at some coordinates, giving NaN in both.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float values[] = {-kInf, -2.0F, -0.5F, 1.0F, 1.0F, 3.0F, kInf};
+  for (const std::size_t n : kNetworkSizes) {
+    const auto inputs = cloud_of(n, 301, n, [&](gt::Rng& rng) {
+      return values[rng.index(std::size(values))];
+    });
+    EXPECT_TRUE(same_bits(median_of(inputs), introselect_median(inputs)))
+        << "n=" << n;
+  }
+}
+
+TEST(MedianGar, SignedZeroTiesCompareByValue) {
+  // -0 and +0 tie at the median rank; only the zero's sign may differ.
+  const float values[] = {-0.0F, 0.0F, -0.0F, 0.0F, -1.0F, 1.0F};
+  for (const std::size_t n : kNetworkSizes) {
+    const auto inputs = cloud_of(n, 257, 7 * n, [&](gt::Rng& rng) {
+      return values[rng.index(std::size(values))];
+    });
+    const FlatVector got = median_of(inputs);
+    const FlatVector want = introselect_median(inputs);
+    for (std::size_t j = 0; j < got.size(); ++j)
+      EXPECT_EQ(got[j], want[j]) << "n=" << n << " j=" << j;
+  }
 }
 
 // --------------------------------------------------------- trimmed mean

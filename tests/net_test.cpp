@@ -12,14 +12,15 @@
 #include <vector>
 
 #include "net/cluster.h"
-#include "net/thread_pool.h"
 #include "net/timer_wheel.h"
+#include "util/thread_pool.h"
 
 namespace gn = garfield::net;
+namespace gu = garfield::util;
 using namespace std::chrono_literals;
 
 TEST(ThreadPool, ExecutesAllTasks) {
-  gn::ThreadPool pool(4);
+  gu::ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(pool.submit([&count] { count.fetch_add(1); }));
@@ -32,12 +33,12 @@ TEST(ThreadPool, ExecutesAllTasks) {
 }
 
 TEST(ThreadPool, ZeroThreadsClampedToOne) {
-  gn::ThreadPool pool(0);
+  gu::ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(TimerWheel, FiresAfterDelayInDueOrder) {
-  gn::ThreadPool pool(1);
+  gu::ThreadPool pool(1);
   std::mutex mutex;
   std::vector<int> order;
   std::atomic<int> fired{0};
@@ -63,7 +64,7 @@ TEST(TimerWheel, FiresAfterDelayInDueOrder) {
 }
 
 TEST(TimerWheel, EqualDueTimesFireInScheduleOrder) {
-  gn::ThreadPool pool(1);
+  gu::ThreadPool pool(1);
   std::vector<int> order;
   std::atomic<int> fired{0};
   {
@@ -86,7 +87,7 @@ TEST(TimerWheel, EqualDueTimesFireInScheduleOrder) {
 }
 
 TEST(TimerWheel, FlushesPendingEntriesOnDestruction) {
-  gn::ThreadPool pool(1);
+  gu::ThreadPool pool(1);
   std::atomic<int> fired{0};
   {
     gn::TimerWheel wheel(pool);

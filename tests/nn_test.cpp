@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "data/dataset.h"
@@ -159,6 +160,23 @@ TEST(MaxPool2d, BackwardRoutesToArgmax) {
   EXPECT_EQ(gx[0], 0.0F);
   EXPECT_EQ(gx[1], 7.0F);
   EXPECT_EQ(gx[2], 0.0F);
+}
+
+TEST(MaxPool2d, WindowWithNoFiniteValueKeepsItsGradient) {
+  // Sample 1 is all -inf: its window's gradient must stay in sample 1,
+  // not land on the batch's first element.
+  nn::MaxPool2d pool(2, 2);
+  const float inf = std::numeric_limits<float>::infinity();
+  gt::Tensor x({2, 1, 2, 2},
+               std::vector<float>{0, 1, 2, 3, -inf, -inf, -inf, -inf});
+  const gt::Tensor y = pool.forward(x, true);
+  EXPECT_EQ(y[0], 3.0F);
+  EXPECT_EQ(y[1], -inf);
+  const gt::Tensor gx =
+      pool.backward(gt::Tensor({2, 1, 1, 1}, std::vector<float>{1, 1}));
+  const std::vector<float> want = {0, 0, 0, 1, 1, 0, 0, 0};
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(gx[i], want[i]) << i;
 }
 
 TEST(Flatten, RoundTrip) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/conditions.h"
+#include "tensor/parallel.h"
 #include "tensor/rng.h"
 #include "tensor/vecops.h"
 
@@ -143,6 +144,21 @@ struct ScenarioMatrix {
 
   /// Invoke fn on every cell. Returns the number of cells visited.
   std::size_t for_each(const std::function<void(const Scenario&)>& fn) const;
+};
+
+// ------------------------------------------------------- parallel kernels
+
+/// Sets the parallel_for shard count (tensor::set_parallel_threads) for one
+/// scope and restores the default (0) on exit, so a failed assertion cannot
+/// leak an override into later tests.
+class ShardCount {
+ public:
+  explicit ShardCount(std::size_t threads) {
+    tensor::set_parallel_threads(threads);
+  }
+  ~ShardCount() { tensor::set_parallel_threads(0); }
+  ShardCount(const ShardCount&) = delete;
+  ShardCount& operator=(const ShardCount&) = delete;
 };
 
 }  // namespace garfield::testsupport

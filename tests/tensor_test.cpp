@@ -1,21 +1,31 @@
 // Unit tests for garfield::tensor — Tensor, vecops, Rng, parallel_for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <latch>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "support/test_support.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/vecops.h"
 
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 TEST(Shape, NumelAndToString) {
   EXPECT_EQ(gt::shape_numel({2, 3, 4}), 24u);
@@ -381,4 +391,125 @@ TEST(ParallelFor, SmallRangeRunsInline) {
 
 TEST(ParallelFor, ZeroIsNoop) {
   gt::parallel_for(0, [](std::size_t, std::size_t) { FAIL(); });
+}
+
+namespace {
+
+using Shard = std::pair<std::size_t, std::size_t>;
+
+// The shards parallel.h documents for [0, n): shards = min(threads,
+// max(1, n / grain)) of chunk = ceil(n / shards) items, empty ones dropped.
+std::vector<Shard> documented_shards(std::size_t n, std::size_t grain,
+                                     std::size_t threads) {
+  const std::size_t shards =
+      std::min(threads, std::max<std::size_t>(1, n / grain));
+  const std::size_t chunk = (n + shards - 1) / shards;
+  std::vector<Shard> out;
+  for (std::size_t begin = 0; begin < n; begin += chunk)
+    out.emplace_back(begin, std::min(begin + chunk, n));
+  return out;
+}
+
+// The (begin, end) pairs one parallel_for call ran, in ascending order.
+std::vector<Shard> shards_run(std::size_t n, std::size_t grain) {
+  std::mutex mu;
+  std::vector<Shard> seen;
+  gt::parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.emplace_back(begin, end);
+  });
+  std::sort(seen.begin(), seen.end());
+  return seen;
+}
+
+}  // namespace
+
+TEST(ParallelFor, ConcurrentCallersRunTheDocumentedShards) {
+  // 8 threads make 200 calls each at once, sharing the process-wide pool.
+  // Every call must run exactly the documented shards, each once, so it
+  // covers [0, n) exactly once whichever threads ran its shards.
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 200;
+  for (const std::size_t threads : {2U, 5U}) {
+    const ts::ShardCount count(threads);
+    std::atomic<int> wrong{0};
+    std::latch start(kCallers);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (int c = 0; c < kCalls; ++c) {
+          const std::size_t n = 1 + std::size_t(t * kCalls + c) * 37 % 4999;
+          const std::size_t grain = 1 + std::size_t(c % 3) * 50;
+          if (shards_run(n, grain) != documented_shards(n, grain, threads))
+            ++wrong;
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    EXPECT_EQ(wrong.load(), 0) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelFor, LastShardsTheChunkLeavesEmptyAreNotRun) {
+  const ts::ShardCount count(5);
+  // chunk = ceil(6 / 5) = 2 leaves shards 3 and 4 empty.
+  EXPECT_EQ(shards_run(6, 1), (std::vector<Shard>{{0, 2}, {2, 4}, {4, 6}}));
+  EXPECT_EQ(shards_run(6, 1), documented_shards(6, 1, 5));
+}
+
+TEST(ParallelFor, NestedCallsComplete) {
+  // Every shard calls parallel_for itself, from 4 callers at once and with
+  // more shards than pool threads. A caller that waited for a queued helper
+  // task instead of running the shard itself would hang here; the ctest
+  // timeout catches that.
+  const ts::ShardCount count(5);
+  std::atomic<std::size_t> covered{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int c = 0; c < 20; ++c) {
+        gt::parallel_for(10, 1, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            gt::parallel_for(1000, 1, [&](std::size_t b, std::size_t e) {
+              covered += e - b;
+            });
+          }
+        });
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(covered.load(), std::size_t(4 * 20 * 10 * 1000));
+}
+
+TEST(ParallelFor, ThrowingShardRethrowsAfterTheOthersFinish) {
+  const ts::ShardCount count(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(gt::parallel_for(4, 1,
+                                [&](std::size_t begin, std::size_t) {
+                                  if (begin == 0)
+                                    throw std::runtime_error("shard 0");
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(20));
+                                  ++finished;
+                                }),
+               std::runtime_error);
+  // fn and `finished` must outlive every shard, so none may still run.
+  EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(ParallelFor, BackToBackCallsLeaveNoDanglingWork) {
+  // Each call's fn and data die with the loop body, while helper tasks the
+  // call submitted may still sit in the pool's queue. Those must find no
+  // shard left and touch nothing (ASan flags a use after scope).
+  const ts::ShardCount count(5);
+  for (int call = 0; call < 2000; ++call) {
+    std::vector<int> hits(64, 0);
+    gt::parallel_for(hits.size(), 1, [&hits](std::size_t begin,
+                                             std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    ASSERT_EQ(std::count(hits.begin(), hits.end(), 1), 64) << call;
+  }
 }
