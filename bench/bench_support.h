@@ -38,9 +38,6 @@ inline core::DeploymentConfig smoke(core::DeploymentConfig cfg) {
   }
   if (cfg.alignment_every) cfg.alignment_every = 2;
   if (cfg.checkpoint_every) cfg.checkpoint_every = 2;
-  if (cfg.crash_primary_at) {
-    cfg.crash_primary_at = std::min<std::size_t>(cfg.crash_primary_at, 2);
-  }
   return cfg;
 }
 

@@ -20,18 +20,6 @@ namespace {
 constexpr std::uint32_t kDigestMagic = 0x444b4347;  // "GCKD" little-endian
 constexpr std::size_t kDigestTrailerBytes = 8;
 
-std::uint32_t read_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::uint32_t(in[at + std::size_t(i)]) << (8 * i);
-  }
-  return v;
-}
-
-void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
 /// Digest check first, message decodes second — a blob that fails its
 /// digest is rejected before a single header field is trusted. Returns
 /// the body (trailer stripped).
@@ -43,12 +31,13 @@ std::span<const std::uint8_t> verify_digest(
                          " bytes, shorter than a message plus digest)");
   }
   const std::size_t body_size = bytes.size() - kDigestTrailerBytes;
-  if (read_u32(bytes, body_size) != kDigestMagic) {
+  net::ByteReader trailer(bytes, context, body_size);
+  if (trailer.u32() != kDigestMagic) {
     throw net::WireError(context +
                          ": missing digest trailer (pre-digest blob, or "
                          "the trailer itself was damaged)");
   }
-  const std::uint32_t stored = read_u32(bytes, body_size + 4);
+  const std::uint32_t stored = trailer.u32();
   if (net::crc32(bytes.first(body_size)) != stored) {
     throw net::WireError(context +
                          ": digest mismatch — state blob corrupted or "
@@ -61,7 +50,9 @@ std::span<const std::uint8_t> verify_digest(
 /// the current format from pre-digest on-disk checkpoints.
 bool has_digest_trailer(std::span<const std::uint8_t> bytes) {
   return bytes.size() >= net::wire_size(0) + kDigestTrailerBytes &&
-         read_u32(bytes, bytes.size() - kDigestTrailerBytes) == kDigestMagic;
+         net::ByteReader(bytes, "checkpoint",
+                         bytes.size() - kDigestTrailerBytes)
+                 .u32() == kDigestMagic;
 }
 
 /// Decode the message body (digest already stripped/absent): parameters
@@ -105,8 +96,8 @@ std::vector<std::uint8_t> encode_checkpoint_blob(
     blob.insert(blob.end(), tail.begin(), tail.end());
   }
   const std::uint32_t digest = net::crc32(blob);
-  append_u32(blob, kDigestMagic);
-  append_u32(blob, digest);
+  net::put_u32(blob, kDigestMagic);
+  net::put_u32(blob, digest);
   return blob;
 }
 

@@ -51,23 +51,13 @@ void DeploymentConfig::validate() const {
   // here, never run silently uncompressed (same contract as the network
   // spec below).
   (void)net::CodecSpec::parse(codec);
-  if (transport == "tcp") {
-    // These knobs read or mutate *other* replicas' in-memory state from the
-    // reporting rank — impossible once every node is its own process. The
-    // alignment probe walks every correct server's parameter vector, and
-    // crash_primary_at imperatively crashes the primary in a cluster the
-    // backups don't share (scheduled `churn:` crashes are fine: every
-    // process derives the same schedule from the config).
-    if (alignment_every != 0) {
-      throw std::invalid_argument(
-          "config: alignment_every requires transport=inproc (the probe "
-          "reads every replica's parameters in one address space)");
-    }
-    if (crash_primary_at != 0) {
-      throw std::invalid_argument(
-          "config: crash_primary_at requires transport=inproc — use a "
-          "churn: schedule for cross-process crash injection");
-    }
+  // The alignment probe walks every correct replica's parameter vector
+  // from the reporting rank — impossible once every node is its own
+  // process.
+  if (transport == "tcp" && alignment_every != 0) {
+    throw std::invalid_argument(
+        "config: alignment_every requires transport=inproc (the probe "
+        "reads every replica's parameters in one address space)");
   }
   // GAR existence (spec string parses, options are known and well-typed)
   // plus resilience inequalities at the effective input counts. Probing the

@@ -65,9 +65,6 @@ struct DeploymentConfig {
   /// unknown/malformed options and plans whose counts don't match fw/fps.
   std::string worker_attack;
   std::string server_attack;
-  /// Crash the primary server at this iteration (0 = never); used by the
-  /// crash-tolerant baseline's failover test.
-  std::size_t crash_primary_at = 0;
 
   // --- data distribution --------------------------------------------------
   /// Shard training data by class (strongly non-iid) instead of iid.
@@ -77,8 +74,10 @@ struct DeploymentConfig {
   std::size_t contraction_steps = 0;
 
   // --- persistence ----------------------------------------------------------
-  /// Reporting server writes a wire-format checkpoint here every
-  /// checkpoint_every iterations ("" disables).
+  /// The reporting replica (core/train_loop.h: the lowest-id correct
+  /// replica the churn schedule keeps up at the last iteration) writes a
+  /// wire-format checkpoint here every checkpoint_every iterations and at
+  /// the last one, in every deployment ("" disables).
   std::string checkpoint_path;
   std::size_t checkpoint_every = 0;
   /// Start from a saved checkpoint instead of fresh initialization; every
@@ -108,8 +107,9 @@ struct DeploymentConfig {
   /// framed streams — the paper's actual one-process-per-machine topology,
   /// see core/node_runner.h). Sync runs are bitwise identical across the
   /// two. validate() rejects anything else, and rejects tcp combined with
-  /// knobs that need a shared address space (alignment_every, the
-  /// imperative crash_primary_at fault injection).
+  /// alignment_every, which reads every replica in one address space. A
+  /// primary fail-stops on either backend through
+  /// `network = churn:crash=0,at_iter=N`.
   std::string transport = "inproc";
   /// Gradient-compression wire codec (net/codec.h grammar): "none" (the
   /// default), "int8", or "topk:k=0.01". Lossy codecs compress gradient

@@ -58,8 +58,6 @@ void apply(DeploymentConfig& cfg, const std::string& key,
   else if (key == "asynchronous") cfg.asynchronous = to_bool(key, value);
   else if (key == "worker_attack") cfg.worker_attack = value;
   else if (key == "server_attack") cfg.server_attack = value;
-  else if (key == "crash_primary_at")
-    cfg.crash_primary_at = to_size(key, value);
   else if (key == "non_iid") cfg.non_iid = to_bool(key, value);
   else if (key == "contraction_steps")
     cfg.contraction_steps = to_size(key, value);
@@ -183,8 +181,7 @@ std::string format_config(const DeploymentConfig& cfg) {
         << "checkpoint_every = " << cfg.checkpoint_every << '\n';
   if (!cfg.resume_from.empty())
     out << "resume_from = " << cfg.resume_from << '\n';
-  out << "crash_primary_at = " << cfg.crash_primary_at << '\n'
-      << "non_iid = " << (cfg.non_iid ? "true" : "false") << '\n'
+  out << "non_iid = " << (cfg.non_iid ? "true" : "false") << '\n'
       << "contraction_steps = " << cfg.contraction_steps << '\n'
       << "iterations = " << cfg.iterations << '\n'
       << "eval_every = " << cfg.eval_every << '\n'

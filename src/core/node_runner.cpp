@@ -7,7 +7,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -31,7 +30,8 @@ namespace {
 
 // ------------------------------------------------------------ result blob
 //
-// Rank 0 ships its TrainResult back to the parent as a small binary file:
+// The reporting rank ships its TrainResult back to the parent as a small
+// binary file (net/wire's put_* / ByteReader layout):
 // magic "GRTR", version, an ok/abort flag with the abort reason, the
 // scalar counters, the curves, and the final parameter vector as a
 // net/wire blob (magic + CRC, so a torn write cannot decode as a model).
@@ -42,59 +42,9 @@ constexpr std::uint32_t kResultMagic = 0x52545247;  // "GRTR" little-endian
 // v3: bytes_saved (wire-codec compression credit).
 constexpr std::uint32_t kResultVersion = 3;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reads over the result blob; a short file
-/// must surface as a pointed error, never as UB.
-struct BlobReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - at < n) {
-      throw std::runtime_error("node result blob truncated");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[at++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str(std::size_t n) {
-    need(n);
-    std::string s(reinterpret_cast<const char*>(bytes.data() + at), n);
-    at += n;
-    return s;
-  }
-};
+using net::put_f64;
+using net::put_u32;
+using net::put_u64;
 
 void put_header(std::vector<std::uint8_t>& out, bool ok,
                 const std::string& reason) {
@@ -159,7 +109,7 @@ std::vector<std::uint8_t> encode_result(const TrainResult& r) {
 
 /// Decode, or rethrow the child's abort reason.
 TrainResult decode_result(std::span<const std::uint8_t> bytes) {
-  BlobReader in{bytes};
+  net::ByteReader in(bytes, "node result blob");
   if (in.u32() != kResultMagic) {
     throw std::runtime_error("node result blob: bad magic");
   }
@@ -216,8 +166,7 @@ TrainResult decode_result(std::span<const std::uint8_t> bytes) {
   }
   const std::uint64_t params_len = in.u64();
   in.need(params_len);
-  net::WireMessage msg =
-      net::decode(bytes.subspan(in.at, std::size_t(params_len)));
+  net::WireMessage msg = net::decode(in.rest().first(params_len));
   r.final_parameters = std::move(msg.payload);
   return r;
 }
@@ -397,7 +346,9 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
                  reinterpret_cast<const std::uint8_t*>(config_text.data()),
                  config_text.size()));
 
-  // Argv strings are composed before fork so the child only execs.
+  // Argv strings are composed before fork so the child only execs. Only
+  // the reporting rank harvests and writes the result.
+  const std::size_t reporter = reporting_replica(config);
   std::vector<std::vector<std::string>> argv_strings(nodes);
   for (std::size_t r = 0; r < nodes; ++r) {
     argv_strings[r] = {node_bin,
@@ -406,7 +357,7 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
                        "--listen-fd", std::to_string(listeners[r].fd),
                        "--ports",     ports_arg,
                        "--config",    config_path};
-    if (r == 0) {
+    if (r == reporter) {
       argv_strings[r].push_back("--result");
       argv_strings[r].push_back(result_path);
     }
@@ -515,8 +466,8 @@ int run_node(const DeploymentConfig& config, const NodeOptions& options) {
     rt.config = config;
     rt.transport = transport;
     detail::build_runtime(rt);  // Cluster ctor blocks on the mesh handshake
-    detail::register_recovery(rt, options.rank);
-    detail::maybe_resume(rt);
+    detail::register_recovery_hooks(rt, options.rank);
+    detail::resume_replicas(rt);
 
     // Ready barrier: every process has its handlers registered before any
     // driving loop issues a pull — a pull racing a sibling's construction
@@ -539,7 +490,7 @@ int run_node(const DeploymentConfig& config, const NodeOptions& options) {
       return fail("done barrier timed out", 4);
     }
 
-    if (options.rank == 0 && !options.result_path.empty()) {
+    if (options.rank == rt.reporter && !options.result_path.empty()) {
       std::vector<std::uint8_t> blob;
       try {
         blob = encode_result(detail::harvest(rt));

@@ -13,8 +13,11 @@
 //             under $TMPDIR, else /tmp, removed on every exit path (floats
 //             round-trip bit-exactly — see fmt_float in controller.cpp);
 //          3. fork+execs the `garfield_node` launcher once per rank, each
-//             child inheriting exactly its own listening socket;
-//          4. waits for every child, then reads rank 0's result blob.
+//             child inheriting exactly its own listening socket, and hands
+//             `--result` to the reporting rank (detail::reporting_replica:
+//             a pure function of the config, so no message elects it);
+//          4. waits for every child, then reads the reporting rank's result
+//             blob.
 //
 //   garfield_node --rank r ...                    child process, per rank
 //     └─ run_node(config, options)
@@ -26,13 +29,13 @@
 //          run: ready (no pull may race a sibling's handler registration —
 //          a missing handler is a silent decline and would change quorum
 //          membership) and done (keep serving step-tagged state until
-//          every driving rank finished). Rank 0 then harvests and writes
-//          the result blob the parent returns from train().
+//          every driving rank finished). The reporting rank then harvests
+//          and writes the result blob the parent returns from train().
 //
-// Known scope limits, enforced by DeploymentConfig::validate(): the
-// alignment probe and crash_primary_at need a shared address space and are
-// rejected under tcp; NetStats / worker counters in the returned result
-// are rank 0's process-local view.
+// Known scope limits: the alignment probe needs a shared address space and
+// DeploymentConfig::validate() rejects it under tcp; NetStats / worker
+// counters in the returned result are the reporting rank's process-local
+// view.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +58,8 @@ struct NodeOptions {
   int listen_fd = -1;
   /// Every rank's listener port, indexed by rank.
   std::vector<std::uint16_t> ports;
-  /// Where rank 0 serializes its TrainResult ("" on other ranks).
+  /// Where the reporting rank serializes its TrainResult ("" on other
+  /// ranks).
   std::string result_path;
 };
 

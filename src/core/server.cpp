@@ -50,7 +50,6 @@ void Server::rejoin() {
     util::MutexLock lock(mutex_);
     model_ring_.clear();
     aggr_ring_.clear();
-    latest_aggr_grad_ = nullptr;
     reply_cache_.clear();
     arg_cache_.clear();
     gossip_residual_.clear();
@@ -184,10 +183,9 @@ std::vector<net::Payload> Server::get_aggr_grads(std::uint64_t tag,
                                    std::chrono::seconds(30), iteration));
 }
 
-void Server::enable_step_tagged_serving(bool models, bool aggr_grads) {
+void Server::enable_step_tagged_serving() {
   util::MutexLock lock(mutex_);
-  tagged_models_ = models;
-  tagged_aggr_grads_ = aggr_grads;
+  tagged_models_ = true;
 }
 
 void Server::publish_model(std::uint64_t t) {
@@ -199,7 +197,6 @@ void Server::publish_model(std::uint64_t t) {
 
 void Server::publish_aggr_grad(std::uint64_t tag, net::Payload grad) {
   util::MutexLock lock(mutex_);
-  if (!tagged_aggr_grads_) return;
   auto payload = std::make_shared<const net::Payload>(std::move(grad));
   aggr_ring_.push_back(TaggedEntry{tag, payload});
   if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
@@ -219,15 +216,8 @@ void Server::publish_aggr_grad(std::uint64_t tag, net::Payload grad) {
 
 void Server::skip_aggr_grad(std::uint64_t tag) {
   util::MutexLock lock(mutex_);
-  if (!tagged_aggr_grads_) return;
   aggr_ring_.push_back(TaggedEntry{tag, nullptr});
   if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
-}
-
-void Server::set_latest_aggr_grad(net::Payload grad) {
-  util::MutexLock lock(mutex_);
-  latest_aggr_grad_ =
-      std::make_shared<const net::Payload>(std::move(grad));
 }
 
 void Server::update_model(const net::Payload& aggregated_gradient) {
@@ -303,12 +293,8 @@ net::HandlerResult Server::serve_model(const net::Request& req) {
 
 net::HandlerResult Server::serve_aggr_grad(const net::Request& req) {
   util::MutexLock lock(mutex_);
-  if (tagged_aggr_grads_) {
-    return serve_tagged(aggr_ring_, req.iteration,
-                        /*serve_oldest_on_eviction=*/false);
-  }
-  if (!latest_aggr_grad_) return net::HandlerResult::none();
-  return net::HandlerResult::reply(latest_aggr_grad_);
+  return serve_tagged(aggr_ring_, req.iteration,
+                      /*serve_oldest_on_eviction=*/false);
 }
 
 Checkpoint Server::current_checkpoint() const {

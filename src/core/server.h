@@ -16,15 +16,15 @@
 // refcounted pointers instead of locking and copying — one snapshot serves
 // every concurrent requester for free.
 //
-// Replicated deployments (MSMW, decentralized) run in *step-tagged* mode:
-// the driving loop publishes its snapshot for iteration t
+// Synchronous model exchanges (MSMW, decentralized) run in *step-tagged*
+// mode: the driving loop publishes its snapshot for iteration t
 // (publish_model(t)) and peers pull exactly that iteration; a request for
 // an iteration this replica has not reached yet answers
 // HandlerResult::not_ready() and the cluster redelivers it later. This
 // makes the model-exchange round deterministic — peers aggregate
 // same-iteration states instead of whatever the replica happened to hold —
-// without ever blocking a pool thread. The same mechanism serves the
-// decentralized contract() gossip (publish_aggr_grad / skip_aggr_grad).
+// without ever blocking a pool thread. The decentralized contract() gossip
+// is always step-tagged the same way (publish_aggr_grad / skip_aggr_grad).
 #pragma once
 
 #include <atomic>
@@ -95,27 +95,24 @@ class Server {
   /// validate(). Default: identity.
   void set_codec(net::CodecSpec spec) { codec_ = net::Codec(spec); }
 
-  /// Switch peer-facing serving to step-tagged mode (see file comment).
-  /// Call before the driving loops start; publish_model / publish_aggr_grad
-  /// then gate what peers can pull. Untagged mode (the default) serves the
-  /// live state, preserving the standalone-object behaviour.
-  void enable_step_tagged_serving(bool models, bool aggr_grads);
+  /// Switch model serving to step-tagged mode (see file comment). Call
+  /// before the driving loops start; publish_model then gates what peers
+  /// can pull. Untagged mode (the default, and asynchronous MSMW) serves
+  /// the live state.
+  void enable_step_tagged_serving();
 
   /// Publish the current snapshot as "this replica's model for iteration
   /// t"; peers pulling get_models(t, q) are answered from a small ring of
   /// recent publications.
   void publish_model(std::uint64_t t);
 
-  /// Publish this node's contracted gradient for gossip tag `tag`.
+  /// Publish this node's contracted gradient for gossip tag `tag`; peers
+  /// pulling get_aggr_grads(tag, ...) get not-ready until it is published.
   void publish_aggr_grad(std::uint64_t tag, net::Payload grad);
 
   /// Publish "no contribution" for gossip tag `tag` (the round was
   /// skipped); peers receive a decline instead of retrying forever.
   void skip_aggr_grad(std::uint64_t tag);
-
-  /// Publish this node's latest aggregated gradient for peers to pull
-  /// (untagged legacy path; step-tagged runs use publish_aggr_grad).
-  void set_latest_aggr_grad(net::Payload grad);
 
   /// SGD step with an aggregated gradient (Equation (2)).
   void update_model(const net::Payload& aggregated_gradient);
@@ -263,10 +260,7 @@ class Server {
   tensor::FlatVector gossip_residual_ GARFIELD_GUARDED_BY(mutex_);
   /// Immutable snapshot, swapped on write.
   net::PayloadPtr params_ GARFIELD_GUARDED_BY(mutex_);
-  /// Untagged legacy gossip slot.
-  net::PayloadPtr latest_aggr_grad_ GARFIELD_GUARDED_BY(mutex_);
   bool tagged_models_ GARFIELD_GUARDED_BY(mutex_) = false;
-  bool tagged_aggr_grads_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::deque<TaggedEntry> model_ring_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<TaggedEntry> aggr_ring_ GARFIELD_GUARDED_BY(mutex_);
   std::uint64_t step_ GARFIELD_GUARDED_BY(mutex_) = 0;

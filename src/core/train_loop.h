@@ -10,6 +10,14 @@
 // identical state) but drives only its own rank's loop; requests addressed
 // to other ranks leave the process through the transport.
 //
+// Every deployment runs the same round loop. A small plan built from the
+// config says which rule aggregates each stage, how many replies each
+// stage awaits, how many contract() gossip rounds follow the gradient step
+// (gossip is always step-tagged) and whether replicas exchange models.
+// One replica, the *reporting replica*, evaluates, probes alignment,
+// checkpoints and records gradient counts; it is a pure function of the
+// config, so every rank and both backends agree on it without a message.
+//
 // Nothing here is public API: the header exists so node_runner.cpp can see
 // the declarations. Definitions live in trainer.cpp.
 #pragma once
@@ -47,11 +55,14 @@ struct Runtime {
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<std::unique_ptr<Worker>> workers;
   data::Batch test;
-  std::vector<std::vector<EvalPoint>> curves;  // one per server
+  /// The reporting replica (reporting_replica(config)) and its curve,
+  /// written by that replica's loop thread only — no lock needed.
+  std::size_t reporter = 0;
+  std::vector<EvalPoint> curve;
   util::Mutex alignment_mutex;
   std::vector<AlignmentSample> alignment GARFIELD_GUARDED_BY(alignment_mutex);
-  /// Reporting replica's per-iteration gradient reply counts (s == 0 loop
-  /// thread only — no lock needed).
+  /// Reporting replica's per-iteration gradient reply counts (its loop
+  /// thread only).
   std::vector<std::size_t> reporting_gradient_counts;
   /// Byzantine-recovery state transfer outcomes: peer checkpoint blobs
   /// adopted after digest verification, and blobs rejected by it (a
@@ -81,26 +92,31 @@ struct Runtime {
   return is_decentralized(cfg) ? cfg.nw : cfg.nps;
 }
 
-/// Build cluster, datasets, servers and workers for rt.config (the
-/// deployment dispatch between parameter-server and decentralized shapes).
-/// Uses rt.transport when set.
+/// The replica that evaluates, checkpoints and reports: the lowest id in
+/// [0, replicas - f) the churn schedule keeps up at the last iteration, or
+/// 0 when there is none. Byzantine replicas (the last f) never report.
+[[nodiscard]] std::size_t reporting_replica(const DeploymentConfig& cfg);
+
+/// Build cluster, datasets, servers and workers for rt.config, and pick
+/// the reporting replica. Uses rt.transport when set.
 void build_runtime(Runtime& rt);
 
 /// Wire the churn schedule's recovery hooks. `only_node` restricts
 /// registration to one node id — a multi-process rank registers only its
 /// own hook, since foreign object copies in this process never serve.
-void register_recovery(Runtime& rt,
-                       std::optional<net::NodeId> only_node = std::nullopt);
+void register_recovery_hooks(
+    Runtime& rt, std::optional<net::NodeId> only_node = std::nullopt);
 
 /// Resume support: overwrite every local replica's state with the
 /// checkpoint named by config.resume_from (no-op when unset).
-void maybe_resume(Runtime& rt);
+void resume_replicas(Runtime& rt);
 
-/// Run rank/server-index `s`'s driving loop for the configured deployment.
+/// Run replica/peer `s`'s round loop under the deployment's plan.
 void run_loop(Runtime& rt, std::size_t s);
 
-/// Assemble the TrainResult after every driving loop has joined. Throws
-/// std::runtime_error when the run aborted (below-floor churn schedule).
+/// Assemble the TrainResult from the reporting replica after every driving
+/// loop has joined. Throws std::runtime_error when the run aborted
+/// (below-floor churn schedule).
 [[nodiscard]] TrainResult harvest(Runtime& rt);
 
 }  // namespace garfield::core::detail

@@ -33,41 +33,96 @@ using detail::Runtime;
 using net::Payload;
 using tensor::Rng;
 
-/// Aggregate with a pre-parsed GAR spec sized to the actual reply count.
+/// One aggregation stage of a round, resolved once per loop instead of
+/// once per iteration: the rule, its resilience floor, the replies the pull
+/// awaits and the id span whose scheduled availability the churn floor
+/// check counts. min_n is the option-aware floor (gar_min_n over the parsed
+/// spec), so a quorum that satisfies the rule but not its options (e.g.
+/// multi_krum:m=8 at a degraded q) skips the stage instead of throwing out
+/// of the loop thread.
+struct Stage {
+  gars::GarSpec spec;
+  std::size_t f = 0;
+  std::size_t min_n = 0;
+  std::size_t awaited = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  const char* span = "";
+};
+
+Stage make_stage(const std::string& rule, std::size_t f, std::size_t awaited,
+                 std::size_t lo, std::size_t hi, const char* span) {
+  Stage stage{gars::parse_gar_spec(rule), f, 0, awaited, lo, hi, span};
+  stage.min_n = gars::gar_min_n(stage.spec, f);
+  return stage;
+}
+
+/// A deployment as data: every §5 application is the same round (pull
+/// gradients, aggregate, optionally gossip the aggregate, step, optionally
+/// exchange models), differing only in these values. README "Node
+/// lifecycle & churn" tabulates them per deployment.
+struct RoundPlan {
+  Stage grad;
+  /// Decentralized contract() rounds over the gradient rule.
+  std::size_t gossip_rounds = 0;
+  /// Replicated deployments' model exchange; peers awaited exclude self.
+  std::optional<Stage> model;
+  /// Correct replicas [0, aligned) the alignment probe spans.
+  std::size_t aligned = 0;
+};
+
+RoundPlan plan_round(const DeploymentConfig& cfg) {
+  const bool async = cfg.asynchronous;
+  const std::size_t workers_end = cfg.nps + cfg.nw;
+  RoundPlan plan;
+  switch (cfg.deployment) {
+    case Deployment::kVanilla:
+    case Deployment::kCrashTolerant:
+      plan.grad =
+          make_stage("average", 0, cfg.nw, cfg.nps, workers_end, "worker");
+      break;
+    case Deployment::kSsmw:
+    case Deployment::kMsmw:
+      plan.grad = make_stage(cfg.gradient_gar, cfg.fw,
+                             async ? cfg.nw - cfg.fw : cfg.nw, cfg.nps,
+                             workers_end, "worker");
+      if (cfg.deployment == Deployment::kMsmw) {
+        plan.model = make_stage(cfg.model_gar, cfg.fps,
+                                (async ? cfg.nps - cfg.fps : cfg.nps) - 1, 0,
+                                cfg.nps, "server");
+        plan.aligned = cfg.nps - cfg.fps;
+      }
+      break;
+    case Deployment::kDecentralized: {
+      // n - f throughout (Listing 3).
+      const std::size_t q = cfg.nw - cfg.fw;
+      plan.grad = make_stage(cfg.gradient_gar, cfg.fw, q, 0, cfg.nw, "peer");
+      plan.gossip_rounds = cfg.contraction_steps;
+      plan.model = make_stage(cfg.model_gar, cfg.fw, q - 1, 0, cfg.nw, "peer");
+      plan.aligned = q;
+      break;
+    }
+  }
+  return plan;
+}
+
+/// Aggregate with the stage's rule sized to the actual reply count.
 /// Garfield builds the rule per call because asynchronous collection can
 /// legally return any q in [n-f, n]; the rule object is a few words, while
 /// all heavy scratch (distance matrix, work vectors) lives in the caller's
 /// AggregationContext and is reused across iterations.
-Payload aggregate(const gars::GarSpec& spec, std::size_t f,
-                  const std::vector<Payload>& inputs,
+Payload aggregate(const Stage& stage, const std::vector<Payload>& inputs,
                   gars::AggregationContext& ctx) {
   assert(!inputs.empty());
-  const gars::GarPtr gar = gars::make_gar(spec, inputs.size(), f);
+  const gars::GarPtr gar = gars::make_gar(stage.spec, inputs.size(), stage.f);
   Payload out;
   gar->aggregate_into(inputs, ctx, out);
   return out;
 }
 
-/// Parsed spec plus its resilience floor, resolved once per loop instead of
-/// once per iteration. min_n is the option-aware floor (gar_min_n over the
-/// parsed spec), so a quorum that satisfies the rule but not its options
-/// (e.g. multi_krum:m=8 at a degraded q) skips the round instead of
-/// throwing out of the loop thread.
-struct GarPlan {
-  gars::GarSpec spec;
-  std::size_t min_n = 0;
-};
-
-GarPlan plan_gar(const std::string& spec_string, std::size_t f) {
-  GarPlan plan;
-  plan.spec = gars::parse_gar_spec(spec_string);
-  plan.min_n = gars::gar_min_n(plan.spec, f);
-  return plan;
-}
-
 /// Per-rank attack specs for a Byzantine cohort: expand the configured plan
 /// over the f declared attackers (validated at config time; re-expanding
-/// here keeps the builders independent of validate() being called first).
+/// here keeps the builder independent of validate() being called first).
 /// Returns an empty vector when no attack is mounted.
 std::vector<attacks::AttackSpec> attack_cohort(const std::string& plan,
                                                std::size_t f) {
@@ -79,9 +134,6 @@ bool spec_is_omniscient(const attacks::AttackSpec& spec) {
   return attacks::AttackRegistry::instance().at(spec.name).omniscient;
 }
 
-// Runtime moved to core/train_loop.h: the multi-process node runner builds
-// and drives the same structure, one rank per process.
-
 data::Dataset make_dataset(const DeploymentConfig& cfg,
                            const tensor::Shape& input_shape,
                            std::size_t classes, std::size_t n, Rng& rng) {
@@ -89,186 +141,6 @@ data::Dataset make_dataset(const DeploymentConfig& cfg,
     return data::make_teacher_dataset(input_shape, classes, n, rng);
   return data::make_cluster_dataset(input_shape, classes, n, rng,
                                     cfg.dataset_noise);
-}
-
-/// Build cluster, servers and workers for a parameter-server deployment
-/// (vanilla / crash-tolerant / SSMW / MSMW). Node ids: servers [0, nps),
-/// workers [nps, nps + nw).
-void build_parameter_server(Runtime& rt) {
-  const DeploymentConfig& cfg = rt.config;
-  Rng root(cfg.seed);
-  Rng model_rng = root.fork(1);   // same weights on every replica
-  Rng data_rng = root.fork(2);
-
-  auto proto = nn::make_model(cfg.model, model_rng);
-  const tensor::Shape input_shape = proto->input_shape();
-  const std::size_t classes = proto->num_classes();
-
-  // Draw train and test from one generator call so they share the same
-  // prototypes/teacher, then split.
-  data::Dataset full = make_dataset(cfg, input_shape, classes,
-                                    cfg.train_size + cfg.test_size, data_rng);
-  auto [train, test_set] = full.split(cfg.train_size);
-  rt.test = test_set.all();
-  std::vector<data::Dataset> shards =
-      cfg.non_iid ? data::shard_by_class(train, cfg.nw)
-                  : data::shard_iid(train, cfg.nw, data_rng);
-
-  net::Cluster::Options net_opts;
-  net_opts.nodes = cfg.nps + cfg.nw;
-  net_opts.pool_threads = cfg.pool_threads;
-  net_opts.conditions = net::NetworkConditions::parse(cfg.network);
-  net_opts.seed = cfg.seed ^ 0xc1u;
-  net_opts.transport = rt.transport;  // null => in-process backend
-  rt.conditions = net_opts.conditions;
-  rt.cluster = std::make_unique<net::Cluster>(net_opts);
-
-  std::vector<net::NodeId> worker_ids, server_ids;
-  for (std::size_t s = 0; s < cfg.nps; ++s) server_ids.push_back(s);
-  for (std::size_t w = 0; w < cfg.nw; ++w) worker_ids.push_back(cfg.nps + w);
-
-  const std::vector<attacks::AttackSpec> server_specs =
-      attack_cohort(cfg.server_attack, cfg.fps);
-  for (std::size_t s = 0; s < cfg.nps; ++s) {
-    Rng replica_rng = root.fork(1);  // identical initial replicas
-    nn::ModelPtr model = nn::make_model(cfg.model, replica_rng);
-    std::vector<net::NodeId> peers;
-    for (net::NodeId other : server_ids)
-      if (other != s) peers.push_back(other);
-    const bool byz = !server_specs.empty() && s >= cfg.nps - cfg.fps;
-    if (byz) {
-      const attacks::AttackSpec& spec =
-          server_specs[s - (cfg.nps - cfg.fps)];
-      rt.servers.push_back(std::make_unique<ByzantineServer>(
-          s, *rt.cluster, std::move(model), cfg.optimizer, worker_ids,
-          std::move(peers), attacks::make_attack(spec), root.fork(100 + s),
-          cfg.nps, cfg.fps, cfg.model_gar, cfg.gradient_gar));
-    } else {
-      rt.servers.push_back(std::make_unique<Server>(
-          s, *rt.cluster, std::move(model), cfg.optimizer, worker_ids,
-          std::move(peers)));
-    }
-  }
-
-  const std::vector<attacks::AttackSpec> worker_specs =
-      attack_cohort(cfg.worker_attack, cfg.fw);
-  for (std::size_t w = 0; w < cfg.nw; ++w) {
-    Rng replica_rng = root.fork(1);
-    nn::ModelPtr model = nn::make_model(cfg.model, replica_rng);
-    const net::NodeId id = cfg.nps + w;
-    const bool byz = !worker_specs.empty() && w >= cfg.nw - cfg.fw;
-    if (byz) {
-      const attacks::AttackSpec& spec = worker_specs[w - (cfg.nw - cfg.fw)];
-      rt.workers.push_back(std::make_unique<ByzantineWorker>(
-          id, *rt.cluster, std::move(model), std::move(shards[w]),
-          cfg.batch_size, root.fork(200 + w), attacks::make_attack(spec),
-          cfg.worker_momentum, spec_is_omniscient(spec), cfg.nw, cfg.fw,
-          cfg.gradient_gar, cfg.nps, cfg.nps + cfg.nw));
-    } else {
-      rt.workers.push_back(std::make_unique<Worker>(
-          id, *rt.cluster, std::move(model), std::move(shards[w]),
-          cfg.batch_size, root.fork(200 + w), cfg.worker_momentum));
-    }
-  }
-  // Synchronous replicated-server deployments exchange models step-tagged:
-  // every replica publishes its snapshot for iteration t and peers pull
-  // exactly t, so the model-GAR aggregates same-iteration states
-  // (deterministic) instead of whatever a racing replica held.
-  // Asynchronous MSMW keeps untagged live-state serving — its whole point
-  // is aggregating whatever is available *now* rather than waiting on
-  // stragglers.
-  if (cfg.deployment == Deployment::kMsmw && !cfg.asynchronous) {
-    for (auto& server : rt.servers)
-      server->enable_step_tagged_serving(/*models=*/true,
-                                         /*aggr_grads=*/false);
-  }
-  rt.curves.resize(cfg.nps);
-}
-
-/// Build the peer-to-peer runtime: nw nodes, each Server + Worker with the
-/// same node id.
-void build_decentralized(Runtime& rt) {
-  const DeploymentConfig& cfg = rt.config;
-  Rng root(cfg.seed);
-  Rng data_rng = root.fork(2);
-
-  Rng proto_rng = root.fork(1);
-  auto proto = nn::make_model(cfg.model, proto_rng);
-  const tensor::Shape input_shape = proto->input_shape();
-  const std::size_t classes = proto->num_classes();
-
-  data::Dataset full = make_dataset(cfg, input_shape, classes,
-                                    cfg.train_size + cfg.test_size, data_rng);
-  auto [train, test_set] = full.split(cfg.train_size);
-  rt.test = test_set.all();
-  std::vector<data::Dataset> shards =
-      cfg.non_iid ? data::shard_by_class(train, cfg.nw)
-                  : data::shard_iid(train, cfg.nw, data_rng);
-
-  net::Cluster::Options net_opts;
-  net_opts.nodes = cfg.nw;
-  net_opts.pool_threads = cfg.pool_threads;
-  net_opts.conditions = net::NetworkConditions::parse(cfg.network);
-  net_opts.seed = cfg.seed ^ 0xc2u;
-  net_opts.transport = rt.transport;  // null => in-process backend
-  rt.conditions = net_opts.conditions;
-  rt.cluster = std::make_unique<net::Cluster>(net_opts);
-
-  std::vector<net::NodeId> all_ids;
-  for (std::size_t i = 0; i < cfg.nw; ++i) all_ids.push_back(i);
-
-  // Peers are Server+Worker pairs: the worker plan drives gradient
-  // corruption, the server plan (falling back to the worker plan) drives
-  // model/contraction corruption on the same Byzantine peers.
-  const std::vector<attacks::AttackSpec> worker_specs =
-      attack_cohort(cfg.worker_attack, cfg.fw);
-  const std::vector<attacks::AttackSpec> server_specs = attack_cohort(
-      cfg.server_attack.empty() ? cfg.worker_attack : cfg.server_attack,
-      cfg.fw);
-  for (std::size_t i = 0; i < cfg.nw; ++i) {
-    Rng replica_rng = root.fork(1);
-    nn::ModelPtr server_model = nn::make_model(cfg.model, replica_rng);
-    Rng worker_model_rng = root.fork(1);
-    nn::ModelPtr worker_model = nn::make_model(cfg.model, worker_model_rng);
-    std::vector<net::NodeId> peers;
-    for (net::NodeId other : all_ids)
-      if (other != i) peers.push_back(other);
-    // The two halves of a Byzantine peer corrupt independently: a
-    // server-only plan (worker_attack empty) mounts lying model/contraction
-    // replies on top of honest gradient service, and vice versa.
-    const std::size_t rank = i >= cfg.nw - cfg.fw ? i - (cfg.nw - cfg.fw)
-                                                  : cfg.fw;  // honest
-    const bool byz_server = !server_specs.empty() && rank < cfg.fw;
-    const bool byz_worker = !worker_specs.empty() && rank < cfg.fw;
-    if (byz_server) {
-      rt.servers.push_back(std::make_unique<ByzantineServer>(
-          i, *rt.cluster, std::move(server_model), cfg.optimizer, all_ids,
-          std::move(peers), attacks::make_attack(server_specs[rank]),
-          root.fork(100 + i), cfg.nw, cfg.fw, cfg.model_gar,
-          cfg.gradient_gar));
-    } else {
-      rt.servers.push_back(std::make_unique<Server>(
-          i, *rt.cluster, std::move(server_model), cfg.optimizer, all_ids,
-          std::move(peers)));
-    }
-    if (byz_worker) {
-      rt.workers.push_back(std::make_unique<ByzantineWorker>(
-          i, *rt.cluster, std::move(worker_model), std::move(shards[i]),
-          cfg.batch_size, root.fork(200 + i),
-          attacks::make_attack(worker_specs[rank]), cfg.worker_momentum,
-          spec_is_omniscient(worker_specs[rank]), cfg.nw, cfg.fw,
-          cfg.gradient_gar, 0, cfg.nw));
-    } else {
-      rt.workers.push_back(std::make_unique<Worker>(
-          i, *rt.cluster, std::move(worker_model), std::move(shards[i]),
-          cfg.batch_size, root.fork(200 + i), cfg.worker_momentum));
-    }
-  }
-  // Peers exchange both models and contracted gradients step-tagged (the
-  // gossip tag additionally encodes the contraction round).
-  for (auto& server : rt.servers)
-    server->enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/true);
-  rt.curves.resize(cfg.nw);
 }
 
 /// Byzantine-recovery state transfer — the live path the checkpoint
@@ -328,6 +200,251 @@ bool recover_from_peers(Runtime& rt, Server& server, net::NodeId self,
   return true;
 }
 
+/// Drive the churn schedule at the top of a loop iteration and park this
+/// node's loop while the schedule has it down. Returns the iteration the
+/// loop should run (>= it, jumping over a crash window the node slept
+/// through), or nullopt when the loop should exit instead: the run
+/// aborted, the node never recovers inside the configured horizon, or the
+/// recovery wait timed out (a schedule nobody left alive can drive).
+std::optional<std::size_t> churn_gate(Runtime& rt, net::NodeId node,
+                                      std::size_t it) {
+  if (rt.abort.load()) return std::nullopt;
+  if (!rt.conditions.has_churn()) return it;
+  rt.cluster->advance_lifecycle(it);
+  if (!rt.cluster->is_crashed(node)) return it;
+  // A faster peer may have driven the schedule past this node's crash edge
+  // while its own loop still lags behind it: look for the up-edge after
+  // the first scheduled down iteration, not after `it`.
+  std::uint64_t down = it;
+  while (down < rt.config.iterations && !rt.conditions.churn_down(node, down))
+    ++down;
+  const std::optional<std::uint64_t> up =
+      rt.conditions.next_up_iteration(node, down);
+  if (!up || *up >= rt.config.iterations) return std::nullopt;
+  // Park until live peers drive the schedule past the up-edge. Waiting in
+  // short slices keeps the park responsive to a concurrent abort, and the
+  // overall deadline guards undrivable schedules.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!rt.abort.load()) {
+    const std::optional<std::uint64_t> resumed =
+        rt.cluster->wait_until_running(node, std::chrono::milliseconds(50));
+    if (resumed) return std::size_t(*resumed);
+    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+/// The scheduled-availability floor check: at iteration `it` the churn
+/// schedule must keep at least `stage.min_n` of the stage's span up, or the
+/// GAR's (n, f) resilience bound is void. Checked against the *schedule*
+/// rather than observed replies, so every loop trips it at the same
+/// iteration and the whole run aborts deterministically.
+bool churn_floor_holds(Runtime& rt, const Stage& stage, std::size_t it) {
+  if (!rt.conditions.has_churn()) return true;
+  const std::size_t down = rt.conditions.count_down(stage.lo, stage.hi, it);
+  const std::size_t up = stage.hi - stage.lo - down;
+  if (up >= stage.min_n) return true;
+  {
+    util::MutexLock lock(rt.abort_mutex);
+    if (rt.abort_reason.empty()) {
+      rt.abort_reason =
+          "churn schedule drops " + std::string(stage.span) +
+          " availability to " + std::to_string(up) + " node(s) at iteration " +
+          std::to_string(it) + ", below the '" + stage.spec.name +
+          "' GAR resilience floor min_n=" + std::to_string(stage.min_n) +
+          " — aborting instead of aggregating below the (n, f) bound";
+    }
+  }
+  rt.abort.store(true);
+  return false;
+}
+
+/// Persist the reporting replica's state on the configured cadence.
+void maybe_checkpoint(Runtime& rt, std::size_t it) {
+  const DeploymentConfig& cfg = rt.config;
+  if (cfg.checkpoint_every == 0 || cfg.checkpoint_path.empty()) return;
+  if ((it + 1) % cfg.checkpoint_every != 0 && it + 1 != cfg.iterations)
+    return;
+  const Server& server = *rt.servers[rt.reporter];
+  save_checkpoint(cfg.checkpoint_path,
+                  Checkpoint{it + 1, server.parameters(),
+                             server.optimizer_velocity()});
+}
+
+void maybe_eval(Runtime& rt, std::size_t it) {
+  const DeploymentConfig& cfg = rt.config;
+  if (cfg.eval_every == 0) return;
+  if (it % cfg.eval_every != 0 && it + 1 != cfg.iterations) return;
+  Server& s = *rt.servers[rt.reporter];
+  EvalPoint p;
+  p.iteration = it;
+  p.accuracy = s.compute_accuracy(rt.test);
+  p.loss = s.compute_loss(rt.test);
+  rt.curve.push_back(p);
+}
+
+/// Table-2 probe: pairwise parameter differences across correct replicas,
+/// keep the two of largest norm, report the cosine of their angle.
+void maybe_alignment(Runtime& rt, std::size_t correct_servers,
+                     std::size_t it) {
+  const DeploymentConfig& cfg = rt.config;
+  if (cfg.alignment_every == 0 || it % cfg.alignment_every != 0) return;
+  if (correct_servers < 3) return;  // need >= 2 difference vectors
+  std::vector<Payload> params;
+  params.reserve(correct_servers);
+  for (std::size_t s = 0; s < correct_servers; ++s)
+    params.push_back(rt.servers[s]->parameters());
+  struct Diff {
+    double norm;
+    Payload vec;
+  };
+  std::vector<Diff> diffs;
+  for (std::size_t a = 0; a < params.size(); ++a) {
+    for (std::size_t b = a + 1; b < params.size(); ++b) {
+      Payload d(params[a].size());
+      tensor::subtract(params[a], params[b], d);
+      diffs.push_back({tensor::norm(d), std::move(d)});
+    }
+  }
+  std::partial_sort(diffs.begin(), diffs.begin() + 2, diffs.end(),
+                    [](const Diff& x, const Diff& y) {
+                      return x.norm > y.norm;
+                    });
+  AlignmentSample sample;
+  sample.iteration = it;
+  sample.max_diff1 = diffs[0].norm;
+  sample.max_diff2 = diffs[1].norm;
+  // A difference vector's sign is an artifact of pair ordering (a-b vs
+  // b-a); alignment is about the angle between the *lines*, so report the
+  // magnitude of the cosine.
+  sample.cos_phi = std::abs(tensor::cosine(diffs[0].vec, diffs[1].vec));
+  util::MutexLock lock(rt.alignment_mutex);
+  rt.alignment.push_back(sample);
+}
+
+}  // namespace
+
+namespace detail {
+
+std::size_t reporting_replica(const DeploymentConfig& cfg) {
+  const net::NetworkConditions conditions =
+      net::NetworkConditions::parse(cfg.network);
+  const std::size_t f = is_decentralized(cfg) ? cfg.fw : cfg.fps;
+  const std::uint64_t last = cfg.iterations > 0 ? cfg.iterations - 1 : 0;
+  for (std::size_t r = 0; r + f < driver_count(cfg); ++r) {
+    if (!conditions.churn_down(r, last)) return r;
+  }
+  return 0;
+}
+
+void build_runtime(Runtime& rt) {
+  const DeploymentConfig& cfg = rt.config;
+  const bool decentralized = is_decentralized(cfg);
+  Rng root(cfg.seed);
+  Rng model_rng = root.fork(1);  // same weights on every replica
+  Rng data_rng = root.fork(2);
+
+  auto proto = nn::make_model(cfg.model, model_rng);
+  const tensor::Shape input_shape = proto->input_shape();
+  const std::size_t classes = proto->num_classes();
+
+  // Draw train and test from one generator call so they share the same
+  // prototypes/teacher, then split.
+  data::Dataset full = make_dataset(cfg, input_shape, classes,
+                                    cfg.train_size + cfg.test_size, data_rng);
+  auto [train, test_set] = full.split(cfg.train_size);
+  rt.test = test_set.all();
+  std::vector<data::Dataset> shards =
+      cfg.non_iid ? data::shard_by_class(train, cfg.nw)
+                  : data::shard_iid(train, cfg.nw, data_rng);
+
+  net::Cluster::Options net_opts;
+  net_opts.nodes = cfg.total_nodes();
+  net_opts.pool_threads = cfg.pool_threads;
+  net_opts.conditions = net::NetworkConditions::parse(cfg.network);
+  // Fault verdicts and jitter hash on the cluster seed, so the per-shape
+  // constants are part of every run's trajectory.
+  net_opts.seed = cfg.seed ^ (decentralized ? 0xc2u : 0xc1u);
+  net_opts.transport = rt.transport;  // null => in-process backend
+  rt.conditions = net_opts.conditions;
+  rt.cluster = std::make_unique<net::Cluster>(net_opts);
+  rt.reporter = reporting_replica(cfg);
+
+  // The roster. Parameter-server deployments: replicas [0, nps), workers
+  // [nps, nps + nw). Decentralized: nw peers, each a Server and a Worker
+  // on the same id. Byzantine cohorts are the last f of each role; a
+  // decentralized peer's server half follows the worker plan unless
+  // server_attack names its own, and the two halves corrupt independently.
+  const std::size_t replicas = driver_count(cfg);
+  const std::size_t fs = decentralized ? cfg.fw : cfg.fps;
+  const std::size_t first_worker = decentralized ? 0 : cfg.nps;
+  std::vector<net::NodeId> worker_ids;
+  for (std::size_t w = 0; w < cfg.nw; ++w)
+    worker_ids.push_back(first_worker + w);
+
+  const std::vector<attacks::AttackSpec> server_specs = attack_cohort(
+      decentralized && cfg.server_attack.empty() ? cfg.worker_attack
+                                                 : cfg.server_attack,
+      fs);
+  for (std::size_t s = 0; s < replicas; ++s) {
+    Rng replica_rng = root.fork(1);  // identical initial replicas
+    nn::ModelPtr model = nn::make_model(cfg.model, replica_rng);
+    std::vector<net::NodeId> peers;
+    for (net::NodeId other = 0; other < replicas; ++other)
+      if (other != s) peers.push_back(other);
+    if (!server_specs.empty() && s >= replicas - fs) {
+      rt.servers.push_back(std::make_unique<ByzantineServer>(
+          s, *rt.cluster, std::move(model), cfg.optimizer, worker_ids,
+          std::move(peers),
+          attacks::make_attack(server_specs[s - (replicas - fs)]),
+          root.fork(100 + s), replicas, fs, cfg.model_gar, cfg.gradient_gar));
+    } else {
+      rt.servers.push_back(std::make_unique<Server>(
+          s, *rt.cluster, std::move(model), cfg.optimizer, worker_ids,
+          std::move(peers)));
+    }
+  }
+
+  const std::vector<attacks::AttackSpec> worker_specs =
+      attack_cohort(cfg.worker_attack, cfg.fw);
+  for (std::size_t w = 0; w < cfg.nw; ++w) {
+    Rng replica_rng = root.fork(1);
+    nn::ModelPtr model = nn::make_model(cfg.model, replica_rng);
+    const net::NodeId id = first_worker + w;
+    if (!worker_specs.empty() && w >= cfg.nw - cfg.fw) {
+      const attacks::AttackSpec& spec = worker_specs[w - (cfg.nw - cfg.fw)];
+      rt.workers.push_back(std::make_unique<ByzantineWorker>(
+          id, *rt.cluster, std::move(model), std::move(shards[w]),
+          cfg.batch_size, root.fork(200 + w), attacks::make_attack(spec),
+          cfg.worker_momentum, spec_is_omniscient(spec), cfg.nw, cfg.fw,
+          cfg.gradient_gar, first_worker, first_worker + cfg.nw));
+    } else {
+      rt.workers.push_back(std::make_unique<Worker>(
+          id, *rt.cluster, std::move(model), std::move(shards[w]),
+          cfg.batch_size, root.fork(200 + w), cfg.worker_momentum));
+    }
+  }
+  // Synchronous model exchanges are step-tagged: every replica publishes
+  // its snapshot for iteration t and peers pull exactly t, so the model-GAR
+  // aggregates same-iteration states (deterministic) instead of whatever a
+  // racing replica held. Asynchronous MSMW keeps untagged live-state
+  // serving — its whole point is aggregating whatever is available *now*
+  // rather than waiting on stragglers.
+  if (decentralized ||
+      (cfg.deployment == Deployment::kMsmw && !cfg.asynchronous)) {
+    for (auto& server : rt.servers) server->enable_step_tagged_serving();
+  }
+  // Install the wire codec on every endpoint before any loop starts: the
+  // whole cluster speaks one codec (mixed-codec clusters are not a thing —
+  // the spec is part of the deployment config every process shares).
+  const net::CodecSpec codec = net::CodecSpec::parse(cfg.codec);
+  if (!codec.identity()) {
+    for (auto& server : rt.servers) server->set_codec(codec);
+    for (auto& worker : rt.workers) worker->set_codec(codec);
+  }
+}
+
 /// Wire the churn schedule's recovery path: when advance_lifecycle brings
 /// a node back up, the hook re-registers its RPC handlers and transfers
 /// state. Parameter-server nodes split by id: servers [0, nps) rejoin and
@@ -335,8 +452,6 @@ bool recover_from_peers(Runtime& rt, Server& server, net::NodeId self,
 /// rejoin (their shard is their state). Decentralized peers rejoin both
 /// halves and re-sync through the step-tagged model exchange instead — the
 /// next write_model folds the live peers' aggregated state in.
-/// `only_node` scopes registration to one node id: a multi-process rank
-/// owns exactly its own recovery (foreign object copies never serve).
 void register_recovery_hooks(Runtime& rt,
                              std::optional<net::NodeId> only_node) {
   if (!rt.conditions.has_churn()) return;
@@ -389,62 +504,6 @@ void register_recovery_hooks(Runtime& rt,
   }
 }
 
-/// Drive the churn schedule at the top of a loop iteration and park this
-/// node's loop while the schedule has it down. Returns the iteration the
-/// loop should run (>= it, jumping over a crash window the node slept
-/// through), or nullopt when the loop should exit instead: the run
-/// aborted, the node never recovers inside the configured horizon, or the
-/// recovery wait timed out (a schedule nobody left alive can drive).
-std::optional<std::size_t> churn_gate(Runtime& rt, net::NodeId node,
-                                      std::size_t it) {
-  if (rt.abort.load()) return std::nullopt;
-  if (!rt.conditions.has_churn()) return it;
-  rt.cluster->advance_lifecycle(it);
-  if (!rt.cluster->is_crashed(node)) return it;
-  const std::optional<std::uint64_t> up =
-      rt.conditions.next_up_iteration(node, it);
-  if (!up || *up >= rt.config.iterations) return std::nullopt;
-  // Park until live peers drive the schedule past the up-edge. Waiting in
-  // short slices keeps the park responsive to a concurrent abort, and the
-  // overall deadline guards undrivable schedules.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (!rt.abort.load()) {
-    const std::optional<std::uint64_t> resumed =
-        rt.cluster->wait_until_running(node, std::chrono::milliseconds(50));
-    if (resumed) return std::size_t(*resumed);
-    if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-/// The scheduled-availability floor check: at iteration `it` the churn
-/// schedule must keep at least `plan.min_n` of the span [lo, hi) up, or
-/// the GAR's (n, f) resilience bound is void. Checked against the
-/// *schedule* rather than observed replies, so every loop trips it at the
-/// same iteration and the whole run aborts deterministically.
-bool churn_floor_holds(Runtime& rt, const GarPlan& plan, std::size_t lo,
-                       std::size_t hi, std::size_t it, const char* what) {
-  if (!rt.conditions.has_churn()) return true;
-  const std::size_t down = rt.conditions.count_down(lo, hi, it);
-  const std::size_t up = hi - lo - down;
-  if (up >= plan.min_n) return true;
-  {
-    util::MutexLock lock(rt.abort_mutex);
-    if (rt.abort_reason.empty()) {
-      rt.abort_reason =
-          "churn schedule drops " + std::string(what) +
-          " availability to " + std::to_string(up) + " node(s) at iteration " +
-          std::to_string(it) + ", below the '" + plan.spec.name +
-          "' GAR resilience floor min_n=" + std::to_string(plan.min_n) +
-          " — aborting instead of aggregating below the (n, f) bound";
-    }
-  }
-  rt.abort.store(true);
-  return false;
-}
-
-/// Resume support: overwrite every replica's state with the checkpoint.
 void resume_replicas(Runtime& rt) {
   if (rt.config.resume_from.empty()) return;
   const Checkpoint ckpt = load_checkpoint(rt.config.resume_from);
@@ -457,281 +516,69 @@ void resume_replicas(Runtime& rt) {
   }
 }
 
-/// Persist the reporting server's state on the configured cadence.
-void maybe_checkpoint(Runtime& rt, std::size_t server_index, std::size_t it) {
+void run_loop(Runtime& rt, std::size_t s) {
   const DeploymentConfig& cfg = rt.config;
-  if (cfg.checkpoint_every == 0 || cfg.checkpoint_path.empty()) return;
-  if ((it + 1) % cfg.checkpoint_every != 0 && it + 1 != cfg.iterations)
-    return;
-  save_checkpoint(
-      cfg.checkpoint_path,
-      Checkpoint{it + 1, rt.servers[server_index]->parameters(),
-                 rt.servers[server_index]->optimizer_velocity()});
-}
-
-void maybe_eval(Runtime& rt, std::size_t server_index, std::size_t it) {
-  const DeploymentConfig& cfg = rt.config;
-  if (cfg.eval_every == 0) return;
-  if (it % cfg.eval_every != 0 && it + 1 != cfg.iterations) return;
-  Server& s = *rt.servers[server_index];
-  EvalPoint p;
-  p.iteration = it;
-  p.accuracy = s.compute_accuracy(rt.test);
-  p.loss = s.compute_loss(rt.test);
-  rt.curves[server_index].push_back(p);
-}
-
-/// Table-2 probe: pairwise parameter differences across correct replicas,
-/// keep the two of largest norm, report the cosine of their angle.
-void maybe_alignment(Runtime& rt, std::size_t correct_servers,
-                     std::size_t it) {
-  const DeploymentConfig& cfg = rt.config;
-  if (cfg.alignment_every == 0 || it % cfg.alignment_every != 0) return;
-  if (correct_servers < 3) return;  // need >= 2 difference vectors
-  std::vector<Payload> params;
-  params.reserve(correct_servers);
-  for (std::size_t s = 0; s < correct_servers; ++s)
-    params.push_back(rt.servers[s]->parameters());
-  struct Diff {
-    double norm;
-    Payload vec;
-  };
-  std::vector<Diff> diffs;
-  for (std::size_t a = 0; a < params.size(); ++a) {
-    for (std::size_t b = a + 1; b < params.size(); ++b) {
-      Payload d(params[a].size());
-      tensor::subtract(params[a], params[b], d);
-      diffs.push_back({tensor::norm(d), std::move(d)});
-    }
-  }
-  std::partial_sort(diffs.begin(), diffs.begin() + 2, diffs.end(),
-                    [](const Diff& x, const Diff& y) {
-                      return x.norm > y.norm;
-                    });
-  AlignmentSample sample;
-  sample.iteration = it;
-  sample.max_diff1 = diffs[0].norm;
-  sample.max_diff2 = diffs[1].norm;
-  // A difference vector's sign is an artifact of pair ordering (a-b vs
-  // b-a); alignment is about the angle between the *lines*, so report the
-  // magnitude of the cosine.
-  sample.cos_phi = std::abs(tensor::cosine(diffs[0].vec, diffs[1].vec));
-  util::MutexLock lock(rt.alignment_mutex);
-  rt.alignment.push_back(sample);
-}
-
-// ------------------------------------------------------------ loop bodies
-
-void vanilla_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
+  const RoundPlan plan = plan_round(cfg);
   Server& server = *rt.servers[s];
-  const GarPlan avg = plan_gar("average", 0);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, avg, cfg.nps, cfg.nps + cfg.nw, it, "worker"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, cfg.nw);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.empty()) continue;
-    server.update_model(aggregate(avg.spec, 0, grads, ctx));
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      maybe_checkpoint(rt, s, it);
-    }
-  }
-}
-
-void crash_tolerant_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const GarPlan avg = plan_gar("average", 0);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (rt.cluster->is_crashed(s)) return;  // crash_primary_at fired
-    if (!churn_floor_holds(rt, avg, cfg.nps, cfg.nps + cfg.nw, it, "worker"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, cfg.nw);
-    if (grads.empty()) continue;
-    server.update_model(aggregate(avg.spec, 0, grads, ctx));
-    maybe_eval(rt, s, it);
-    // Fault injection: the primary fail-stops at the configured step.
-    if (s == 0 && cfg.crash_primary_at != 0 && it + 1 == cfg.crash_primary_at)
-      rt.cluster->crash(s);
-  }
-}
-
-void ssmw_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const std::size_t q = cfg.asynchronous ? cfg.nw - cfg.fw : cfg.nw;
-  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, grad, cfg.nps, cfg.nps + cfg.nw, it,
-                           "worker"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, q);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.size() < grad.min_n) continue;
-    server.update_model(aggregate(grad.spec, cfg.fw, grads, ctx));
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      maybe_checkpoint(rt, s, it);
-    }
-  }
-}
-
-void msmw_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const std::size_t qw = cfg.asynchronous ? cfg.nw - cfg.fw : cfg.nw;
-  // Model exchange: pull from peers, then include own state, so the GAR
-  // sees (peers pulled + 1) inputs.
-  const std::size_t q_peers = cfg.asynchronous
-                                  ? cfg.nps - cfg.fps - 1
-                                  : cfg.nps - 1;
-  const std::size_t correct_servers = cfg.nps - cfg.fps;
-  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
-  const GarPlan model = plan_gar(cfg.model_gar, cfg.fps);
-  gars::AggregationContext& ctx = server.aggregation_context();
-  for (std::size_t it = 0; it < cfg.iterations; ++it) {
-    const std::optional<std::size_t> next = churn_gate(rt, s, it);
-    if (!next) return;
-    it = *next;
-    if (!churn_floor_holds(rt, grad, cfg.nps, cfg.nps + cfg.nw, it,
-                           "worker") ||
-        !churn_floor_holds(rt, model, 0, cfg.nps, it, "server"))
-      return;
-    const std::vector<Payload> grads = server.get_gradients(it, qw);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.size() >= grad.min_n) {
-      server.update_model(aggregate(grad.spec, cfg.fw, grads, ctx));
-    }
-    // Publish the post-gradient-step state as this replica's model for
-    // iteration `it`, then pull the peers' same-iteration states; a peer
-    // that has not reached `it` yet answers not-ready and the transport
-    // redelivers — no loop thread ever blocks on a slow replica.
-    server.publish_model(it);
-    std::vector<Payload> models = server.get_models(it, q_peers);
-    models.push_back(server.parameters());
-    if (models.size() >= model.min_n) {
-      server.write_model(aggregate(model.spec, cfg.fps, models, ctx));
-    }
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      maybe_alignment(rt, correct_servers, it);
-      maybe_checkpoint(rt, s, it);
-    }
-  }
-}
-
-void decentralized_loop(Runtime& rt, std::size_t s) {
-  const DeploymentConfig& cfg = rt.config;
-  Server& server = *rt.servers[s];
-  const std::size_t q = cfg.nw - cfg.fw;  // n - f throughout (Listing 3)
-  const GarPlan grad = plan_gar(cfg.gradient_gar, cfg.fw);
-  const GarPlan model = plan_gar(cfg.model_gar, cfg.fw);
+  const bool reporter = s == rt.reporter;
   gars::AggregationContext& ctx = server.aggregation_context();
   // Gossip tags encode (iteration, contraction round) in one integer so
   // both the publisher and the puller of a contract() round agree on what
   // "round r of iteration t" means.
-  const std::size_t rounds = cfg.contraction_steps;
-  const auto gossip_tag = [rounds](std::size_t it, std::size_t r) {
-    return std::uint64_t(it) * std::uint64_t(rounds) + std::uint64_t(r);
+  const auto gossip_tag = [&plan](std::size_t it, std::size_t r) {
+    return std::uint64_t(it) * std::uint64_t(plan.gossip_rounds) +
+           std::uint64_t(r);
   };
   for (std::size_t it = 0; it < cfg.iterations; ++it) {
     const std::optional<std::size_t> next = churn_gate(rt, s, it);
     if (!next) return;
     it = *next;
-    if (!churn_floor_holds(rt, grad, 0, cfg.nw, it, "peer") ||
-        !churn_floor_holds(rt, model, 0, cfg.nw, it, "peer"))
+    if (!churn_floor_holds(rt, plan.grad, it) ||
+        (plan.model && !churn_floor_holds(rt, *plan.model, it)))
       return;
-    const std::vector<Payload> grads = server.get_gradients(it, q);
-    if (s == 0) rt.reporting_gradient_counts.push_back(grads.size());
-    if (grads.size() < grad.min_n) {
-      // Skipping the iteration must not wedge the peers: publish explicit
-      // "no contribution" markers for every gossip round and the unchanged
-      // model, so their tagged pulls resolve instead of retrying into
-      // their deadline.
-      for (std::size_t step = 0; step < rounds; ++step)
-        server.skip_aggr_grad(gossip_tag(it, step));
-      server.publish_model(it);
-      continue;
-    }
-    Payload aggr = aggregate(grad.spec, cfg.fw, grads, ctx);
-    // contract(): multi-round gossip forcing correct nodes together.
-    // Listing 3 enables it for non-iid data; it is keyed on the step
-    // count here so the ablation can isolate its effect.
-    for (std::size_t step = 0; step < rounds; ++step) {
-      server.publish_aggr_grad(gossip_tag(it, step), aggr);
-      std::vector<Payload> peer_grads =
-          server.get_aggr_grads(gossip_tag(it, step), q - 1, it);
-      peer_grads.push_back(aggr);
-      if (peer_grads.size() < grad.min_n) {
-        for (std::size_t rest = step + 1; rest < rounds; ++rest)
-          server.skip_aggr_grad(gossip_tag(it, rest));
-        break;
+    const std::vector<Payload> grads =
+        server.get_gradients(it, plan.grad.awaited);
+    if (reporter) rt.reporting_gradient_counts.push_back(grads.size());
+    std::size_t gossiped = 0;
+    if (grads.size() >= plan.grad.min_n) {
+      Payload aggr = aggregate(plan.grad, grads, ctx);
+      // contract(): multi-round gossip forcing correct nodes together.
+      // Listing 3 enables it for non-iid data; it is keyed on the step
+      // count here so the ablation can isolate its effect.
+      while (gossiped < plan.gossip_rounds) {
+        const std::uint64_t tag = gossip_tag(it, gossiped++);
+        server.publish_aggr_grad(tag, aggr);
+        std::vector<Payload> peer_grads =
+            server.get_aggr_grads(tag, plan.grad.awaited - 1, it);
+        peer_grads.push_back(aggr);
+        if (peer_grads.size() < plan.grad.min_n) break;
+        aggr = aggregate(plan.grad, peer_grads, ctx);
       }
-      aggr = aggregate(grad.spec, cfg.fw, peer_grads, ctx);
+      server.update_model(aggr);
     }
-    server.update_model(aggr);
-    server.publish_model(it);
-    std::vector<Payload> models = server.get_models(it, q - 1);
-    models.push_back(server.parameters());
-    if (models.size() >= model.min_n) {
-      server.write_model(aggregate(model.spec, cfg.fw, models, ctx));
+    // A skipped step must not wedge the peers: every round not gossiped
+    // publishes an explicit "no contribution" marker, so their tagged pulls
+    // resolve instead of retrying into their deadline.
+    for (std::size_t r = gossiped; r < plan.gossip_rounds; ++r)
+      server.skip_aggr_grad(gossip_tag(it, r));
+    if (plan.model) {
+      // Publish this replica's state for iteration `it`, then pull the
+      // peers' same-iteration states; a peer that has not reached `it` yet
+      // answers not-ready and the transport redelivers — no loop thread
+      // ever blocks on a slow replica.
+      server.publish_model(it);
+      std::vector<Payload> models =
+          server.get_models(it, plan.model->awaited);
+      models.push_back(server.parameters());
+      if (models.size() >= plan.model->min_n) {
+        server.write_model(aggregate(*plan.model, models, ctx));
+      }
     }
-    if (s == 0) {
-      maybe_eval(rt, s, it);
-      // Inter-peer drift probe: same methodology as the Table-2 server
-      // alignment, applied to the correct peers' model replicas.
-      maybe_alignment(rt, cfg.nw - cfg.fw, it);
+    if (reporter) {
+      maybe_eval(rt, it);
+      maybe_alignment(rt, plan.aligned, it);
+      maybe_checkpoint(rt, it);
     }
-  }
-}
-
-}  // namespace
-
-namespace detail {
-
-void build_runtime(Runtime& rt) {
-  if (is_decentralized(rt.config)) {
-    build_decentralized(rt);
-  } else {
-    build_parameter_server(rt);
-  }
-  // Install the wire codec on every endpoint before any loop starts: the
-  // whole cluster speaks one codec (mixed-codec clusters are not a thing —
-  // the spec is part of the deployment config every process shares).
-  const net::CodecSpec codec = net::CodecSpec::parse(rt.config.codec);
-  if (!codec.identity()) {
-    for (auto& server : rt.servers) server->set_codec(codec);
-    for (auto& worker : rt.workers) worker->set_codec(codec);
-  }
-}
-
-void register_recovery(Runtime& rt, std::optional<net::NodeId> only_node) {
-  register_recovery_hooks(rt, only_node);
-}
-
-void maybe_resume(Runtime& rt) { resume_replicas(rt); }
-
-void run_loop(Runtime& rt, std::size_t s) {
-  switch (rt.config.deployment) {
-    case Deployment::kVanilla: vanilla_loop(rt, s); break;
-    case Deployment::kCrashTolerant: crash_tolerant_loop(rt, s); break;
-    case Deployment::kSsmw: ssmw_loop(rt, s); break;
-    case Deployment::kMsmw: msmw_loop(rt, s); break;
-    case Deployment::kDecentralized: decentralized_loop(rt, s); break;
   }
 }
 
@@ -741,9 +588,8 @@ TrainResult harvest(Runtime& rt) {
     throw std::runtime_error(rt.abort_reason);
   }
 
-  const DeploymentConfig& config = rt.config;
   TrainResult result;
-  result.iterations_run = config.iterations;
+  result.iterations_run = rt.config.iterations;
   result.reporting_gradient_counts = std::move(rt.reporting_gradient_counts);
   result.net_stats = rt.cluster->stats();
   result.state_transfers = rt.state_transfers.load();
@@ -760,34 +606,20 @@ TrainResult harvest(Runtime& rt) {
     util::MutexLock lock(rt.alignment_mutex);
     result.alignment = std::move(rt.alignment);
   }
-
-  // Reporting replica: server 0, except after a primary crash in the
-  // crash-tolerant protocol, where the next replica takes over (its state
-  // may be behind — the paper's "outdated model" note).
-  result.curve = std::move(rt.curves[0]);
-  if (config.deployment == Deployment::kCrashTolerant &&
-      config.crash_primary_at != 0 && rt.curves.size() > 1) {
-    for (const EvalPoint& p : rt.curves[1]) {
-      if (p.iteration >= config.crash_primary_at) result.curve.push_back(p);
-    }
-    std::sort(result.curve.begin(), result.curve.end(),
-              [](const EvalPoint& a, const EvalPoint& b) {
-                return a.iteration < b.iteration;
-              });
-  }
+  // Everything below is the reporting replica's: its curve, and its final
+  // model bit-exact — the cross-backend parity probe (a TCP run of a sync
+  // deployment must reproduce the in-process model down to the last
+  // float).
+  Server& reporter = *rt.servers[rt.reporter];
+  result.curve = std::move(rt.curve);
   if (!result.curve.empty()) {
     result.final_accuracy = result.curve.back().accuracy;
     result.final_loss = result.curve.back().loss;
-  } else if (!rt.servers.empty()) {
-    result.final_accuracy = rt.servers[0]->compute_accuracy(rt.test);
-    result.final_loss = rt.servers[0]->compute_loss(rt.test);
+  } else {
+    result.final_accuracy = reporter.compute_accuracy(rt.test);
+    result.final_loss = reporter.compute_loss(rt.test);
   }
-  // Reporting replica's final model, bit-exact — the cross-backend parity
-  // probe (a TCP run of a sync deployment must reproduce the in-process
-  // model down to the last float).
-  if (!rt.servers.empty()) {
-    result.final_parameters = rt.servers[0]->parameters();
-  }
+  result.final_parameters = reporter.parameters();
   return result;
 }
 
@@ -802,8 +634,8 @@ TrainResult train(const DeploymentConfig& config) {
   detail::Runtime rt;
   rt.config = config;
   detail::build_runtime(rt);
-  detail::register_recovery(rt);
-  detail::maybe_resume(rt);
+  detail::register_recovery_hooks(rt);
+  detail::resume_replicas(rt);
 
   // Spawn one driving thread per server replica / peer. Byzantine servers
   // run the same loop (their lies live in their RPC handlers).

@@ -21,72 +21,19 @@ namespace garfield::net {
 namespace {
 
 // Frame types. Every frame body starts with one of these; the layouts are
-// fixed-width little-endian (the put/get helpers below), payloads are
-// net/wire blobs so they keep their magic + CRC end to end.
+// fixed-width little-endian (net/wire's put_* and ByteReader), payloads
+// are net/wire blobs so they keep their magic + CRC end to end.
 constexpr std::uint8_t kFrameRequest = 1;
 constexpr std::uint8_t kFrameReply = 2;
 constexpr std::uint8_t kFrameHello = 3;
 constexpr std::uint8_t kFrameDone = 4;
 constexpr std::uint8_t kFrameReady = 5;
+/// "I passed the done barrier and am closing": the EOF that follows is
+/// teardown, not a peer death. Counted in no NetStats field.
+constexpr std::uint8_t kFrameExit = 6;
 
 /// How long start() waits for every sibling process to join the mesh.
 constexpr Duration kMeshDeadline{std::chrono::seconds(30)};
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(std::uint8_t(v));
-  out.push_back(std::uint8_t(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian reads; a short or lying frame is stream
-/// corruption and must surface as WireError (the reader treats it as peer
-/// death), never as UB.
-struct FrameReader {
-  std::span<const std::uint8_t> bytes;
-  std::size_t at = 0;
-
-  void need(std::size_t n) const {
-    if (bytes.size() - at < n) {
-      throw WireError("tcp: truncated frame body");
-    }
-  }
-  std::uint8_t u8() {
-    need(1);
-    return bytes[at++];
-  }
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v = std::uint16_t(
-        std::uint16_t(bytes[at]) | (std::uint16_t(bytes[at + 1]) << 8));
-    at += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= std::uint32_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= std::uint64_t(bytes[at + std::size_t(i)]) << (8 * i);
-    }
-    at += 8;
-    return v;
-  }
-};
 
 /// Read exactly `n` bytes (the hello handshake, before a reader thread
 /// owns the socket). False on EOF/error.
@@ -212,8 +159,9 @@ void TcpTransport::start(DeliverFn deliver) {
       ::close(fd);
       throw std::runtime_error("TcpTransport: peer hung up mid-hello");
     }
-    FrameReader reader{
-        std::span<const std::uint8_t>(raw + kFramePrefixBytes, 5), 0};
+    ByteReader reader(
+        std::span<const std::uint8_t>(raw + kFramePrefixBytes, 5),
+        "tcp hello");
     if (reader.u8() != kFrameHello) {
       ::close(fd);
       throw std::runtime_error("TcpTransport: first frame was not hello");
@@ -342,6 +290,13 @@ bool TcpTransport::write_frame(Peer& peer,
     // receiver's CRC check and is discarded — a genuine wire fault.
     framed[kFramePrefixBytes] ^= 0x01;
   }
+  if (!send_all(peer, framed)) return false;
+  bytes_sent_.fetch_add(framed.size(), std::memory_order_relaxed);
+  return true;
+}
+
+bool TcpTransport::send_all(Peer& peer,
+                            std::span<const std::uint8_t> framed) {
   util::MutexLock lock(peer.write_mutex);
   if (!peer.alive.load(std::memory_order_relaxed)) return false;
   std::size_t sent = 0;
@@ -358,7 +313,6 @@ bool TcpTransport::write_frame(Peer& peer,
     }
     sent += std::size_t(n);
   }
-  bytes_sent_.fetch_add(framed.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -388,14 +342,15 @@ void TcpTransport::announce_done() { broadcast_control(kFrameDone); }
 
 bool TcpTransport::await_done(std::size_t driver_count, Duration timeout) {
   util::MutexLock lock(control_mutex_);
-  return control_cv_.wait_for(control_mutex_, timeout,
-                              [&]() GARFIELD_REQUIRES(control_mutex_) {
-                                for (std::size_t r = 0;
-                                     r < driver_count && r < nodes_; ++r) {
-                                  if (r != rank_ && !done_[r]) return false;
-                                }
-                                return true;
-                              });
+  const bool done = control_cv_.wait_for(
+      control_mutex_, timeout, [&]() GARFIELD_REQUIRES(control_mutex_) {
+        for (std::size_t r = 0; r < driver_count && r < nodes_; ++r) {
+          if (r != rank_ && !done_[r]) return false;
+        }
+        return true;
+      });
+  if (done) done_passed_.store(true, std::memory_order_relaxed);
+  return done;
 }
 
 void TcpTransport::reader_loop(std::size_t peer_rank) {
@@ -413,6 +368,10 @@ void TcpTransport::reader_loop(std::size_t peer_rank) {
       decoder.feed(
           std::span<const std::uint8_t>(buf.data(), std::size_t(n)));
       while (auto body = decoder.next()) {
+        if (!body->empty() && body->front() == kFrameExit) {
+          peer.exited.store(true, std::memory_order_relaxed);
+          continue;
+        }
         bytes_received_.fetch_add(kFramePrefixBytes + body->size(),
                                   std::memory_order_relaxed);
         handle_frame(peer_rank, *body);
@@ -429,7 +388,9 @@ void TcpTransport::reader_loop(std::size_t peer_rank) {
 
 void TcpTransport::handle_frame(std::size_t peer_rank,
                                 std::span<const std::uint8_t> body) {
-  FrameReader reader{body, 0};
+  // A short or lying frame is stream corruption: the reader's WireError
+  // fail-silences the peer, the same as its death.
+  ByteReader reader(body, "tcp frame");
   const std::uint8_t type = reader.u8();
   switch (type) {
     case kFrameRequest: {
@@ -442,14 +403,9 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       const std::uint64_t window = reader.u64();
       if (has_window) request.window_iteration = window;
       const std::uint64_t budget_us = reader.u64();
-      const std::uint16_t method_len = reader.u16();
-      reader.need(method_len);
-      request.method.assign(
-          reinterpret_cast<const char*>(body.data() + reader.at),
-          method_len);
-      reader.at += method_len;
+      request.method = reader.str(reader.u16());
       if (reader.u8() != 0) {
-        WireMessage msg = decode(body.subspan(reader.at));
+        WireMessage msg = decode(reader.rest());
         request.argument =
             std::make_shared<const Payload>(std::move(msg.payload));
       }
@@ -494,7 +450,7 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
       const std::uint64_t cid = reader.u64();
       PayloadPtr payload;
       if (reader.u8() != 0) {
-        WireMessage msg = decode(body.subspan(reader.at));
+        WireMessage msg = decode(reader.rest());
         payload = std::make_shared<const Payload>(std::move(msg.payload));
       }
       resolve_pending(cid, std::move(payload));
@@ -537,9 +493,11 @@ void TcpTransport::resolve_pending(std::uint64_t cid, PayloadPtr payload) {
 
 void TcpTransport::on_peer_down(std::size_t peer_rank) {
   // Mid-run peer death is fail-silent to the protocol but must never be
-  // silent to the operator: name the dead rank. During shutdown() the EOFs
-  // are expected teardown, not deaths.
-  if (!down_.load(std::memory_order_relaxed)) {
+  // silent to the operator: name the dead rank. EOFs during our own
+  // shutdown(), or after the peer announced a clean exit, are expected
+  // teardown, not deaths.
+  if (!down_.load(std::memory_order_relaxed) &&
+      !peers_[peer_rank]->exited.load(std::memory_order_relaxed)) {
     peer_deaths_.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr,
                  "[garfield:tcp] rank %zu: peer rank %zu died mid-run "
@@ -575,11 +533,18 @@ void TcpTransport::on_peer_down(std::size_t peer_rank) {
 
 void TcpTransport::shutdown() {
   if (down_.exchange(true)) return;
+  // Past the done barrier, tell every peer this close is a clean exit
+  // before the EOF reaches it.
+  const std::vector<std::uint8_t> exit_frame =
+      frame(control_body(kFrameExit, std::uint32_t(rank_)));
   // Sockets first: readers see EOF, resolve their peers' pending calls,
   // and exit. Join them before draining the pool — readers submit
   // delivery tasks and must never race pool teardown.
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (!peers_[r]) continue;
+    if (done_passed_.load(std::memory_order_relaxed)) {
+      (void)send_all(*peers_[r], exit_frame);
+    }
     peers_[r]->alive.store(false, std::memory_order_relaxed);
     (void)::shutdown(peers_[r]->fd, SHUT_RDWR);
   }

@@ -28,7 +28,9 @@
 //    peer's pending calls with nullptr: fail-silence, the same shape a
 //    crashed node has — but no longer silent to the operator: the death
 //    is counted (NetStats::peer_deaths) and announced on stderr naming
-//    the local and dead ranks.
+//    the local and dead ranks. A process past its done barrier announces
+//    a clean exit on every stream before closing it, so its EOF is
+//    teardown and counts as no death.
 //
 // Beyond the Transport contract the backend exposes two process-level
 // barriers the orchestrator drives: a ready barrier (no request may arrive
@@ -115,6 +117,8 @@ class TcpTransport final : public Transport {
     /// Cleared by the writer on EPIPE and by the reader on EOF; checked
     /// under write_mutex before every write.
     std::atomic<bool> alive{false};
+    /// Set by the reader when the peer announced a clean exit.
+    std::atomic<bool> exited{false};
     std::thread reader;
   };
 
@@ -133,6 +137,10 @@ class TcpTransport final : public Transport {
                                  std::span<const std::uint8_t> body,
                                  bool corrupt = false)
       GARFIELD_EXCLUDES(pending_mutex_);
+  /// Write already-framed bytes under the peer's write lock, uncounted;
+  /// false when the peer is down.
+  [[nodiscard]] bool send_all(Peer& peer,
+                              std::span<const std::uint8_t> framed);
   void broadcast_control(std::uint8_t type);
   void reader_loop(std::size_t peer_rank);
   void handle_frame(std::size_t peer_rank,
@@ -150,6 +158,8 @@ class TcpTransport final : public Transport {
   DeliverFn deliver_;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< by rank; self is null
   std::atomic<bool> down_{false};
+  /// await_done() succeeded: shutdown() announces a clean exit.
+  std::atomic<bool> done_passed_{false};
 
   struct PendingCall {
     Respond respond;

@@ -23,26 +23,6 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= std::uint32_t(in[at + std::size_t(i)]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= std::uint64_t(in[at + std::size_t(i)]) << (8 * i);
-  return v;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
@@ -77,12 +57,14 @@ std::size_t encoded_size(std::span<const std::uint8_t> bytes) {
     throw WireError("wire: truncated header (" +
                     std::to_string(bytes.size()) + " bytes)");
   }
-  if (get_u32(bytes, 0) != kMagic) throw WireError("wire: bad magic");
-  const std::uint32_t version = get_u32(bytes, 4);
+  ByteReader in(bytes, "wire");
+  if (in.u32() != kMagic) throw WireError("wire: bad magic");
+  const std::uint32_t version = in.u32();
   if (version != kVersion) {
     throw WireError("wire: unsupported version " + std::to_string(version));
   }
-  const std::uint64_t d = get_u64(bytes, 16);
+  in.skip(8);  // iteration tag
+  const std::uint64_t d = in.u64();
   // Compare in element space: computing kHeaderSize + 4*d with an untrusted
   // 64-bit d could wrap and defeat the truncation check.
   if (d > (bytes.size() - kHeaderSize) / 4) {
@@ -98,15 +80,16 @@ WireMessage decode(std::span<const std::uint8_t> bytes) {
     throw WireError("wire: truncated header (" +
                     std::to_string(bytes.size()) + " bytes)");
   }
-  if (get_u32(bytes, 0) != kMagic) throw WireError("wire: bad magic");
-  const std::uint32_t version = get_u32(bytes, 4);
+  ByteReader in(bytes, "wire");
+  if (in.u32() != kMagic) throw WireError("wire: bad magic");
+  const std::uint32_t version = in.u32();
   if (version != kVersion) {
     throw WireError("wire: unsupported version " + std::to_string(version));
   }
   WireMessage msg;
-  msg.iteration = get_u64(bytes, 8);
-  const std::uint64_t d = get_u64(bytes, 16);
-  const std::uint32_t expected_crc = get_u32(bytes, 24);
+  msg.iteration = in.u64();
+  const std::uint64_t d = in.u64();
+  const std::uint32_t expected_crc = in.u32();
   // Element-space comparison: kHeaderSize + 4*d could wrap for a hostile d.
   if ((bytes.size() - kHeaderSize) % 4 != 0 ||
       d != (bytes.size() - kHeaderSize) / 4) {
@@ -142,7 +125,8 @@ void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   // Validate the length prefix as soon as it is complete: a hostile or
   // corrupted prefix fails here, before next() would size a frame by it.
   if (buffer_.size() - consumed_ >= 4) {
-    const std::uint32_t len = get_u32(buffer_, consumed_);
+    const std::uint32_t len =
+        ByteReader(buffer_, "wire stream", consumed_).u32();
     if (len > max_frame_) {
       throw WireError("wire: stream frame of " + std::to_string(len) +
                       " bytes exceeds the frame limit");
@@ -154,13 +138,14 @@ std::optional<std::vector<std::uint8_t>> FrameDecoder::next() {
   for (;;) {
     const std::size_t available = buffer_.size() - consumed_;
     if (available < kFramePrefixBytes) break;
-    const std::uint32_t len = get_u32(buffer_, consumed_);
+    ByteReader prefix(buffer_, "wire stream", consumed_);
+    const std::uint32_t len = prefix.u32();
+    const std::uint32_t expected_crc = prefix.u32();
     if (len > max_frame_) {
       throw WireError("wire: stream frame of " + std::to_string(len) +
                       " bytes exceeds the frame limit");
     }
     if (available < kFramePrefixBytes + std::size_t(len)) break;
-    const std::uint32_t expected_crc = get_u32(buffer_, consumed_ + 4);
     const std::span<const std::uint8_t> body_view(
         buffer_.data() + consumed_ + kFramePrefixBytes, std::size_t(len));
     if (crc32(body_view) != expected_crc) {

@@ -17,12 +17,14 @@
 // becomes a silently-wrong model.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/vecops.h"
@@ -33,6 +35,82 @@ namespace garfield::net {
 class WireError : public std::runtime_error {
  public:
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
+};
+
+// ----------------------------------------------------------- byte layout
+//
+// Every binary layout in the tree (wire messages, tcp frames, checkpoint
+// digest trailers, the node result blob) is fixed-width little-endian:
+// written with the put_* appenders, read back through one ByteReader.
+
+inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
+  out.push_back(std::uint8_t(v));
+  out.push_back(std::uint8_t(v >> 8));
+}
+
+inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+
+inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+}
+
+inline void put_f64(std::vector<std::uint8_t>& out, double v) {
+  put_u64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Bounds-checked little-endian reads, advancing from `at`: a short or
+/// lying blob surfaces as a WireError naming `context`, never as UB.
+class ByteReader {
+ public:
+  ByteReader(std::span<const std::uint8_t> bytes, std::string_view context,
+             std::size_t at = 0)
+      : bytes_(bytes), context_(context), at_(at) {}
+
+  /// Throws unless `n` more bytes remain.
+  void need(std::size_t n) const {
+    if (bytes_.size() - at_ < n) {
+      throw WireError(std::string(context_) + ": truncated (" +
+                      std::to_string(n) + " bytes needed at offset " +
+                      std::to_string(at_) + " of " +
+                      std::to_string(bytes_.size()) + ")");
+    }
+  }
+  std::uint8_t u8() { return std::uint8_t(little_endian(1)); }
+  std::uint16_t u16() { return std::uint16_t(little_endian(2)); }
+  std::uint32_t u32() { return std::uint32_t(little_endian(4)); }
+  std::uint64_t u64() { return little_endian(8); }
+  double f64() { return std::bit_cast<double>(u64()); }
+  std::string str(std::size_t n) {
+    need(n);
+    std::string s(reinterpret_cast<const char*>(bytes_.data() + at_), n);
+    at_ += n;
+    return s;
+  }
+  void skip(std::size_t n) {
+    need(n);
+    at_ += n;
+  }
+  /// The unread tail.
+  [[nodiscard]] std::span<const std::uint8_t> rest() const {
+    return bytes_.subspan(at_);
+  }
+
+ private:
+  std::uint64_t little_endian(std::size_t n) {
+    need(n);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      v |= std::uint64_t(bytes_[at_ + i]) << (8 * i);
+    }
+    at_ += n;
+    return v;
+  }
+
+  std::span<const std::uint8_t> bytes_;
+  std::string_view context_;
+  std::size_t at_;
 };
 
 /// A decoded message.

@@ -286,6 +286,42 @@ TEST(ChurnLive, MsmwServerRecoveryRestoresBitwiseIdenticalLearning) {
                     "recovery with state transfer is invisible to learning");
 }
 
+TEST(ChurnLive, MsmwPrimaryFailStopHandsReportingToReplicaOne) {
+  // Server 0 fail-stops for good at iteration 2. The reporter is chosen
+  // from the schedule before the run, so replica 1 reports from the start:
+  // its full curve, not the dead primary's prefix. With fps = 0 the two
+  // live replicas stay bitwise in sync and the median of their two models
+  // is their shared state, so the curve equals the undisturbed run's.
+  gc::DeploymentConfig cfg;
+  cfg.deployment = gc::Deployment::kMsmw;
+  cfg.model = "tiny_mlp";
+  cfg.dataset = "cluster";
+  cfg.train_size = 256;
+  cfg.test_size = 64;
+  cfg.batch_size = 8;
+  cfg.nw = 4;
+  cfg.fw = 0;
+  cfg.nps = 3;
+  cfg.fps = 0;
+  cfg.gradient_gar = "median";
+  cfg.model_gar = "median";
+  cfg.iterations = 6;
+  cfg.eval_every = 1;
+  cfg.seed = 20260808;
+
+  garfield::tensor::set_parallel_threads(1);
+  const gc::TrainResult ideal = gc::train(cfg);
+  cfg.network = "churn:crash=0,at_iter=2";
+  ASSERT_NO_THROW(cfg.validate());
+  const gc::TrainResult churned = gc::train(cfg);
+  garfield::tensor::set_parallel_threads(0);
+
+  ASSERT_EQ(churned.curve.size(), cfg.iterations);
+  expect_same_curve(ideal, churned, "replica 1 reports the full curve");
+  ASSERT_EQ(ideal.final_parameters.size(), churned.final_parameters.size());
+  EXPECT_EQ(ideal.final_parameters, churned.final_parameters);
+}
+
 TEST(ChurnLive, DecentralizedPeerRecoversThroughTheModelExchange) {
   // Peer 3 crashes over [1, 3) and rejoins without a checkpoint — config
   // validation exempts decentralized peers because the step-tagged model
@@ -332,7 +368,7 @@ TEST(ChurnLive, RecoveredReplicaServesNothingStaleThroughTaggedPulls) {
                     {}, {1});
   gc::Server replica(1, cluster, garfield::nn::make_model("tiny_mlp", r1),
                      {}, {}, {0});
-  replica.enable_step_tagged_serving(/*models=*/true, /*aggr_grads=*/false);
+  replica.enable_step_tagged_serving();
   const std::vector<gn::NodeId> peers{1};
   const auto pull = [&](std::uint64_t tag) {
     return cluster.collect(0, peers, gc::kGetModel, tag, nullptr, 1,

@@ -3,8 +3,12 @@
 // all five deployments (convergence, determinism, fault injection).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <limits>
+#include <vector>
 
+#include "core/checkpoint.h"
 #include "core/config.h"
 #include "core/controller.h"
 #include "core/server.h"
@@ -242,11 +246,15 @@ TEST(ServerWorker, AggrGradGossip) {
                 {1});
   gc::Server s1(1, cluster, garfield::nn::make_model("tiny_mlp", r2), {}, {},
                 {0});
-  // Before publication: no reply, collect returns empty.
-  auto none = s0.get_aggr_grads(0, 1, 0);
-  EXPECT_TRUE(none.empty());
+  // Before publication the tagged pull answers not-ready and redelivers
+  // until the collect deadline: nothing arrives.
+  const std::vector<gn::NodeId> peers{1};
+  EXPECT_TRUE(cluster
+                  .collect(0, peers, gc::kGetAggrGrad, 0, nullptr, 1,
+                           std::chrono::milliseconds(150))
+                  .empty());
   gn::Payload grad(s1.dimension(), 2.5F);
-  s1.set_latest_aggr_grad(grad);
+  s1.publish_aggr_grad(0, grad);
   auto got = s0.get_aggr_grads(0, 1, 0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], grad);
@@ -264,10 +272,10 @@ TEST(ServerWorker, IngressValidationRejectsMalformedPayloads) {
   gc::Server s2(2, cluster, garfield::nn::make_model("tiny_mlp", r3), {}, {},
                 {0, 1});
   // s1 gossips a wrong-dimension vector, s2 a NaN-poisoned one.
-  s1.set_latest_aggr_grad(gn::Payload{1.0F, 2.0F});
+  s1.publish_aggr_grad(0, gn::Payload{1.0F, 2.0F});
   gn::Payload poisoned(s2.dimension(), 1.0F);
   poisoned[3] = std::numeric_limits<float>::quiet_NaN();
-  s2.set_latest_aggr_grad(poisoned);
+  s2.publish_aggr_grad(0, poisoned);
   auto got = s0.get_aggr_grads(0, 2, 0);
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(s0.rejected_payloads(), 2u);
@@ -346,11 +354,41 @@ TEST(Deployments, CrashTolerantSurvivesPrimaryCrash) {
   cfg.deployment = gc::Deployment::kCrashTolerant;
   cfg.nw = 4;
   cfg.nps = 3;
-  cfg.crash_primary_at = 40;
+  cfg.network = "churn:crash=0,at_iter=40";
   const gc::TrainResult result = gc::train(cfg);
   // Failover replica finishes the run and reaches good accuracy.
   EXPECT_GT(result.final_accuracy, 0.7);
   EXPECT_GE(result.curve.back().iteration, cfg.iterations - cfg.eval_every);
+}
+
+TEST(Deployments, CrashTolerantReporterRecordsGradientCounts) {
+  gc::DeploymentConfig cfg = fast_config();
+  cfg.deployment = gc::Deployment::kCrashTolerant;
+  cfg.nw = 4;
+  cfg.nps = 3;
+  cfg.iterations = 20;
+  const gc::TrainResult result = gc::train(cfg);
+  ASSERT_EQ(result.reporting_gradient_counts.size(), cfg.iterations);
+  for (std::size_t count : result.reporting_gradient_counts) {
+    EXPECT_EQ(count, cfg.nw);
+  }
+}
+
+TEST(Deployments, DecentralizedReporterWritesCheckpoints) {
+  gc::DeploymentConfig cfg = fast_config();
+  cfg.deployment = gc::Deployment::kDecentralized;
+  cfg.nw = 4;
+  cfg.gradient_gar = "median";
+  cfg.model_gar = "median";
+  cfg.iterations = 12;
+  cfg.checkpoint_every = 5;
+  cfg.checkpoint_path = testing::TempDir() + "garfield_dec_reporter.ckpt";
+  std::remove(cfg.checkpoint_path.c_str());
+  const gc::TrainResult result = gc::train(cfg);
+  const gc::Checkpoint ckpt = gc::load_checkpoint(cfg.checkpoint_path);
+  std::remove(cfg.checkpoint_path.c_str());
+  EXPECT_EQ(ckpt.iteration, cfg.iterations);
+  EXPECT_EQ(ckpt.parameters, result.final_parameters);
 }
 
 TEST(Deployments, MsmwSurvivesByzantineWorkersAndServers) {

@@ -1,7 +1,11 @@
 // Tests for garfield::net — thread pool, timer wheel, pull-RPC, fastest-q
 // collection, crash and straggler injection, not-ready redelivery, traffic
-// accounting (including wasted replies and teardown drops).
+// accounting (including wasted replies and teardown drops), and the tcp
+// endpoint's teardown rule: a clean exit past the done barrier is no death.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -12,6 +16,7 @@
 #include <vector>
 
 #include "net/cluster.h"
+#include "net/tcp_transport.h"
 #include "net/timer_wheel.h"
 #include "util/thread_pool.h"
 
@@ -588,4 +593,80 @@ TEST(Lifecycle, QuorumMissesCountShortCollects) {
   // q = 3 with one crashed responder: resolves short, counts one miss.
   EXPECT_EQ(cluster.collect(0, peers, "echo", 1, nullptr, 3, 2s).size(), 2u);
   EXPECT_EQ(cluster.stats().quorum_misses, 1u);
+}
+
+// ------------------------------------------------------- tcp teardown
+
+namespace {
+
+/// A loopback listener on a kernel-assigned port, as the multi-process
+/// orchestrator binds one per rank before forking.
+int listen_loopback(std::uint16_t& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  if (fd < 0 ||
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 4) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ADD_FAILURE() << "cannot listen on loopback";
+    return -1;
+  }
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
+/// Two TcpTransport endpoints (ranks 0 and 1) meshed in one process.
+std::pair<std::unique_ptr<gn::TcpTransport>, std::unique_ptr<gn::TcpTransport>>
+tcp_pair() {
+  std::vector<std::uint16_t> ports(2);
+  const int fd0 = listen_loopback(ports[0]);
+  const int fd1 = listen_loopback(ports[1]);
+  const auto make = [&](std::size_t rank, int fd) {
+    gn::TcpTransport::Options opts;
+    opts.rank = rank;
+    opts.nodes = 2;
+    opts.listen_fd = fd;
+    opts.ports = ports;
+    opts.pool_threads = 1;
+    return std::make_unique<gn::TcpTransport>(opts);
+  };
+  auto a = make(0, fd0);
+  auto b = make(1, fd1);
+  const gn::Transport::DeliverFn ignore = [](gn::Request, gn::Clock::time_point,
+                                             gn::Transport::Respond) {};
+  std::thread accept_side([&] { a->start(ignore); });
+  b->start(ignore);
+  accept_side.join();
+  return {std::move(a), std::move(b)};
+}
+
+}  // namespace
+
+TEST(TcpTeardown, EofBeforeTheDoneBarrierIsAPeerDeath) {
+  auto [a, b] = tcp_pair();
+  b.reset();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (a->peer_deaths() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(a->peer_deaths(), 1u);
+}
+
+TEST(TcpTeardown, ExitPastTheDoneBarrierIsNoPeerDeath) {
+  auto [a, b] = tcp_pair();
+  a->announce_done();
+  b->announce_done();
+  ASSERT_TRUE(a->await_done(2, 10s));
+  ASSERT_TRUE(b->await_done(2, 10s));
+  const std::uint64_t received = a->bytes_received();
+  b.reset();
+  // A death would be counted within microseconds on loopback.
+  std::this_thread::sleep_for(300ms);
+  EXPECT_EQ(a->peer_deaths(), 0u);
+  // The exit announcement is teardown, not traffic.
+  EXPECT_EQ(a->bytes_received(), received);
 }

@@ -8,9 +8,13 @@
 // produce byte-identical final parameters, curves, and counters.
 //
 // Pinned here:
-//   - SSMW / MSMW / decentralized parity, each rank its own process
+//   - vanilla / crash-tolerant / SSMW / MSMW / decentralized parity, each
+//     rank its own process
 //   - crash/recovery over TCP: a `churn:` schedule derived independently
 //     by every process walks the same trajectory as the in-process FSM
+//   - primary fail-stop: a permanent `churn:crash=0` hands reporting to
+//     the backup on both backends, with the undisturbed run's model
+//   - a clean exit past the done barrier is not a peer death
 //   - the orchestrator's run files: under $TMPDIR, removed after the run,
 //     and a missing $TMPDIR named in the error
 //   - config validation scope limits of the tcp backend
@@ -111,6 +115,24 @@ void expect_bitwise(const gc::TrainResult& inproc, const gc::TrainResult& tcp,
 
 // ------------------------------------------------------------ sync parity
 
+TEST(TransportBackend, VanillaIsBitwiseIdenticalAcrossBackends) {
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kVanilla);
+  cfg.nw = 3;
+  cfg.nps = 1;
+  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+  expect_bitwise(run_inproc(cfg), *tcp, "vanilla");
+}
+
+TEST(TransportBackend, CrashTolerantIsBitwiseIdenticalAcrossBackends) {
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kCrashTolerant);
+  cfg.nw = 3;
+  cfg.nps = 3;
+  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+  expect_bitwise(run_inproc(cfg), *tcp, "crash_tolerant");
+}
+
 TEST(TransportBackend, SsmwIsBitwiseIdenticalAcrossBackends) {
   gc::DeploymentConfig cfg = tiny(gc::Deployment::kSsmw);
   cfg.nw = 3;
@@ -168,6 +190,47 @@ TEST(TransportBackend, ChurnCrashRecoveryMatchesAcrossBackends) {
   EXPECT_EQ(inproc.reporting_gradient_counts[4], 3u);
   EXPECT_EQ(inproc.reporting_gradient_counts[8], 4u);
   expect_bitwise(inproc, *tcp, "ssmw+churn");
+}
+
+TEST(TransportBackend, PrimaryFailStopHandsReportingToTheBackup) {
+  // Crash-tolerant primary/backup: server 0 fail-stops for good at
+  // iteration 3. The schedule is config, so every process picks replica 1
+  // as the reporter before the run; it trains undisturbed (no model
+  // exchange ties it to the primary), so both backends report its full
+  // curve and the no-churn run's model, bit for bit.
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kCrashTolerant);
+  cfg.nw = 3;
+  cfg.nps = 3;
+  cfg.iterations = 8;
+  cfg.eval_every = 2;
+  const gc::TrainResult undisturbed = run_inproc(cfg);
+  cfg.network = "churn:crash=0,at_iter=3";
+  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+  const gc::TrainResult inproc = run_inproc(cfg);
+  ASSERT_FALSE(inproc.curve.empty());
+  EXPECT_EQ(inproc.curve.back().iteration, cfg.iterations - 1);
+  expect_bitwise(inproc, *tcp, "crash_tolerant+primary fail-stop");
+  expect_bitwise(undisturbed, inproc, "fail-stop vs undisturbed");
+}
+
+TEST(TransportBackend, FaultFreeRunsCountNoPeerDeaths) {
+  // A rank that passes the done barrier and closes its streams exits
+  // cleanly; the ranks still harvesting must not count it as dead.
+  for (const gc::Deployment d :
+       {gc::Deployment::kSsmw, gc::Deployment::kMsmw,
+        gc::Deployment::kDecentralized}) {
+    gc::DeploymentConfig cfg = tiny(d);
+    cfg.nw = 4;
+    cfg.nps = d == gc::Deployment::kMsmw ? 3 : 1;
+    cfg.iterations = 5;
+    for (int run = 0; run < 5; ++run) {
+      const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+      if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+      EXPECT_EQ(tcp->net_stats.peer_deaths, 0u)
+          << gc::to_string(d) << " run " << run;
+    }
+  }
 }
 
 // ------------------------------------------------- fault-injection parity
@@ -295,15 +358,11 @@ TEST(TransportBackend, ValidateRejectsWhatTcpCannotHonor) {
   cfg.transport = "tcp";
   EXPECT_NO_THROW(cfg.validate());
   // The alignment probe reads every replica's parameters in one address
-  // space; imperative primary crashes don't propagate across per-process
-  // lifecycle FSMs. Both are inproc-only and must fail loudly at
-  // validate(), not silently diverge at runtime.
+  // space: inproc-only, and it must fail loudly at validate(), not
+  // silently diverge at runtime.
   cfg.alignment_every = 2;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.alignment_every = 0;
-  cfg.crash_primary_at = 2;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.crash_primary_at = 0;
   EXPECT_NO_THROW(cfg.validate());
 }
 

@@ -9,8 +9,9 @@
 //                 --ports p0,p1,...,pN-1 --config FILE [--result FILE]
 //
 // Loads the deployment config, builds this rank's runtime over a
-// TcpTransport and runs it to completion; rank 0 writes the result blob
-// the parent returns from train().
+// TcpTransport and runs its round loop to completion; the reporting rank
+// (the one handed --result) writes the result blob the parent returns
+// from train().
 #include <cstdint>
 #include <iostream>
 #include <stdexcept>
