@@ -101,7 +101,7 @@ net::PayloadPtr Server::encoded_snapshot(std::size_t destinations) {
 
 net::HandlerResult Server::encode_result(net::HandlerResult r,
                                          bool state_class) {
-  if (codec_.identity() || r.retry || !r.payload) return r;
+  if (codec_.identity() || r.park || !r.payload) return r;
   util::MutexLock lock(mutex_);
   const auto charge = [&](const net::Payload& encoded) {
     if (encoded.size() < r.payload->size()) {
@@ -189,35 +189,45 @@ void Server::enable_step_tagged_serving() {
 }
 
 void Server::publish_model(std::uint64_t t) {
-  util::MutexLock lock(mutex_);
-  if (!tagged_models_) return;  // untagged serving never reads the ring
-  model_ring_.push_back(TaggedEntry{t, params_});
-  if (model_ring_.size() > kRingDepth) model_ring_.pop_front();
+  {
+    util::MutexLock lock(mutex_);
+    if (!tagged_models_) return;  // untagged serving never reads the ring
+    model_ring_.push_back(TaggedEntry{t, params_});
+    if (model_ring_.size() > kRingDepth) model_ring_.pop_front();
+  }
+  cluster_.notify_ready(id_);
 }
 
 void Server::publish_aggr_grad(std::uint64_t tag, net::Payload grad) {
-  util::MutexLock lock(mutex_);
-  auto payload = std::make_shared<const net::Payload>(std::move(grad));
-  aggr_ring_.push_back(TaggedEntry{tag, payload});
-  if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
-  // Encode the gossip frame NOW, in publish order — the peer's own loop
-  // order, which every backend reproduces. Deferring to first serve would
-  // let request arrival order (real transports race) decide the
-  // error-feedback residual sequence, leaking transport timing into the
-  // learning trajectory. serve_aggr_grad then hits this cache; the
-  // bytes_saved charge stays at serve time, when a frame actually ships.
-  if (!codec_.identity()) {
-    reply_cache_.push_back(EncodedFrame{
-        payload, std::make_shared<const net::Payload>(codec_.encode_gradient(
-                     *payload, &gossip_residual_))});
-    if (reply_cache_.size() > kRingDepth) reply_cache_.pop_front();
+  {
+    util::MutexLock lock(mutex_);
+    auto payload = std::make_shared<const net::Payload>(std::move(grad));
+    aggr_ring_.push_back(TaggedEntry{tag, payload});
+    if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
+    // Encode the gossip frame NOW, in publish order — the peer's own loop
+    // order, which every backend reproduces. Deferring to first serve
+    // would let request arrival order (real transports race) decide the
+    // error-feedback residual sequence, leaking transport timing into the
+    // learning trajectory. serve_aggr_grad then hits this cache; the
+    // bytes_saved charge stays at serve time, when a frame actually ships.
+    if (!codec_.identity()) {
+      reply_cache_.push_back(EncodedFrame{
+          payload,
+          std::make_shared<const net::Payload>(
+              codec_.encode_gradient(*payload, &gossip_residual_))});
+      if (reply_cache_.size() > kRingDepth) reply_cache_.pop_front();
+    }
   }
+  cluster_.notify_ready(id_);
 }
 
 void Server::skip_aggr_grad(std::uint64_t tag) {
-  util::MutexLock lock(mutex_);
-  aggr_ring_.push_back(TaggedEntry{tag, nullptr});
-  if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
+  {
+    util::MutexLock lock(mutex_);
+    aggr_ring_.push_back(TaggedEntry{tag, nullptr});
+    if (aggr_ring_.size() > kRingDepth) aggr_ring_.pop_front();
+  }
+  cluster_.notify_ready(id_);
 }
 
 void Server::update_model(const net::Payload& aggregated_gradient) {
@@ -343,14 +353,14 @@ net::HandlerResult ByzantineServer::corrupt(const net::Payload& honest,
 
 net::HandlerResult ByzantineServer::serve_model(const net::Request& req) {
   net::HandlerResult honest = Server::serve_model(req);
-  if (honest.retry || !honest.payload) return honest;
+  if (honest.park || !honest.payload) return honest;
   return corrupt(*honest.payload, req.iteration, model_cohort_gar_);
 }
 
 net::HandlerResult ByzantineServer::serve_aggr_grad(
     const net::Request& req) {
   net::HandlerResult honest = Server::serve_aggr_grad(req);
-  if (honest.retry || !honest.payload) return honest;
+  if (honest.park || !honest.payload) return honest;
   return corrupt(*honest.payload, req.iteration, aggr_cohort_gar_);
 }
 

@@ -20,11 +20,14 @@
 // mode: the driving loop publishes its snapshot for iteration t
 // (publish_model(t)) and peers pull exactly that iteration; a request for
 // an iteration this replica has not reached yet answers
-// HandlerResult::not_ready() and the cluster redelivers it later. This
-// makes the model-exchange round deterministic — peers aggregate
-// same-iteration states instead of whatever the replica happened to hold —
-// without ever blocking a pool thread. The decentralized contract() gossip
-// is always step-tagged the same way (publish_aggr_grad / skip_aggr_grad).
+// HandlerResult::not_ready() and parks on this node until the publication
+// that answers it calls Cluster::notify_ready(). This makes the
+// model-exchange round deterministic — peers aggregate same-iteration
+// states instead of whatever the replica happened to hold — without ever
+// blocking a pool thread or polling on a timer. The decentralized
+// contract() gossip is always step-tagged the same way (publish_aggr_grad
+// / skip_aggr_grad); every publication notifies after releasing mutex_,
+// since the redelivered handlers take it.
 #pragma once
 
 #include <atomic>
@@ -103,16 +106,17 @@ class Server {
 
   /// Publish the current snapshot as "this replica's model for iteration
   /// t"; peers pulling get_models(t, q) are answered from a small ring of
-  /// recent publications.
-  void publish_model(std::uint64_t t);
+  /// recent publications, and pulls parked on it are woken.
+  void publish_model(std::uint64_t t) GARFIELD_EXCLUDES(mutex_);
 
   /// Publish this node's contracted gradient for gossip tag `tag`; peers
-  /// pulling get_aggr_grads(tag, ...) get not-ready until it is published.
-  void publish_aggr_grad(std::uint64_t tag, net::Payload grad);
+  /// pulling get_aggr_grads(tag, ...) park until it is published.
+  void publish_aggr_grad(std::uint64_t tag, net::Payload grad)
+      GARFIELD_EXCLUDES(mutex_);
 
   /// Publish "no contribution" for gossip tag `tag` (the round was
-  /// skipped); peers receive a decline instead of retrying forever.
-  void skip_aggr_grad(std::uint64_t tag);
+  /// skipped); peers receive a decline instead of waiting forever.
+  void skip_aggr_grad(std::uint64_t tag) GARFIELD_EXCLUDES(mutex_);
 
   /// SGD step with an aggregated gradient (Equation (2)).
   void update_model(const net::Payload& aggregated_gradient);

@@ -558,14 +558,14 @@ void run_loop(Runtime& rt, std::size_t s) {
     }
     // A skipped step must not wedge the peers: every round not gossiped
     // publishes an explicit "no contribution" marker, so their tagged pulls
-    // resolve instead of retrying into their deadline.
+    // resolve instead of waiting into their deadline.
     for (std::size_t r = gossiped; r < plan.gossip_rounds; ++r)
       server.skip_aggr_grad(gossip_tag(it, r));
     if (plan.model) {
       // Publish this replica's state for iteration `it`, then pull the
       // peers' same-iteration states; a peer that has not reached `it` yet
-      // answers not-ready and the transport redelivers — no loop thread
-      // ever blocks on a slow replica.
+      // answers not-ready and the pull parks until its publication — no
+      // loop thread ever blocks on a slow replica.
       server.publish_model(it);
       std::vector<Payload> models =
           server.get_models(it, plan.model->awaited);

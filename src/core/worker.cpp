@@ -31,7 +31,39 @@ bool same_payload(const net::Payload& a, const net::Payload& b) {
                                    a.size() * sizeof(float)) == 0);
 }
 
+/// Whether a cached computation at (iteration, params) answers `req`:
+/// pointer identity first (the same server pulling again / the collector
+/// fanning out one snapshot), then bitwise content (distinct replicas in
+/// the synchronous steady state).
+bool answers(std::uint64_t iteration, const net::PayloadPtr& params,
+             const net::Request& req) {
+  return iteration == req.iteration &&
+         (params == req.argument || same_payload(*params, *req.argument));
+}
+
 }  // namespace
+
+class Worker::ComputeSlot {
+ public:
+  explicit ComputeSlot(Worker& worker) : worker_(worker) {}
+  ComputeSlot(const ComputeSlot&) = delete;
+  ComputeSlot& operator=(const ComputeSlot&) = delete;
+
+  /// The compute cleared computing_ itself, under its locks.
+  void released() { held_ = false; }
+
+  ~ComputeSlot() {
+    if (held_) {
+      util::MutexLock lock(worker_.mutex_);
+      worker_.computing_ = false;
+    }
+    worker_.cluster_.notify_ready(worker_.id_);
+  }
+
+ private:
+  Worker& worker_;
+  bool held_ = true;
+};
 
 Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
                data::Dataset shard, std::size_t batch_size, tensor::Rng rng,
@@ -40,6 +72,7 @@ Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
       id_(id),
       cluster_(cluster),
       model_(std::move(model)),
+      dimension_(model_->dimension()),
       shard_(std::move(shard)),
       sampler_(shard_, batch_size, rng_.fork(0xb0)),
       probe_sampler_(shard_, batch_size, rng_.fork(0xb1)),
@@ -52,6 +85,10 @@ Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
 
 void Worker::rejoin() {
   {
+    // compute_mutex_ first: a compute in flight finishes — cached and
+    // counted — before the caches are cleared, so no pre-crash gradient
+    // survives the rejoin.
+    util::MutexLock compute(compute_mutex_);
     util::MutexLock lock(mutex_);
     cache_.clear();
     cloud_cache_.clear();
@@ -71,7 +108,6 @@ Worker::ServedGradient Worker::compute_locked(const net::Request& req) {
   model_->set_parameters(*req.argument);
   const data::Batch batch = sampler_.batch_for(req.iteration);
   nn::GradientResult result = model_->gradient(batch.inputs, batch.labels);
-  ++computed_;
   if (momentum_ > 0.0F) {
     // Distributed momentum: v = m*v + g; the server receives v. The
     // velocity advances once per *iteration*: the first compute for
@@ -98,43 +134,58 @@ Worker::ServedGradient Worker::compute_locked(const net::Request& req) {
       }
     }
   }
-  ServedGradient served{
+  return ServedGradient{
       std::make_shared<const net::Payload>(std::move(result.gradient)),
       result.loss};
+}
+
+std::optional<Worker::ServedGradient> Worker::honest_gradient(
+    const net::Request& req) {
+  assert(req.argument && req.argument->size() == dimension_);
+  {
+    util::MutexLock lock(mutex_);
+    for (const CacheEntry& e : cache_) {
+      if (answers(e.iteration, e.params, req)) {
+        loss_sum_ += e.loss;
+        ++served_;
+        return ServedGradient{e.gradient, e.loss};
+      }
+    }
+    if (computing_) return std::nullopt;
+    computing_ = true;
+  }
+  ComputeSlot slot(*this);
+  util::MutexLock compute(compute_mutex_);
+  ServedGradient served = compute_locked(req);
+  // Published before compute_mutex_ is released: a rejoin() waiting on it
+  // then clears this entry too, instead of racing its insert.
+  util::MutexLock lock(mutex_);
   cache_.push_back(
       CacheEntry{req.iteration, req.argument, served.gradient, served.loss});
   if (cache_.size() > kGradientCacheDepth) cache_.pop_front();
-  return served;
-}
-
-Worker::ServedGradient Worker::honest_gradient(const net::Request& req) {
-  util::MutexLock lock(mutex_);
-  assert(req.argument && req.argument->size() == model_->dimension());
-  for (const CacheEntry& e : cache_) {
-    if (e.iteration != req.iteration) continue;
-    if (e.params == req.argument || same_payload(*e.params, *req.argument)) {
-      loss_sum_ += e.loss;
-      ++served_;
-      return ServedGradient{e.gradient, e.loss};
-    }
-  }
-  ServedGradient served = compute_locked(req);
+  ++computed_;
   loss_sum_ += served.loss;
   ++served_;
+  computing_ = false;
+  slot.released();
   return served;
 }
 
-std::vector<net::Payload> Worker::local_gradient_cloud(
+std::optional<std::vector<net::Payload>> Worker::local_gradient_cloud(
     const net::Request& req, std::size_t k) {
-  util::MutexLock lock(mutex_);
-  assert(req.argument && req.argument->size() == model_->dimension());
-  for (const CloudEntry& e : cloud_cache_) {
-    if (e.iteration == req.iteration && e.cloud.size() == k &&
-        (e.params == req.argument ||
-         same_payload(*e.params, *req.argument))) {
-      return e.cloud;  // every replica's pull shares one probe pass
+  assert(req.argument && req.argument->size() == dimension_);
+  {
+    util::MutexLock lock(mutex_);
+    for (const CloudEntry& e : cloud_cache_) {
+      if (e.cloud.size() == k && answers(e.iteration, e.params, req)) {
+        return e.cloud;  // every replica's pull shares one probe pass
+      }
     }
+    if (computing_) return std::nullopt;
+    computing_ = true;
   }
+  ComputeSlot slot(*this);
+  util::MutexLock compute(compute_mutex_);
   model_->set_parameters(*req.argument);
   std::vector<net::Payload> out;
   out.reserve(k);
@@ -143,8 +194,11 @@ std::vector<net::Payload> Worker::local_gradient_cloud(
         probe_sampler_.batch_for(req.iteration * kOmniscienceProbes + i);
     out.push_back(model_->gradient(batch.inputs, batch.labels).gradient);
   }
+  util::MutexLock lock(mutex_);
   cloud_cache_.push_back(CloudEntry{req.iteration, req.argument, out});
   if (cloud_cache_.size() > kGradientCacheDepth) cloud_cache_.pop_front();
+  computing_ = false;
+  slot.released();
   return out;
 }
 
@@ -152,12 +206,7 @@ bool Worker::decode_argument(net::Request& req) {
   if (!req.argument || !net::Codec::looks_encoded(*req.argument)) {
     return true;  // plain dense payload (or no argument): pass through
   }
-  std::size_t dimension = 0;
-  {
-    util::MutexLock lock(mutex_);
-    dimension = model_->dimension();
-  }
-  std::optional<net::Payload> dense = codec_.decode(*req.argument, dimension);
+  std::optional<net::Payload> dense = codec_.decode(*req.argument, dimension_);
   if (!dense) return false;
   req.argument = std::make_shared<const net::Payload>(std::move(*dense));
   return true;
@@ -195,8 +244,10 @@ net::HandlerResult Worker::serve_gradient(const net::Request& req) {
   // "encoded" model — structural garbage answers with silence, exactly
   // like a crashed peer, never a throw.
   if (!decode_argument(local)) return net::HandlerResult::none();
+  const std::optional<ServedGradient> honest = honest_gradient(local);
+  if (!honest) return net::HandlerResult::not_ready();
   return net::HandlerResult::reply(
-      encode_reply(honest_gradient(local).gradient, local.from));
+      encode_reply(honest->gradient, local.from));
 }
 
 double Worker::mean_loss() const {
@@ -237,15 +288,21 @@ ByzantineWorker::ByzantineWorker(net::NodeId id, net::Cluster& cluster,
 net::HandlerResult ByzantineWorker::serve_gradient(const net::Request& req) {
   net::Request local = req;
   if (!decode_argument(local)) return net::HandlerResult::none();
-  const ServedGradient honest = honest_gradient(local);
   // Omniscient attacks get a local cohort estimate (see class comment);
   // non-omniscient ones see only the attacker's own honest estimate. The
   // full honest-cohort view is exercised directly against GARs in the
-  // robustness-matrix tests.
+  // robustness-matrix tests. The cloud comes first: it counts nothing, so
+  // when the honest compute then answers not-ready the redelivery takes
+  // the cloud from cache and serves — and counts — the gradient once.
   std::vector<net::Payload> view;
   if (omniscient_) {
-    view = local_gradient_cloud(local, kOmniscienceProbes);
+    std::optional<std::vector<net::Payload>> cloud =
+        local_gradient_cloud(local, kOmniscienceProbes);
+    if (!cloud) return net::HandlerResult::not_ready();
+    view = std::move(*cloud);
   }
+  const std::optional<ServedGradient> honest = honest_gradient(local);
+  if (!honest) return net::HandlerResult::not_ready();
   util::MutexLock lock(attack_mutex_);
   attacks::AttackContext ctx(rng_);
   ctx.iteration = local.iteration;
@@ -258,7 +315,7 @@ net::HandlerResult ByzantineWorker::serve_gradient(const net::Request& req) {
   ctx.cohort_lo = cohort_lo_;
   ctx.cohort_hi = cohort_hi_;
   std::optional<net::Payload> crafted =
-      attack_->craft(*honest.gradient, ctx);
+      attack_->craft(*honest->gradient, ctx);
   if (!crafted) return net::HandlerResult::none();
   // The attack operates on the plaintext gradient; the codec is a wire
   // concern, applied after corruption (a Byzantine sender still speaks

@@ -19,11 +19,18 @@
 // (BatchSampler::batch_for), not on request arrival, so concurrent pulls
 // cannot perturb the data order — the determinism contract the
 // transport_stress_test pins.
+//
+// Computation is single-flight: one forward/backward at a time, and no
+// pool thread ever waits on a worker lock across one. A pull that misses
+// the cache while another compute is in flight answers not-ready and
+// parks on the cluster; the compute's end (cached, counted) notifies, and
+// the redelivered pull is usually a cache hit.
 #pragma once
 
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "attacks/attack.h"
 #include "data/dataset.h"
@@ -89,8 +96,11 @@ class Worker {
   };
 
   /// The honest gradient for this request — cached per (iteration,
-  /// parameters), computed on first demand (thread-safe).
-  [[nodiscard]] ServedGradient honest_gradient(const net::Request& req);
+  /// parameters), computed on first demand (thread-safe). nullopt when
+  /// the cache misses while another compute is in flight: the caller
+  /// answers not_ready(), and that compute's end notifies the cluster.
+  [[nodiscard]] std::optional<ServedGradient> honest_gradient(
+      const net::Request& req) GARFIELD_EXCLUDES(mutex_, compute_mutex_);
 
   /// k extra raw gradient estimates at the requested parameters, drawn
   /// deterministically from this node's own shard (no momentum, no loss
@@ -99,9 +109,11 @@ class Worker {
   /// keyed on (iteration, probe index), so the estimate is reproducible
   /// and independent of request arrival order — which also makes it
   /// cacheable per (iteration, parameters), the same once-per-iteration
-  /// discipline as honest serving. Thread-safe.
-  [[nodiscard]] std::vector<net::Payload> local_gradient_cloud(
-      const net::Request& req, std::size_t k);
+  /// discipline as honest serving, and the same single flight: nullopt
+  /// while another compute is in flight. Thread-safe.
+  [[nodiscard]] std::optional<std::vector<net::Payload>> local_gradient_cloud(
+      const net::Request& req, std::size_t k)
+      GARFIELD_EXCLUDES(mutex_, compute_mutex_);
 
   /// Handler body; ByzantineWorker overrides to corrupt the reply.
   [[nodiscard]] virtual net::HandlerResult serve_gradient(
@@ -143,29 +155,37 @@ class Worker {
     double loss = 0.0;
   };
 
+  /// Forward/backward at the request's parameters on its iteration's
+  /// batch, with worker momentum folded in.
   [[nodiscard]] ServedGradient compute_locked(const net::Request& req)
-      GARFIELD_REQUIRES(mutex_);
+      GARFIELD_REQUIRES(compute_mutex_);
+
+  /// Releases a claimed compute slot (computing_) when it leaves scope,
+  /// on a throw too: clears the flag unless the compute already did
+  /// (under compute_mutex_, next to its cache insert), then wakes the
+  /// pulls parked on this node with no lock held.
+  class ComputeSlot;
 
   net::NodeId id_;
-  net::Cluster& cluster_;  // for handler re-registration on rejoin()
+  net::Cluster& cluster_;  // handler (re-)registration, wake-ups
   /// The private model replica: every forward/backward (set_parameters +
-  /// gradient) runs under mutex_ — concurrent pulls from several server
-  /// replicas serialize on it, which is what makes the per-iteration cache
-  /// coherent.
-  nn::ModelPtr model_ GARFIELD_GUARDED_BY(mutex_);
+  /// gradient) runs under compute_mutex_, one at a time (single flight).
+  nn::ModelPtr model_ GARFIELD_GUARDED_BY(compute_mutex_);
+  /// Immutable model dimension, read lock-free at ingress.
+  std::size_t dimension_;
   data::Dataset shard_;
-  data::BatchSampler sampler_ GARFIELD_GUARDED_BY(mutex_);
+  data::BatchSampler sampler_ GARFIELD_GUARDED_BY(compute_mutex_);
   /// Omniscience probes (disjoint stream).
-  data::BatchSampler probe_sampler_ GARFIELD_GUARDED_BY(mutex_);
+  data::BatchSampler probe_sampler_ GARFIELD_GUARDED_BY(compute_mutex_);
   float momentum_;
   /// Worker-side momentum state.
-  tensor::FlatVector velocity_ GARFIELD_GUARDED_BY(mutex_);
+  tensor::FlatVector velocity_ GARFIELD_GUARDED_BY(compute_mutex_);
   // Velocity bookkeeping for once-per-iteration momentum: velocity_ holds
   // the state *after* folding velocity_iteration_; velocity_pre_ the state
   // before it, so a second distinct-parameter compute at the same
   // iteration folds into the same base instead of double-counting.
-  tensor::FlatVector velocity_pre_ GARFIELD_GUARDED_BY(mutex_);
-  std::uint64_t velocity_iteration_ GARFIELD_GUARDED_BY(mutex_) =
+  tensor::FlatVector velocity_pre_ GARFIELD_GUARDED_BY(compute_mutex_);
+  std::uint64_t velocity_iteration_ GARFIELD_GUARDED_BY(compute_mutex_) =
       std::uint64_t(-1);
   /// One cached omniscience probe cloud (see local_gradient_cloud).
   struct CloudEntry {
@@ -188,7 +208,15 @@ class Worker {
 
   net::Codec codec_;
 
+  /// Held across a forward/backward. Lock order: compute_mutex_ before
+  /// mutex_ (a compute inserts its result under both; rejoin() clears
+  /// under both), never the reverse.
+  util::Mutex compute_mutex_;
+  /// Guards the caches, counters, residuals and the in-flight flag; never
+  /// held across a forward/backward.
   mutable util::Mutex mutex_;
+  /// A compute is in flight: a cache miss answers not-ready meanwhile.
+  bool computing_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::deque<CacheEntry> cache_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<CloudEntry> cloud_cache_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<EncodedEntry> encode_cache_ GARFIELD_GUARDED_BY(mutex_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -10,16 +11,6 @@
 namespace garfield::net {
 
 namespace {
-
-/// First redelivery delay for a not-ready handler; doubles per attempt.
-/// The floor is deliberately tight: in the replicated deployments peers
-/// run in near-lockstep, so the answer is typically published within tens
-/// of microseconds of the first delivery — a loose floor would serialize
-/// the model-exchange round behind timer waits.
-constexpr Duration kRetryBackoffFloor{20};
-/// Redelivery backoff ceiling — keeps a long-lagging callee from being
-/// polled hot, without adding seconds of artificial latency.
-constexpr Duration kRetryBackoffCeiling{2000};
 
 /// Fault-retry layer: a lost attempt (fault:drop / fault:corrupt) is
 /// re-sent after floor * 2^attempt capped at the ceiling, plus a
@@ -65,9 +56,7 @@ Cluster::Cluster(const Options& options)
   }
   transport_->start([this](Request request, Clock::time_point deadline,
                            Transport::Respond respond) {
-    deliver_local(std::move(request), deadline,
-                  std::make_shared<Transport::Respond>(std::move(respond)),
-                  kRetryBackoffFloor);
+    deliver_local(std::move(request), deadline, std::move(respond));
   });
   // Churn schedule bootstrap: joins (and at_iter=0 crashes) are down
   // before anyone drives an iteration. Their one-shot down-edges are
@@ -94,10 +83,22 @@ Cluster::Cluster(const Options& options)
 }
 
 Cluster::~Cluster() {
-  // The transport owns the teardown order (stop wheel, flush its backlog
-  // inline, drain the pool): flushed or in-flight not-ready retries see
-  // run_after() refuse and resolve their callbacks (counted as dropped)
-  // instead of re-arming a dying timer.
+  // Parked requests first: nothing will notify them any more. closing_ is
+  // set before the drain, so a delivery that answers not-ready after its
+  // node was drained — a flushed or in-flight one — resolves at once
+  // instead of parking. Both count as dropped.
+  closing_.store(true);
+  for (std::unique_ptr<NodeState>& state : states_) {
+    std::vector<Delivery> parked;
+    {
+      util::MutexLock lock(state->mutex);
+      parked.swap(state->parked);
+    }
+    dropped_tasks_.fetch_add(parked.size(), std::memory_order_relaxed);
+    for (Delivery& d : parked) d.respond(nullptr);
+  }
+  // The transport owns the rest of the teardown order (stop wheel, flush
+  // its backlog inline, drain the pool).
   transport_->shutdown();
 }
 
@@ -108,7 +109,7 @@ void Cluster::register_handler(NodeId node, const std::string& method,
   states_[node]->handlers[method] = std::move(handler);
 }
 
-void Cluster::crash_locked(NodeId node) {
+void Cluster::crash_locked(NodeId node, std::vector<Delivery>& silenced) {
   states_[node]->lifecycle.store(NodeLifecycle::kCrashed);
   // A crashed process loses its registered handlers: recovery must
   // re-register them (Server/Worker::rejoin), not just flip the state.
@@ -116,12 +117,21 @@ void Cluster::crash_locked(NodeId node) {
   // mutex — dispatch only ever takes the node mutex, so no cycle.
   util::MutexLock node_lock(states_[node]->mutex);
   states_[node]->handlers.clear();
+  // Fail-silent: what was parked on the node is never answered. A park
+  // after this point sees the lifecycle and resolves at once.
+  std::vector<Delivery>& parked = states_[node]->parked;
+  std::move(parked.begin(), parked.end(), std::back_inserter(silenced));
+  parked.clear();
 }
 
 void Cluster::crash(NodeId node) {
   assert(node < nodes_);
-  util::MutexLock lock(lifecycle_mutex_);
-  crash_locked(node);
+  std::vector<Delivery> silenced;
+  {
+    util::MutexLock lock(lifecycle_mutex_);
+    crash_locked(node, silenced);
+  }
+  for (Delivery& d : silenced) d.respond(nullptr);
 }
 
 void Cluster::begin_recovery(NodeId node) {
@@ -167,6 +177,7 @@ void Cluster::set_recovery_handler(
 void Cluster::advance_lifecycle(std::uint64_t iteration) {
   const auto& churn = options_.conditions.churn();
   if (churn.empty()) return;
+  std::vector<Delivery> silenced;
   {
     util::MutexLock lock(lifecycle_mutex_);
     lifecycle_horizon_ = std::max(lifecycle_horizon_, iteration);
@@ -181,7 +192,7 @@ void Cluster::advance_lifecycle(std::uint64_t iteration) {
       }
       churn_state_[i].crashed_applied = true;
       for (std::size_t node = e.nodes.lo; node <= e.nodes.hi; ++node) {
-        crash_locked(node);
+        crash_locked(node, silenced);
       }
     }
     for (std::size_t i = 0; i < churn.size(); ++i) {
@@ -209,6 +220,7 @@ void Cluster::advance_lifecycle(std::uint64_t iteration) {
       }
     }
   }
+  for (Delivery& d : silenced) d.respond(nullptr);
   lifecycle_cv_.notify_all();
 }
 
@@ -265,9 +277,8 @@ Duration Cluster::serialization_delay(NodeId from, NodeId to,
   return Duration{(start - now_us) + ser};
 }
 
-void Cluster::deliver_local(Request request,
-                            Clock::time_point retry_deadline,
-                            RespondPtr respond, Duration retry_backoff) {
+void Cluster::deliver_local(Request request, Clock::time_point deadline,
+                            Transport::Respond respond) {
   if (transport_->remote()) {
     // A remote callee has no local loop threads driving its churn
     // schedule: the arrival itself carries the caller's notion of
@@ -276,52 +287,120 @@ void Cluster::deliver_local(Request request,
     advance_lifecycle(request.window_iteration ? *request.window_iteration
                                                : request.iteration);
   }
-  NodeState& callee = *states_[request.to];
-  // A crashed callee is fail-silent: the caller never hears back. We
-  // deliver nullptr so single-call users don't hang; Collector users see
-  // it as a missing reply, preserving quorum semantics.
-  if (callee.lifecycle.load() != NodeLifecycle::kRunning) {
-    (*respond)(nullptr);
-    return;
-  }
-  Handler handler;
-  {
-    util::MutexLock lock(callee.mutex);
-    auto it = callee.handlers.find(request.method);
-    if (it != callee.handlers.end()) handler = it->second;
-  }
-  if (!handler) {
-    (*respond)(nullptr);
-    return;
-  }
-  HandlerResult result = handler(request);
-  if (result.retry) {
-    // Not ready yet: redeliver after a backoff instead of blocking a
-    // pool thread. Give up past the caller's deadline so an abandoned
-    // request cannot poll a dead-ended callee forever — a retry landing
-    // exactly AT the deadline is still a legitimate attempt.
-    if (retry_gives_up(Clock::now() + retry_backoff, retry_deadline)) {
-      (*respond)(nullptr);
+  dispatch(Delivery{std::move(request), deadline, std::move(respond)});
+}
+
+void Cluster::dispatch(Delivery delivery) {
+  NodeState& callee = *states_[delivery.request.to];
+  for (;;) {
+    // A crashed callee is fail-silent: the caller never hears back. We
+    // deliver nullptr so single-call users don't hang; Collector users
+    // see it as a missing reply, preserving quorum semantics.
+    if (callee.lifecycle.load() != NodeLifecycle::kRunning) {
+      delivery.respond(nullptr);
       return;
     }
-    const Duration next =
-        std::min(retry_backoff * 2, kRetryBackoffCeiling);
-    std::function<void()> task = [this, request = std::move(request),
-                                  retry_deadline, respond,
-                                  next]() mutable {
-      deliver_local(std::move(request), retry_deadline, std::move(respond),
-                    next);
-    };
-    if (!transport_->run_after(retry_backoff, std::move(task))) {
-      // Shutdown already began: count the drop and resolve so a
-      // concurrent collect() sees a response instead of hanging into its
-      // deadline.
-      dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
-      (*respond)(nullptr);
+    Handler handler;
+    std::uint64_t epoch = 0;
+    {
+      util::MutexLock lock(callee.mutex);
+      auto it = callee.handlers.find(delivery.request.method);
+      if (it != callee.handlers.end()) handler = it->second;
+      epoch = callee.wake_epoch;
     }
-    return;
+    if (!handler) {
+      delivery.respond(nullptr);
+      return;
+    }
+    HandlerResult result = handler(delivery.request);
+    if (!result.park) {
+      delivery.respond(std::move(result.payload));
+      return;
+    }
+    if (park(delivery, epoch)) return;
   }
-  (*respond)(std::move(result.payload));
+}
+
+bool Cluster::park(Delivery& delivery, std::uint64_t epoch) {
+  NodeState& callee = *states_[delivery.request.to];
+  bool dropped = false;
+  {
+    util::MutexLock lock(callee.mutex);
+    if (closing_.load()) {
+      dropped = true;
+    } else if (callee.lifecycle.load() == NodeLifecycle::kRunning) {
+      // The answer may have been created between the handler's "not yet"
+      // and this lock: a notify in that window moved the epoch.
+      if (callee.wake_epoch != epoch) return false;
+      if (delivery.deadline >= callee.sweep_due ||
+          arm_sweep(delivery.request.to, callee, delivery.deadline)) {
+        callee.parked.push_back(std::move(delivery));
+        return true;
+      }
+      dropped = true;  // the transport shut down under us
+    }
+  }
+  if (dropped) dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
+  delivery.respond(nullptr);
+  return true;
+}
+
+bool Cluster::arm_sweep(NodeId node, NodeState& state,
+                        Clock::time_point due) {
+  // Rounded up so the sweep never fires before the deadline it serves.
+  const Duration delay = std::chrono::ceil<Duration>(due - Clock::now());
+  if (!transport_->run_after(delay, [this, node, due] {
+        sweep_deadlines(node, due);
+      })) {
+    return false;
+  }
+  state.sweep_due = due;
+  return true;
+}
+
+void Cluster::sweep_deadlines(NodeId node, Clock::time_point due) {
+  NodeState& state = *states_[node];
+  std::vector<Delivery> expired;
+  std::size_t dropped = 0;
+  {
+    util::MutexLock lock(state.mutex);
+    if (state.sweep_due != due) return;  // an earlier arm superseded us
+    state.sweep_due = Clock::time_point::max();
+    const Clock::time_point now = Clock::now();
+    const auto live = std::partition(
+        state.parked.begin(), state.parked.end(),
+        [now](const Delivery& d) { return d.deadline > now; });
+    std::move(live, state.parked.end(), std::back_inserter(expired));
+    state.parked.erase(live, state.parked.end());
+    if (!state.parked.empty()) {
+      const Clock::time_point next =
+          std::min_element(state.parked.begin(), state.parked.end(),
+                           [](const Delivery& a, const Delivery& b) {
+                             return a.deadline < b.deadline;
+                           })
+              ->deadline;
+      if (!arm_sweep(node, state, next)) {
+        dropped = state.parked.size();
+        std::move(state.parked.begin(), state.parked.end(),
+                  std::back_inserter(expired));
+        state.parked.clear();
+      }
+    }
+  }
+  dropped_tasks_.fetch_add(dropped, std::memory_order_relaxed);
+  for (Delivery& d : expired) d.respond(nullptr);
+}
+
+void Cluster::notify_ready(NodeId node) {
+  assert(node < nodes_);
+  NodeState& state = *states_[node];
+  std::vector<Delivery> woken;
+  {
+    util::MutexLock lock(state.mutex);
+    ++state.wake_epoch;
+    woken.swap(state.parked);
+  }
+  for (Delivery& d : woken) dispatch(std::move(d));
 }
 
 void Cluster::call(NodeId from, NodeId to, const std::string& method,

@@ -21,9 +21,12 @@
 //    without copying, and the Collector never copies replies beyond the
 //    awaited quorum;
 //  - a handler may answer "not ready yet" (HandlerResult::not_ready());
-//    the cluster redelivers the request after a short backoff instead of
-//    blocking a pool thread — the primitive behind step-tagged model and
-//    gossip serving;
+//    the request then parks on the callee — holding no thread and no
+//    timer — until the callee calls notify_ready() from the event that
+//    creates the answer (a replica's publication, a worker finishing the
+//    backprop in flight), which redelivers it, or until the caller's
+//    deadline resolves it silent. This is the primitive behind
+//    step-tagged model and gossip serving and single-flight gradients;
 //  - every node carries a lifecycle FSM (RUNNING -> CRASHED -> RECOVERING
 //    -> RUNNING) owned by the cluster: CRASHED and RECOVERING nodes are
 //    fail-silent (delivery refused, handlers dropped at crash time) and a
@@ -64,9 +67,9 @@ namespace garfield::net {
 /// CRASHED and RECOVERING nodes are fail-silent to every caller.
 enum class NodeLifecycle { kRunning, kCrashed, kRecovering };
 
-/// Give-up predicate for the not-ready redelivery chain: true when the
-/// next attempt, landing at `next_attempt`, would arrive after the
-/// caller's `deadline`. Strictly after — an attempt landing exactly at
+/// Give-up predicate for the fault-retry chain: true when the next
+/// attempt, landing at `next_attempt`, would arrive after the caller's
+/// `deadline`. Strictly after — an attempt landing exactly at
 /// the deadline is still inside the contract (a `>=` here silently shaved
 /// one legitimate retry off every timeout-bounded exchange).
 [[nodiscard]] inline bool retry_gives_up(Clock::time_point next_attempt,
@@ -84,12 +87,16 @@ enum class NodeLifecycle { kRunning, kCrashed, kRecovering };
 ///              state) — the caller's quorum accounting sees the node as
 ///              silent;
 ///  - not_ready(): the answer does not exist *yet* (e.g. a model snapshot
-///              for an iteration this node has not reached); the cluster
-///              redelivers the request after a backoff.
+///              for an iteration this node has not reached); the request
+///              parks on the callee until the callee calls
+///              Cluster::notify_ready(), which redelivers it. A handler
+///              that answers not-ready must arrange that notify from the
+///              event that creates the answer — otherwise the request
+///              resolves silent at the caller's deadline.
 /// Throwing from a handler is a bug, not a Byzantine fault.
 struct HandlerResult {
   PayloadPtr payload;  // non-null => reply
-  bool retry = false;  // true => redeliver later
+  bool park = false;   // true => park until notify_ready()
 
   [[nodiscard]] static HandlerResult reply(PayloadPtr p) {
     return HandlerResult{std::move(p), false};
@@ -134,8 +141,9 @@ struct NetStats {
   /// from a met one in the stats, which hides exactly the degraded rounds
   /// a churn or straggler scenario is supposed to expose.
   std::uint64_t quorum_misses = 0;
-  /// Dispatches rejected because the pool/timer had begun shutdown. The
-  /// callback is resolved with "no reply" so quorum accounting cannot
+  /// Dispatches rejected because the pool/timer had begun shutdown, plus
+  /// parked not-ready requests resolved by teardown. The callback is
+  /// resolved with "no reply" so quorum accounting cannot
   /// hang-then-timeout during teardown; nonzero values outside teardown
   /// indicate a bug.
   std::uint64_t dropped_tasks = 0;
@@ -206,8 +214,9 @@ class Cluster {
   // std::logic_error on an invalid transition — an out-of-order recovery
   // is a scheduler bug, not a tolerable race.
 
-  /// Crash a node: delivery to it is refused and its registered handlers
-  /// are dropped (a restarted process has none) until it recovers.
+  /// Crash a node: delivery to it is refused, its registered handlers
+  /// are dropped (a restarted process has none) until it recovers, and
+  /// the requests parked on it resolve silent at once.
   void crash(NodeId node);
   /// CRASHED -> RECOVERING: still fail-silent; the node is re-registering
   /// handlers and state-transferring.
@@ -271,6 +280,15 @@ class Cluster {
             Duration timeout = std::chrono::seconds(30),
             std::optional<std::uint64_t> window_iteration = std::nullopt);
 
+  /// Wake every request parked on `node` (its handler answered
+  /// not_ready()): each is redelivered inline on the calling thread, and
+  /// one that is still not ready parks again. Call it after the event that
+  /// may have created an answer, holding none of the callee's own locks —
+  /// the redelivered handlers take them. A notify racing a handler's "not
+  /// yet" is never lost: the delivery sees the wake and redelivers instead
+  /// of parking.
+  void notify_ready(NodeId node);
+
   /// Coherent-enough snapshot of the traffic counters, taken at a single
   /// acquire point (no lock on the hot path). Guarantees, in every
   /// snapshot: each counter is a monotone non-decreasing event count, and
@@ -320,24 +338,67 @@ class Cluster {
  private:
   using Callback = std::function<void(PayloadPtr)>;
   using CallbackPtr = std::shared_ptr<Callback>;
-  using RespondPtr = std::shared_ptr<Transport::Respond>;
+
+  /// A delivered request still owed its one response: in flight through
+  /// dispatch(), or parked on its callee after a not-ready answer.
+  struct Delivery {
+    Request request;
+    Clock::time_point deadline{};
+    Transport::Respond respond;
+  };
 
   struct NodeState {
     util::Mutex mutex;
     std::unordered_map<std::string, Handler> handlers
         GARFIELD_GUARDED_BY(mutex);
-    /// Atomic rather than guarded: deliver_local() reads it lock-free on
-    /// every delivery; the lifecycle_mutex_ serializes writers
-    /// (transitions).
+    /// Requests whose handler answered not-ready, waiting for
+    /// notify_ready(). Resolved silent at their deadline, at a crash, or
+    /// (counted as dropped) at teardown.
+    std::vector<Delivery> parked GARFIELD_GUARDED_BY(mutex);
+    /// Bumped by every notify_ready(). A delivery reads it with the
+    /// handler lookup; if it moved by the time the handler said "not yet",
+    /// a notify raced the handler and the request redelivers instead of
+    /// parking — the lost-wakeup guard.
+    std::uint64_t wake_epoch GARFIELD_GUARDED_BY(mutex) = 0;
+    /// Due time of this node's armed deadline sweep, max() when none is
+    /// armed. Never later than any parked deadline, so the one sweep
+    /// resolves every expiry on time.
+    Clock::time_point sweep_due GARFIELD_GUARDED_BY(mutex) =
+        Clock::time_point::max();
+    /// Atomic rather than guarded: dispatch() reads it lock-free on every
+    /// delivery; the lifecycle_mutex_ serializes writers (transitions).
     std::atomic<NodeLifecycle> lifecycle{NodeLifecycle::kRunning};
   };
 
-  /// Callee-side delivery: the transport's sink. Lifecycle gate -> handler
-  /// lookup -> run -> not-ready redelivery via Transport::run_after ->
-  /// respond exactly once. Runs on a pool thread of whichever process owns
-  /// `request.to`.
-  void deliver_local(Request request, Clock::time_point retry_deadline,
-                     RespondPtr respond, Duration retry_backoff);
+  /// Callee-side arrival: the transport's sink. Advances a remote
+  /// callee's churn schedule, then dispatch(). Runs on a pool thread of
+  /// whichever process owns `request.to`.
+  void deliver_local(Request request, Clock::time_point deadline,
+                     Transport::Respond respond);
+
+  /// Lifecycle gate -> handler lookup -> run -> respond exactly once, or
+  /// park on a not-ready answer (redelivering at once when a notify raced
+  /// the handler).
+  void dispatch(Delivery delivery);
+
+  /// Park a not-ready delivery on its callee, arming the deadline sweep
+  /// if it is due earliest. Returns false, leaving `delivery` untouched,
+  /// when notify_ready() ran since the handler lookup read `epoch`: the
+  /// caller redelivers. A callee that is down, or a cluster in teardown,
+  /// resolves the delivery at once instead.
+  [[nodiscard]] bool park(Delivery& delivery, std::uint64_t epoch);
+
+  /// Arm `node`'s deadline sweep at `due` (the wheel entry that resolves
+  /// expired parked requests). False once the transport shut down.
+  [[nodiscard]] bool arm_sweep(NodeId node, NodeState& state,
+                               Clock::time_point due)
+      GARFIELD_REQUIRES(state.mutex);
+
+  /// The armed sweep firing: resolve every parked request past its
+  /// deadline with nullptr and re-arm for the earliest remaining one. A
+  /// sweep superseded by an earlier arm (`due` no longer current) is a
+  /// no-op.
+  void sweep_deadlines(NodeId node, Clock::time_point due);
 
   /// One send attempt of call()'s bounded retry chain: resolve the fault
   /// verdict for `attempt`, either hand the message to the transport or
@@ -358,8 +419,11 @@ class Cluster {
                                              std::size_t frame_bytes,
                                              std::uint64_t window_iteration);
 
-  /// Any state -> CRASHED + drop handlers.
-  void crash_locked(NodeId node) GARFIELD_REQUIRES(lifecycle_mutex_);
+  /// Any state -> CRASHED + drop handlers. The node's parked requests
+  /// move to `silenced`; the caller resolves them with nullptr once it
+  /// has released lifecycle_mutex_.
+  void crash_locked(NodeId node, std::vector<Delivery>& silenced)
+      GARFIELD_REQUIRES(lifecycle_mutex_);
 
   std::size_t nodes_;
   Options options_;
@@ -405,6 +469,9 @@ class Cluster {
   /// (nodes^2, zero-initialized) only when the conditions carry a byte
   /// rate; null otherwise — the ideal path never touches it.
   std::unique_ptr<std::atomic<std::int64_t>[]> busy_until_us_;
+  /// Set first thing in ~Cluster: from then on a not-ready delivery
+  /// resolves at once (counted as dropped) instead of parking.
+  std::atomic<bool> closing_{false};
   // Shut down explicitly by ~Cluster (stop-wheel -> drain-pool inside the
   // transport), so in-flight deliveries can never re-arm a dead timer or
   // submit to a dead pool.

@@ -414,8 +414,9 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
                         std::to_string(request.to) + " arrived at rank " +
                         std::to_string(rank_));
       }
-      // Re-anchor the caller's remaining budget on local time; the
-      // not-ready redelivery chain then behaves exactly as in process.
+      // Re-anchor the caller's remaining budget on local time; a not-ready
+      // request then parks on this process's Cluster exactly as in
+      // process.
       const Clock::time_point deadline =
           Clock::now() + Duration(std::int64_t(budget_us));
       // Exactly-once reply, silent or not: the caller's pending entry

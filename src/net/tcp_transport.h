@@ -14,8 +14,9 @@
 //    accepts, so the mesh construction cannot deadlock;
 //  - requests carry a call id, the window-iteration tag and the caller's
 //    remaining timeout budget; the callee's Cluster runs the identical
-//    lifecycle-gate -> handler -> not-ready-redelivery chain it runs in
-//    process, and every request is answered by exactly one reply frame
+//    lifecycle-gate -> handler chain it runs in process, parking a
+//    not-ready request on the callee until its notify_ready() or its
+//    deadline, and every request is answered by exactly one reply frame
 //    (a silent callee sends an empty reply, so callers never hang on a
 //    crashed node);
 //  - NetworkConditions delays are applied sender-side, before the frame is

@@ -19,7 +19,7 @@ void TimerWheel::stop_and_flush() {
   cv_.notify_all();
   thread_.join();
   // Run the backlog inline, in due order. A flushed task may itself try to
-  // re-arm (a not-ready retry); schedule_after now returns false, so the
+  // re-arm (a fault retry); schedule_after now returns false, so the
   // dispatcher resolves its callback instead of looping. The pool is
   // deliberately not used here: inline execution keeps teardown correct
   // whichever of pool/wheel the owner destroys first.

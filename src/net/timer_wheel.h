@@ -48,8 +48,8 @@ class TimerWheel {
   /// at teardown, and the pool is not touched (so the owner may tear the
   /// pool down before or after this call). After it returns,
   /// schedule_after() refuses new entries, which lets flushed tasks that
-  /// try to re-arm (not-ready retries) observe the shutdown and resolve
-  /// instead of looping. Idempotent.
+  /// try to re-arm (fault retries, deadline sweeps) observe the shutdown
+  /// and resolve instead of looping. Idempotent.
   void stop_and_flush() GARFIELD_EXCLUDES(mutex_);
 
   /// Fire `task` on the pool once `delay` has elapsed. Returns false (task

@@ -87,7 +87,7 @@ void InProcTransport::shutdown() {
   down_ = true;
   // Teardown order matters. First stop the wheel and run its backlog
   // inline: from here on schedule_after() refuses new entries, so a
-  // flushed or in-flight not-ready retry resolves its callback (counted as
+  // flushed or in-flight fault retry resolves its callback (counted as
   // dropped) instead of re-arming a dying timer. The pool is still alive
   // for any zero-delay delivery a flushed task issues. Then the pool
   // drains and joins — draining tasks that try to re-arm still see the

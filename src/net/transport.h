@@ -4,7 +4,7 @@
 // machine; our Cluster grew up as a single in-process object graph. This
 // header is the boundary that lets both be true at once: Cluster resolves
 // simulated NetworkConditions delay, lifecycle gating, not-ready
-// redelivery and quorum accounting exactly as before, but hands the
+// parking and quorum accounting exactly as before, but hands the
 // *physical* movement of every request/reply to a Transport:
 //
 //  - InProcTransport: the original timer-wheel + thread-pool path,
@@ -17,10 +17,10 @@
 //
 // The contract is deliberately small: a callee-side delivery sink
 // (installed once by the Cluster), an async send whose callback resolves
-// exactly once, and the delayed-execution primitive the redelivery chain
-// rides on. Byte accounting lives here — both backends charge the same
-// wire-equivalent frame costs, so `bytes_sent`/`bytes_received` are
-// directly comparable across backends.
+// exactly once, and the delayed-execution primitive the fault-retry chain
+// and the parked-request deadline sweep ride on. Byte accounting lives
+// here — both backends charge the same wire-equivalent frame costs, so
+// `bytes_sent`/`bytes_received` are directly comparable across backends.
 #pragma once
 
 #include <atomic>
@@ -81,8 +81,8 @@ struct Request {
 /// delay resolution, lifecycle gating, handler dispatch, retry backoff,
 /// stats — stays in the Cluster; a Transport only moves requests to the
 /// callee's delivery sink and replies back, and provides the delayed
-/// execution primitive both the initial (delayed) delivery and the
-/// not-ready redelivery chain ride on.
+/// execution primitive the initial (delayed) delivery, the fault-retry
+/// chain and the parked-request deadline sweep ride on.
 class Transport {
  public:
   /// Exactly-once resolution of one delivered request. nullptr means the
@@ -91,7 +91,8 @@ class Transport {
   using Respond = std::function<void(PayloadPtr)>;
   /// Callee-side sink installed by the Cluster via start(): runs the
   /// lifecycle check + handler chain for `request`, with `deadline`
-  /// bounding not-ready redelivery, and invokes `respond` exactly once.
+  /// bounding how long a not-ready request stays parked, and invokes
+  /// `respond` exactly once.
   using DeliverFn =
       std::function<void(Request request, Clock::time_point deadline,
                          Respond respond)>;
@@ -115,9 +116,9 @@ class Transport {
                                   Respond on_reply) = 0;
 
   /// Run `task` once `delay` has elapsed: on the pool directly when the
-  /// delay is not positive, via the timer otherwise. The redelivery
-  /// primitive. Returns false (task left untouched) once shutdown has
-  /// begun.
+  /// delay is not positive, via the timer otherwise. The fault-retry and
+  /// deadline-sweep primitive. Returns false (task left untouched) once
+  /// shutdown has begun.
   [[nodiscard]] virtual bool run_after(Duration delay,
                                        std::function<void()>&& task) = 0;
 

@@ -23,7 +23,7 @@ namespace {
 /// cores (§4.1: "we parallelize the replicated communication").
 constexpr double kSerParallelism = 8.0;
 
-/// The live sender's first retry backoff (net/cluster.h
+/// The live sender's first retry backoff (net/cluster.cpp
 /// kSendBackoffFloor) — the dominant per-retry cost the analytic twin
 /// charges for fault-induced resends (later attempts double it, but the
 /// geometric attempt distribution keeps the first term in charge for the

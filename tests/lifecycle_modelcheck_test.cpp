@@ -27,8 +27,8 @@
 //  - the recovery edges are strict (CRASHED -> RECOVERING -> RUNNING;
 //    anything else throws std::logic_error and leaves the state unchanged);
 //  - advance_lifecycle never parks a node mid-recovery;
-//  - the not-ready redelivery chain terminates (gives up at the deadline,
-//    bounded attempts);
+//  - a parked not-ready request is redelivered once per notify_ready()
+//    and resolves silent at its deadline when nothing wakes it;
 //  - the below-floor churn abort fires deterministically with a
 //    byte-identical diagnostic.
 #include <gtest/gtest.h>
@@ -46,6 +46,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -361,21 +362,34 @@ TEST(LifecycleModelCheck, SeededDfsOverChurnScheduleInterleavings) {
 
 TEST(LifecycleModelCheck, NotReadyRedeliveryTerminatesOnceReady) {
   std::atomic<int> attempts{0};
+  std::promise<gn::PayloadPtr> done;
+  std::future<gn::PayloadPtr> reply = done.get_future();
   gn::Cluster::Options opt;
   opt.nodes = 2;
   opt.pool_threads = 1;
   gn::Cluster cluster(opt);
 
   cluster.register_handler(0, "probe", [&attempts](const gn::Request&) {
-    // Becomes ready on the 6th attempt; the redelivery chain (20us backoff
-    // doubling per retry) must carry the request there, not drop it.
+    // Becomes ready on the 6th run. Nothing polls: each notify_ready()
+    // below must redeliver the parked request exactly once.
     if (attempts.fetch_add(1) + 1 < 6) return gn::HandlerResult::not_ready();
     return gn::HandlerResult::reply(gn::Payload{1.0F});
   });
 
-  const gn::PayloadPtr reply =
-      deliver(cluster, 1, 0, /*iteration=*/0, std::chrono::seconds(5));
-  ASSERT_NE(reply, nullptr);
+  cluster.call(1, 0, "probe", /*iteration=*/0, nullptr,
+               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); },
+               std::chrono::seconds(5));
+  for (int run = 1; run <= 5; ++run) {
+    const auto deadline = gn::Clock::now() + std::chrono::seconds(5);
+    while (attempts.load() < run && gn::Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_EQ(attempts.load(), run);
+    cluster.notify_ready(0);
+  }
+  ASSERT_EQ(reply.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  ASSERT_NE(reply.get(), nullptr);
   EXPECT_EQ(attempts.load(), 6);
 }
 

@@ -1,5 +1,6 @@
 // Tests for garfield::net — thread pool, timer wheel, pull-RPC, fastest-q
-// collection, crash and straggler injection, not-ready redelivery, traffic
+// collection, crash and straggler injection, not-ready parking and
+// notify_ready() wake-ups (no lost wake-up, crash and deadline), traffic
 // accounting (including wasted replies and teardown drops), and the tcp
 // endpoint's teardown rule: a clean exit past the done barrier is no death.
 #include <gtest/gtest.h>
@@ -124,6 +125,17 @@ void serve_constant(gn::Cluster& cluster, gn::NodeId node, float value,
                              return gn::HandlerResult::reply(
                                  gn::Payload(d, value));
                            });
+}
+
+/// Poll `pred` until it holds (true) or `timeout` passes (false).
+template <typename Pred>
+bool eventually(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(100us);
+  }
+  return true;
 }
 
 }  // namespace
@@ -260,18 +272,31 @@ TEST(Cluster, HandlerMayDeclineToReply) {
 }
 
 TEST(Cluster, NotReadyHandlerIsRedelivered) {
+  std::atomic<int> runs{0};
+  std::atomic<bool> ready{false};
+  std::promise<gn::PayloadPtr> done;
+  auto reply = done.get_future();
   gn::Cluster cluster(small_cluster(2));
-  std::atomic<int> attempts{0};
-  cluster.register_handler(1, "later", [&attempts](const gn::Request&) {
-    // Not ready for the first three deliveries; answers on the fourth.
-    if (attempts.fetch_add(1) < 3) return gn::HandlerResult::not_ready();
+  cluster.register_handler(1, "later", [&](const gn::Request&) {
+    // Decide before counting, so a run the test has seen has decided.
+    const bool answer = ready.load();
+    runs.fetch_add(1);
+    if (!answer) return gn::HandlerResult::not_ready();
     return gn::HandlerResult::reply(gn::Payload{9.0F});
   });
-  std::vector<gn::NodeId> peers{1};
-  auto replies = cluster.collect(0, peers, "later", 0, nullptr, 1, 5s);
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_FLOAT_EQ((*replies[0].payload)[0], 9.0F);
-  EXPECT_GE(attempts.load(), 4);
+  cluster.call(0, 1, "later", 0, nullptr,
+               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); },
+               5s);
+  ASSERT_TRUE(eventually([&] { return runs.load() >= 1; }));
+  // The request parked on its "not yet"; the notify is the only wake-up.
+  ready.store(true);
+  cluster.notify_ready(1);
+  ASSERT_EQ(reply.wait_for(5s), std::future_status::ready);
+  const gn::PayloadPtr payload = reply.get();
+  ASSERT_NE(payload, nullptr);
+  EXPECT_FLOAT_EQ((*payload)[0], 9.0F);
+  // Nothing polled the handler in between: one "not yet", one answer.
+  EXPECT_EQ(runs.load(), 2);
   // Only the final delivery produced a reply; redeliveries are not new
   // requests.
   const gn::NetStats stats = cluster.stats();
@@ -313,6 +338,88 @@ TEST(Cluster, TeardownWithInFlightRetriesResolvesCallbacks) {
   }  // ~Cluster flushes the retry; the callback must have fired by now
   ASSERT_EQ(future.wait_for(0s), std::future_status::ready);
   EXPECT_FALSE(future.get());
+}
+
+TEST(Cluster, NotifyRacingNotReadyLosesNoWakeup) {
+  // Step t's publication and notify race the delivery of the one pull
+  // waiting for it, and the next pull is issued only once this one has
+  // resolved, so no later notify can rescue it. On odd steps the publisher
+  // waits until the handler has said "not yet" and publishes while the
+  // handler is still returning — the lost-wake-up window itself; on even
+  // steps it publishes as soon as the pull is issued. A pull whose
+  // "not yet" lost the race must redeliver, not park: a lost wake-up sits
+  // parked until its 30 s deadline, so a pull unanswered after 2 s fails.
+  constexpr std::uint64_t kSteps = 2000;
+  std::atomic<std::uint64_t> published{0};
+  std::atomic<std::uint64_t> refused{0};
+  std::atomic<std::uint64_t> issued{0};
+  std::atomic<std::uint64_t> resolved{0};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<bool> stop{false};
+  gn::Cluster cluster(small_cluster(2));
+  cluster.register_handler(1, "step", [&](const gn::Request& req) {
+    if (req.iteration > published.load()) {
+      refused.store(req.iteration);
+      // Hold the window open; sleeping lets the publisher run inside it.
+      std::this_thread::sleep_for(50us);
+      return gn::HandlerResult::not_ready();
+    }
+    return gn::HandlerResult::reply(gn::Payload{float(req.iteration)});
+  });
+  std::thread publisher([&] {
+    for (std::uint64_t t = 1; t <= kSteps; ++t) {
+      while (issued.load() < t && !stop.load()) std::this_thread::yield();
+      while (t % 2 == 1 && refused.load() < t && !stop.load()) {
+        std::this_thread::yield();
+      }
+      if (stop.load()) return;
+      published.store(t);
+      cluster.notify_ready(1);
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t t = 1; t <= kSteps; ++t) {
+    cluster.call(0, 1, "step", t, nullptr,
+                 [&](gn::PayloadPtr p) {
+                   if (p) answered.fetch_add(1);
+                   resolved.fetch_add(1);
+                 },
+                 30s);
+    issued.store(t);
+    const auto give_up = std::chrono::steady_clock::now() + 2s;
+    while (resolved.load() < t && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    if (resolved.load() < t) {
+      ADD_FAILURE() << "pull " << t << " lost its wake-up";
+      break;
+    }
+  }
+  stop.store(true);
+  publisher.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+  EXPECT_EQ(answered.load(), kSteps);
+}
+
+TEST(Cluster, CrashResolvesParkedRequestsAtOnce) {
+  std::atomic<int> runs{0};
+  std::promise<gn::PayloadPtr> done;
+  auto reply = done.get_future();
+  gn::Cluster cluster(small_cluster(2));
+  cluster.register_handler(1, "never", [&runs](const gn::Request&) {
+    runs.fetch_add(1);
+    return gn::HandlerResult::not_ready();
+  });
+  cluster.call(0, 1, "never", 0, nullptr,
+               [&done](gn::PayloadPtr p) { done.set_value(std::move(p)); },
+               30s);
+  ASSERT_TRUE(eventually([&] { return runs.load() >= 1; }));
+  const auto crashed_at = std::chrono::steady_clock::now();
+  cluster.crash(1);
+  // Fail-silent at once, not at the 30 s deadline.
+  ASSERT_EQ(reply.wait_for(1s), std::future_status::ready);
+  EXPECT_LT(std::chrono::steady_clock::now() - crashed_at, 1s);
+  EXPECT_EQ(reply.get(), nullptr);
 }
 
 TEST(Cluster, StatsCountTraffic) {

@@ -327,6 +327,38 @@ TEST(VecOps, AllFinite) {
   EXPECT_FALSE(gt::all_finite(bad));
   gt::FlatVector inf{1.0F, INFINITY};
   EXPECT_FALSE(gt::all_finite(inf));
+
+  using limits = std::numeric_limits<float>;
+  EXPECT_TRUE(gt::all_finite(gt::FlatVector{}));
+  for (float v : {limits::max(), -limits::max(), limits::denorm_min(),
+                  -limits::denorm_min(), limits::min(), 0.0F, -0.0F}) {
+    EXPECT_TRUE(gt::all_finite(gt::FlatVector{1.0F, v})) << v;
+  }
+  for (float v : {limits::infinity(), -limits::infinity(),
+                  limits::quiet_NaN(), -limits::quiet_NaN(),
+                  limits::signaling_NaN()}) {
+    EXPECT_FALSE(gt::all_finite(gt::FlatVector{1.0F, v})) << v;
+  }
+
+  // One bad value at the first, a middle and the last index, for every
+  // short length (the vector body and its scalar tail) and a model-sized
+  // one.
+  std::vector<std::size_t> lengths(67);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{1});
+  lengths.push_back(17226);
+  for (std::size_t n : lengths) {
+    gt::FlatVector x(n, 0.5F);
+    ASSERT_TRUE(gt::all_finite(x)) << n;
+    for (std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+      for (float v : {limits::quiet_NaN(), limits::infinity(),
+                      -limits::infinity()}) {
+        x[at] = v;
+        EXPECT_FALSE(gt::all_finite(x)) << "n=" << n << " at=" << at;
+        x[at] = -limits::max();
+        EXPECT_TRUE(gt::all_finite(x)) << "n=" << n << " at=" << at;
+      }
+    }
+  }
 }
 
 TEST(VecOps, SubtractAndAdd) {

@@ -15,13 +15,28 @@
 // sampler advanced per request (so reply arrival order perturbed the data
 // sequence) and model exchange served whatever state a racing replica
 // happened to hold.
+//
+// The last two cases pin the worker's single-flight compute directly on a
+// small cluster: a duplicate pull parks instead of holding a pool thread,
+// and rejoin() cannot slip between a compute and its cache insert.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/config.h"
 #include "core/trainer.h"
+#include "core/worker.h"
+#include "data/dataset.h"
+#include "net/cluster.h"
+#include "nn/zoo.h"
 #include "tensor/parallel.h"
 
 namespace gc = garfield::core;
@@ -264,4 +279,94 @@ TEST(TransportStress, AdverseConditionsStayBitwiseDeterministic) {
   const gc::TrainResult adverse_again = gc::train(cfg);
   expect_identical(adverse, adverse_again, "adverse run-to-run");
   expect_identical(ideal, adverse, "ideal vs adverse (sync membership)");
+}
+
+// ------------------------------------------------ single-flight worker
+
+namespace {
+
+namespace gn = garfield::net;
+
+/// A worker on `node` running zoo model `model` over a synthetic dataset
+/// shaped for it, and the parameters it was initialized with.
+struct TestWorker {
+  std::unique_ptr<gc::Worker> worker;
+  gn::PayloadPtr params;
+};
+
+TestWorker make_worker(gn::Cluster& cluster, gn::NodeId node,
+                       const std::string& model, std::size_t batch) {
+  garfield::tensor::Rng rng(node);
+  garfield::nn::ModelPtr m = garfield::nn::make_model(model, rng);
+  garfield::data::Dataset data = garfield::data::make_cluster_dataset(
+      m->input_shape(), 10, 4 * batch, rng, 1.0F);
+  TestWorker out;
+  out.params = std::make_shared<const gn::Payload>(m->parameters());
+  out.worker = std::make_unique<gc::Worker>(node, cluster, std::move(m),
+                                            std::move(data), batch,
+                                            garfield::tensor::Rng(node + 7));
+  return out;
+}
+
+}  // namespace
+
+TEST(TransportStress, DuplicatePullDoesNotHoldAPoolThread) {
+  // Two pool threads. A, then B, pull worker 1's slow (cifarnet) gradient
+  // at the same (iteration, parameters); C then pulls worker 2's fast
+  // (tiny_mlp) one. B must park on A's compute rather than hold the second
+  // thread through it, so C is answered before either worker-1 reply.
+  std::atomic<int> replies{0};
+  std::array<std::atomic<int>, 3> rank{};
+  gn::Cluster::Options opts;
+  opts.nodes = 3;
+  opts.pool_threads = 2;
+  gn::Cluster cluster(opts);
+  const TestWorker slow = make_worker(cluster, 1, "cifarnet", 32);
+  const TestWorker fast = make_worker(cluster, 2, "tiny_mlp", 8);
+  const auto pull = [&](gn::NodeId to, const gn::PayloadPtr& params,
+                        std::size_t slot) {
+    cluster.call(0, to, gc::kGetGradient, 0, params,
+                 [&replies, &rank, slot](gn::PayloadPtr p) {
+                   rank[slot] = p ? replies.fetch_add(1) : -1;
+                 });
+  };
+  pull(1, slow.params, 0);
+  pull(1, slow.params, 1);
+  pull(2, fast.params, 2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (replies.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(replies.load(), 3);
+  EXPECT_LT(rank[2].load(), rank[0].load());
+  EXPECT_LT(rank[2].load(), rank[1].load());
+  EXPECT_EQ(slow.worker->gradients_computed(), 1u);
+  EXPECT_EQ(slow.worker->gradients_served(), 2u);
+}
+
+TEST(TransportStress, RejoinDuringAnInFlightComputeLeavesNoStaleGradient) {
+  // rejoin() issued mid-backprop returns only once that compute is cached
+  // and counted, and then clears it: a re-pull of the same (iteration,
+  // parameters) recomputes instead of serving the pre-rejoin gradient.
+  gn::Cluster::Options opts;
+  opts.nodes = 2;
+  opts.pool_threads = 2;
+  gn::Cluster cluster(opts);
+  const TestWorker w = make_worker(cluster, 1, "cifarnet", 128);
+  const auto pull = [&] {
+    auto done = std::make_shared<std::promise<gn::PayloadPtr>>();
+    std::future<gn::PayloadPtr> reply = done->get_future();
+    cluster.call(0, 1, gc::kGetGradient, 0, w.params,
+                 [done](gn::PayloadPtr p) { done->set_value(std::move(p)); });
+    return reply;
+  };
+  std::future<gn::PayloadPtr> first = pull();
+  // Into the backprop (tens of milliseconds at batch 128).
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  w.worker->rejoin();
+  EXPECT_EQ(w.worker->gradients_computed(), 1u);
+  ASSERT_NE(first.get(), nullptr);
+  ASSERT_NE(pull().get(), nullptr);
+  EXPECT_EQ(w.worker->gradients_computed(), 2u);
 }
