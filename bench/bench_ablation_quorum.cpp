@@ -41,13 +41,10 @@ int main() {
     const TrainResult result = train(garfield::bench::smoke(cfg));
 
     gs::SimSetup sim;
-    sim.deployment = gs::SimDeployment::kSsmw;
+    sim.config = cfg;
+    sim.config.batch_size = 32;
     sim.d = gs::model_spec("ResNet-50").parameters;
-    sim.nw = nw;
-    sim.fw = nw - q;
-    sim.asynchronous = true;
     sim.device = gs::cpu_profile();
-    sim.gradient_gar = "median";
     const double latency = gs::simulate_iteration(sim).total();
 
     std::printf("%-6zu %-16.3f %-22llu %-22.2f\n", q, result.final_accuracy,

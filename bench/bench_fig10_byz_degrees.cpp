@@ -8,7 +8,6 @@
 //    waiting on more replies (q = 2fw+3) costs a slight straggler tail.
 //  - fps sweep: nps must grow as 3fps+1, adding links; throughput drops,
 //    but by less than ~50%.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,15 +24,16 @@ using namespace garfield::sim;
 
 SimSetup base(const DeviceProfile& device, const LinkProfile& link) {
   SimSetup s;
-  s.deployment = SimDeployment::kMsmw;
+  s.config.deployment = garfield::core::Deployment::kMsmw;
   s.d = model_spec("ResNet-50").parameters;
-  s.batch_size = 32;
-  s.nw = 18;
-  s.fw = 3;
-  s.nps = 4;
-  s.fps = 1;
-  s.gradient_gar = "multi_krum";
-  s.model_gar = "median";
+  s.config.batch_size = 32;
+  s.config.nw = 18;
+  s.config.fw = 3;
+  s.config.nps = 4;
+  s.config.fps = 1;
+  s.config.gradient_gar = "multi_krum";
+  s.config.model_gar = "median";
+  s.config.asynchronous = true;
   s.device = device;
   s.link = link;
   return s;
@@ -44,12 +44,12 @@ void fw_sweep(const char* title, const DeviceProfile& device,
   std::printf("\n%s\n%-6s %-22s\n", title, "fw", "throughput (updates/s)");
   for (std::size_t fw = 0; fw <= 3; ++fw) {
     SimSetup s = base(device, link);
-    s.fw = fw;
+    s.config.fw = fw;
     // Main-text setting: nw fixed, synchronous collection — communication
     // cost identical across fw, so throughput stays almost the same. (The
     // appendix variant waits for >= 2fw+3 replies and sees only a slight
     // extra straggler-tail cost.)
-    s.asynchronous = false;
+    s.config.asynchronous = false;
     std::printf("%-6zu %-22.4f\n", fw, updates_per_sec(s));
   }
 }
@@ -60,9 +60,10 @@ void fps_sweep(const char* title, const DeviceProfile& device,
               "throughput (updates/s)");
   for (std::size_t fps = 0; fps <= 3; ++fps) {
     SimSetup s = base(device, link);
-    s.fps = fps;
-    s.nps = std::max<std::size_t>(3 * fps + 1, 1);  // resilience condition
-    std::printf("%-6zu %-6zu %-22.4f\n", fps, s.nps, updates_per_sec(s));
+    s.config.fps = fps;
+    s.config.nps = 3 * fps + 1;  // resilience condition
+    std::printf("%-6zu %-6zu %-22.4f\n", fps, s.config.nps,
+                updates_per_sec(s));
   }
 }
 

@@ -2,8 +2,9 @@
 //
 // Combines the two planes of this reproduction: accuracy curves come from
 // real training on the threaded cluster (as Fig 4), and the time axis
-// comes from the calibrated per-iteration latency of each deployment on
-// the CPU profile (as Fig 7). time(iteration k) = k * iteration_latency.
+// comes from the calibrated per-iteration latency of the config each row
+// trains, priced on the CPU profile (as Fig 7).
+// time(iteration k) = k * iteration_latency.
 //
 // Paper shapes: vanilla converges fastest in time, then crash-tolerant,
 // then the Byzantine-resilient systems; the crash-tolerant protocol needs
@@ -23,19 +24,15 @@ namespace {
 using namespace garfield::core;
 namespace gs = garfield::sim;
 
-double iteration_latency(gs::SimDeployment dep, bool native) {
+/// Seconds per iteration of the config a row trains, priced at CifarNet
+/// scale on the CPU profile (the native runtime for vanilla).
+double iteration_latency(const DeploymentConfig& trained) {
   gs::SimSetup s;
-  s.deployment = dep;
+  s.config = trained;
+  s.config.batch_size = 32;
   s.d = gs::model_spec("CifarNet").parameters;
-  s.batch_size = 32;
-  s.nw = 9;
-  s.fw = 1;
-  s.nps = 3;
-  s.fps = 1;
-  s.gradient_gar = "multi_krum";
-  s.model_gar = "median";
   s.device = gs::cpu_profile();
-  s.native_runtime = native;
+  s.native_runtime = trained.deployment == Deployment::kVanilla;
   return gs::simulate_iteration(s).total();
 }
 
@@ -60,28 +57,28 @@ int main() {
     double latency;
   };
   std::vector<Row> rows;
+  const auto run = [&rows](const char* name, const DeploymentConfig& c) {
+    rows.push_back(
+        {name, train(garfield::bench::smoke(c)), iteration_latency(c)});
+  };
 
   {
     DeploymentConfig c = cfg;
     c.deployment = Deployment::kVanilla;
-    rows.push_back({"vanilla", train(garfield::bench::smoke(c)),
-                    iteration_latency(gs::SimDeployment::kVanilla, true)});
+    run("vanilla", c);
   }
   {
     DeploymentConfig c = cfg;
     c.deployment = Deployment::kCrashTolerant;
     c.nps = 3;
-    rows.push_back(
-        {"crash_tolerant", train(garfield::bench::smoke(c)),
-         iteration_latency(gs::SimDeployment::kCrashTolerant, false)});
+    run("crash_tolerant", c);
   }
   {
     DeploymentConfig c = cfg;
     c.deployment = Deployment::kSsmw;
     c.fw = 1;
     c.gradient_gar = "multi_krum";
-    rows.push_back({"garfield_ssmw", train(garfield::bench::smoke(c)),
-                    iteration_latency(gs::SimDeployment::kSsmw, false)});
+    run("garfield_ssmw", c);
   }
   {
     DeploymentConfig c = cfg;
@@ -91,8 +88,7 @@ int main() {
     c.fps = 0;
     c.gradient_gar = "multi_krum";
     c.model_gar = "median";
-    rows.push_back({"garfield_msmw", train(garfield::bench::smoke(c)),
-                    iteration_latency(gs::SimDeployment::kMsmw, false)});
+    run("garfield_msmw", c);
   }
 
   std::printf("Fig 11 — convergence over time, CifarNet-class task, CPU "

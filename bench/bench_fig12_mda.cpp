@@ -20,19 +20,15 @@ namespace {
 using namespace garfield::core;
 namespace gs = garfield::sim;
 
-double latency(gs::SimDeployment dep, bool native, const char* gar) {
+/// Seconds per iteration of the config a row trains, priced at CifarNet
+/// scale on the CPU profile (the native runtime for vanilla).
+double latency(const DeploymentConfig& trained) {
   gs::SimSetup s;
-  s.deployment = dep;
+  s.config = trained;
+  s.config.batch_size = 32;
   s.d = gs::model_spec("CifarNet").parameters;
-  s.batch_size = 32;
-  s.nw = 9;
-  s.fw = 1;
-  s.nps = 3;
-  s.fps = 1;
-  s.gradient_gar = gar;
-  s.model_gar = "mda";
   s.device = gs::cpu_profile();
-  s.native_runtime = native;
+  s.native_runtime = trained.deployment == Deployment::kVanilla;
   return gs::simulate_iteration(s).total();
 }
 
@@ -57,19 +53,19 @@ int main() {
     double secs_per_iter;
   };
   std::vector<Row> rows;
+  const auto run = [&rows](const char* name, const DeploymentConfig& c) {
+    rows.push_back({name, train(garfield::bench::smoke(c)), latency(c)});
+  };
   {
     DeploymentConfig c = cfg;
     c.deployment = Deployment::kVanilla;
-    rows.push_back({"vanilla", train(garfield::bench::smoke(c)),
-                    latency(gs::SimDeployment::kVanilla, true, "average")});
+    run("vanilla", c);
   }
   {
     DeploymentConfig c = cfg;
     c.deployment = Deployment::kCrashTolerant;
     c.nps = 3;
-    rows.push_back({"crash_tolerant", train(garfield::bench::smoke(c)),
-                    latency(gs::SimDeployment::kCrashTolerant, false,
-                            "average")});
+    run("crash_tolerant", c);
   }
   {
     // Garfield with MDA on both gradients and models (MSMW).
@@ -80,8 +76,7 @@ int main() {
     c.fps = 0;
     c.gradient_gar = "mda";
     c.model_gar = "mda";
-    rows.push_back({"garfield_mda", train(garfield::bench::smoke(c)),
-                    latency(gs::SimDeployment::kMsmw, false, "mda")});
+    run("garfield_mda", c);
   }
 
   std::printf("Fig 12a — convergence per iteration (MDA as GAR)\n");

@@ -16,22 +16,24 @@
 
 int main() {
   using namespace garfield::sim;
+  using garfield::core::Deployment;
 
   const std::vector<const char*> models = {"MNIST_CNN", "CifarNet",
                                            "Inception", "ResNet-50",
                                            "ResNet-152", "VGG"};
 
-  auto setup = [&](SimDeployment dep, std::size_t d, bool native) {
+  auto setup = [&](Deployment dep, std::size_t d, bool native) {
     SimSetup s;
-    s.deployment = dep;
+    s.config.deployment = dep;
     s.d = d;
-    s.batch_size = 100;
-    s.nw = 10;
-    s.fw = 3;
-    s.nps = 3;
-    s.fps = 1;
-    s.gradient_gar = "multi_krum";
-    s.model_gar = "mda";
+    s.config.batch_size = 100;
+    s.config.nw = 10;
+    s.config.fw = 3;
+    s.config.nps = 3;
+    s.config.fps = 1;
+    s.config.gradient_gar = "multi_krum";
+    s.config.model_gar = "mda";
+    s.config.asynchronous = true;
     s.device = gpu_profile();
     s.link = gpu_link();
     s.native_runtime = native;
@@ -45,12 +47,12 @@ int main() {
   for (const char* name : models) {
     const std::size_t d = model_spec(name).parameters;
     const double vanilla =
-        simulate_iteration(setup(SimDeployment::kVanilla, d, true)).total();
+        simulate_iteration(setup(Deployment::kVanilla, d, true)).total();
     const double crash =
-        simulate_iteration(setup(SimDeployment::kCrashTolerant, d, false))
+        simulate_iteration(setup(Deployment::kCrashTolerant, d, false))
             .total();
     const double garfield =
-        simulate_iteration(setup(SimDeployment::kMsmw, d, false)).total();
+        simulate_iteration(setup(Deployment::kMsmw, d, false)).total();
     std::printf("%-12s %-16.2f %-12.2f\n", name, crash / vanilla,
                 garfield / vanilla);
   }
@@ -62,12 +64,12 @@ int main() {
   const std::size_t d = model_spec("ResNet-50").parameters;
   const struct {
     const char* name;
-    SimDeployment dep;
+    Deployment dep;
     bool native;
   } systems[] = {
-      {"PyTorch", SimDeployment::kVanilla, true},
-      {"Crash-tolerant", SimDeployment::kCrashTolerant, false},
-      {"Garfield", SimDeployment::kMsmw, false},
+      {"PyTorch", Deployment::kVanilla, true},
+      {"Crash-tolerant", Deployment::kCrashTolerant, false},
+      {"Garfield", Deployment::kMsmw, false},
   };
   for (const auto& sys : systems) {
     const IterationBreakdown b =

@@ -11,6 +11,7 @@
 namespace {
 
 using namespace garfield::sim;
+using garfield::core::Deployment;
 
 void panel(const char* title, const DeviceProfile& device,
            const LinkProfile& link, std::size_t nw, std::size_t nps,
@@ -20,23 +21,24 @@ void panel(const char* title, const DeviceProfile& device,
   for (const auto& m : table1_models()) {
     SimSetup s;
     s.d = m.parameters;
-    s.batch_size = batch;
-    s.nw = nw;
-    s.fw = 3;
-    s.nps = nps;
-    s.fps = 1;
-    s.gradient_gar = "multi_krum";
-    s.model_gar = "median";
+    s.config.batch_size = batch;
+    s.config.nw = nw;
+    s.config.fw = 3;
+    s.config.nps = nps;
+    s.config.fps = 1;
+    s.config.gradient_gar = "multi_krum";
+    s.config.model_gar = "median";
+    s.config.asynchronous = true;
     s.device = device;
     s.link = link;
 
-    s.deployment = SimDeployment::kCrashTolerant;
+    s.config.deployment = Deployment::kCrashTolerant;
     const double crash = slowdown_vs_vanilla(s);
-    s.deployment = SimDeployment::kSsmw;
+    s.config.deployment = Deployment::kSsmw;
     const double ssmw = slowdown_vs_vanilla(s);
-    s.deployment = SimDeployment::kMsmw;
+    s.config.deployment = Deployment::kMsmw;
     const double msmw = slowdown_vs_vanilla(s);
-    s.deployment = SimDeployment::kDecentralized;
+    s.config.deployment = Deployment::kDecentralized;
     const double dec = slowdown_vs_vanilla(s);
     std::printf("%-12s %-16.2f %-10.2f %-10.2f %-16.2f\n", m.name.c_str(),
                 crash, ssmw, msmw, dec);

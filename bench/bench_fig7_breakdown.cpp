@@ -105,6 +105,7 @@ void overshoot_section() {
 
 int main() {
   using namespace garfield::sim;
+  namespace gc = garfield::core;
 
   std::printf("Fig 7 — per-iteration latency breakdown, ResNet-50, CPU "
               "cluster (nw=18, fw=3, nps=6, fps=1)\n\n");
@@ -113,49 +114,40 @@ int main() {
 
   const struct {
     const char* name;
-    SimDeployment dep;
+    gc::Deployment dep;
     bool native;
   } systems[] = {
-      {"TF (vanilla)", SimDeployment::kVanilla, true},
-      {"Crash-tolerant", SimDeployment::kCrashTolerant, false},
-      {"SSMW", SimDeployment::kSsmw, false},
-      {"MSMW", SimDeployment::kMsmw, false},
-      {"Dec. Learn.", SimDeployment::kDecentralized, false},
+      {"TF (vanilla)", gc::Deployment::kVanilla, true},
+      {"Crash-tolerant", gc::Deployment::kCrashTolerant, false},
+      {"SSMW", gc::Deployment::kSsmw, false},
+      {"MSMW", gc::Deployment::kMsmw, false},
+      {"Dec. Learn.", gc::Deployment::kDecentralized, false},
   };
 
   IterationBreakdown vanilla{};
+  IterationBreakdown mb{};
   for (const auto& sys : systems) {
     SimSetup s;
-    s.deployment = sys.dep;
+    s.config.deployment = sys.dep;
     s.d = model_spec("ResNet-50").parameters;
-    s.batch_size = 32;
-    s.nw = 18;
-    s.fw = 3;
-    s.nps = 6;
-    s.fps = 1;
-    s.gradient_gar = "multi_krum";
-    s.model_gar = "median";
+    s.config.batch_size = 32;
+    s.config.nw = 18;
+    s.config.fw = 3;
+    s.config.nps = 6;
+    s.config.fps = 1;
+    s.config.gradient_gar = "multi_krum";
+    s.config.model_gar = "median";
+    s.config.asynchronous = true;
     s.device = cpu_profile();
     s.native_runtime = sys.native;
     const IterationBreakdown b = simulate_iteration(s);
     if (sys.native) vanilla = b;
+    if (sys.dep == gc::Deployment::kMsmw) mb = b;
     std::printf("%-16s %-14.2f %-16.2f %-14.3f %-10.2f\n", sys.name,
                 b.computation, b.communication, b.aggregation, b.total());
   }
 
   // Overhead attribution for the headline numbers of §6.6.
-  SimSetup msmw;
-  msmw.deployment = SimDeployment::kMsmw;
-  msmw.d = model_spec("ResNet-50").parameters;
-  msmw.batch_size = 32;
-  msmw.nw = 18;
-  msmw.fw = 3;
-  msmw.nps = 6;
-  msmw.fps = 1;
-  msmw.gradient_gar = "multi_krum";
-  msmw.model_gar = "median";
-  msmw.device = cpu_profile();
-  const IterationBreakdown mb = simulate_iteration(msmw);
   const double overhead = mb.total() - vanilla.total();
   std::printf("\nMSMW overhead vs vanilla: %.2f s/iteration, of which "
               "communication %.0f%%, aggregation %.0f%%\n",

@@ -46,35 +46,35 @@ void panel(const char* title, const char* model, const DeviceProfile& device,
   for (std::size_t nw : nws) {
     SimSetup s;
     s.d = model_spec(model).parameters;
-    s.batch_size = batch;
-    s.nw = nw;
-    s.fw = nw > 6 ? 3 : 1;
-    s.nps = 3;
-    s.fps = 1;
-    s.gradient_gar = "multi_krum";
-    s.model_gar = "median";
+    s.config.batch_size = batch;
+    s.config.nw = nw;
+    s.config.fw = nw > 6 ? 3 : 1;
+    s.config.nps = 3;
+    s.config.fps = 1;
+    s.config.gradient_gar = "multi_krum";
+    s.config.model_gar = "median";
     s.device = device;
     s.link = link;
 
-    auto at = [&](SimDeployment dep, bool native, bool sync) {
+    auto at = [&](gc::Deployment dep, bool native, bool sync) {
       SimSetup v = s;
-      v.deployment = dep;
+      v.config.deployment = dep;
       v.native_runtime = native;
-      v.asynchronous = !sync;
-      if (dep == SimDeployment::kVanilla || dep == SimDeployment::kSsmw)
-        v.nps = 1;
+      v.config.asynchronous = !sync;
+      if (dep == gc::Deployment::kVanilla || dep == gc::Deployment::kSsmw)
+        v.config.nps = 1;
       return batches_per_sec(v);
     };
     std::printf("%-6zu %-10.1f %-16.1f %-10.1f %-10.1f %-10.1f %-14.1f\n",
-                nw, at(SimDeployment::kVanilla, true, true),
-                at(SimDeployment::kCrashTolerant, false, true),
-                at(SimDeployment::kSsmw, false, false),
-                at(SimDeployment::kMsmw, false, false),
+                nw, at(gc::Deployment::kVanilla, true, true),
+                at(gc::Deployment::kCrashTolerant, false, true),
+                at(gc::Deployment::kSsmw, false, false),
+                at(gc::Deployment::kMsmw, false, false),
                 // AggregaThor: SSMW architecture, synchronous, older
                 // runtime (no parallelized deserialization) — modelled as
                 // the synchronous SSMW point.
-                at(SimDeployment::kSsmw, false, true),
-                at(SimDeployment::kDecentralized, false, false));
+                at(gc::Deployment::kSsmw, false, true),
+                at(gc::Deployment::kDecentralized, false, false));
   }
 }
 

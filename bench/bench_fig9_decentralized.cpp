@@ -69,21 +69,19 @@ void contraction_plan_sweep() {
 
 int main() {
   using namespace garfield::sim;
+  using garfield::core::Deployment;
 
-  auto setup = [](SimDeployment dep, std::size_t n, std::size_t d) {
+  auto setup = [](Deployment dep, std::size_t n, std::size_t d) {
     SimSetup s;
-    s.deployment = dep;
+    s.config.deployment = dep;
     s.d = d;
-    s.batch_size = 100;
-    s.nw = n;
-    s.fw = 0;
-    s.nps = 1;
-    s.fps = 0;
-    s.gradient_gar = "median";
-    s.model_gar = "median";
+    s.config.batch_size = 100;
+    s.config.nw = n;
+    s.config.gradient_gar = "median";
+    s.config.model_gar = "median";
     s.device = gpu_profile();
     s.link = gpu_link();
-    s.native_runtime = dep == SimDeployment::kVanilla;
+    s.native_runtime = dep == Deployment::kVanilla;
     return s;
   };
 
@@ -91,9 +89,9 @@ int main() {
   std::printf("%-6s %-18s %-14s\n", "n", "decentralized (s)", "vanilla (s)");
   for (std::size_t n = 2; n <= 6; ++n) {
     std::printf("%-6zu %-18.4f %-14.4f\n", n,
-                communication_time(setup(SimDeployment::kDecentralized, n,
+                communication_time(setup(Deployment::kDecentralized, n,
                                          1'000'000)),
-                communication_time(setup(SimDeployment::kVanilla, n,
+                communication_time(setup(Deployment::kVanilla, n,
                                          1'000'000)));
   }
 
@@ -102,8 +100,8 @@ int main() {
   for (std::size_t d : {10'000UL, 100'000UL, 1'000'000UL, 10'000'000UL,
                         100'000'000UL}) {
     std::printf("%-10zu %-18.4f %-14.4f\n", d,
-                communication_time(setup(SimDeployment::kDecentralized, 6, d)),
-                communication_time(setup(SimDeployment::kVanilla, 6, d)));
+                communication_time(setup(Deployment::kDecentralized, 6, d)),
+                communication_time(setup(Deployment::kVanilla, 6, d)));
   }
   contraction_plan_sweep();
 

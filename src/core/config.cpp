@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "attacks/registry.h"
-#include "gars/gar.h"
+#include "core/round_plan.h"
 #include "net/codec.h"
 #include "net/conditions.h"
 
@@ -59,50 +59,23 @@ void DeploymentConfig::validate() const {
         "config: alignment_every requires transport=inproc (the probe "
         "reads every replica's parameters in one address space)");
   }
-  // GAR existence (spec string parses, options are known and well-typed)
-  // plus resilience inequalities at the effective input counts. Probing the
-  // registry with a throwaway construction surfaces a bad spec at config
-  // time instead of mid-training.
-  switch (deployment) {
-    case Deployment::kVanilla:
-    case Deployment::kCrashTolerant:
-      break;  // averaging only
-    case Deployment::kSsmw: {
-      const std::size_t q = asynchronous ? nw - fw : nw;
-      if (q < gars::gar_min_n(gradient_gar, fw)) {
-        throw std::invalid_argument("config: " + gradient_gar +
-                                    " cannot tolerate fw with this nw");
-      }
-      (void)gars::make_gar(gradient_gar, q, fw);
-      break;
+  // Every aggregation stage of the round plan (core/round_plan.h) must
+  // meet its rule's option-aware resilience floor at the input count the
+  // loop hands the GAR. Probing the registry with a throwaway construction
+  // then surfaces a bad spec at config time instead of mid-training.
+  const RoundPlan plan = plan_round(*this);
+  for (const Stage* stage :
+       {&plan.grad, plan.model ? &*plan.model : nullptr}) {
+    if (stage == nullptr) continue;
+    if (stage->inputs < stage->min_n) {
+      throw std::invalid_argument(
+          "config: the " + std::string(stage->span) + " stage's '" +
+          stage->spec.name + "' rule needs >= " +
+          std::to_string(stage->min_n) + " inputs to tolerate f=" +
+          std::to_string(stage->f) + ", but the plan gives it " +
+          std::to_string(stage->inputs));
     }
-    case Deployment::kMsmw: {
-      const std::size_t qw = nw - fw;
-      if (qw < gars::gar_min_n(gradient_gar, fw)) {
-        throw std::invalid_argument("config: gradient GAR precondition "
-                                    "violated (qw too small)");
-      }
-      (void)gars::make_gar(gradient_gar, qw, fw);
-      // Model aggregation sees (peers pulled + own state) inputs.
-      const std::size_t qps = asynchronous ? nps - fps : nps;
-      if (qps < gars::gar_min_n(model_gar, fps)) {
-        throw std::invalid_argument("config: model GAR precondition violated "
-                                    "(qps too small)");
-      }
-      (void)gars::make_gar(model_gar, qps, fps);
-      break;
-    }
-    case Deployment::kDecentralized: {
-      const std::size_t q = nw - fw;
-      if (q < gars::gar_min_n(gradient_gar, fw) ||
-          q < gars::gar_min_n(model_gar, fw)) {
-        throw std::invalid_argument(
-            "config: decentralized GAR precondition violated");
-      }
-      (void)gars::make_gar(gradient_gar, q, fw);
-      (void)gars::make_gar(model_gar, q, fw);
-      break;
-    }
+    (void)gars::make_gar(stage->spec, stage->inputs, stage->f);
   }
   // Adversary plans: grammar, attack existence, option types and plan shape
   // against the declared Byzantine cohorts — a typo'd attack spec must fail

@@ -52,7 +52,9 @@ struct DeploymentConfig {
   /// rules, unknown/malformed options and violated resilience inequalities.
   std::string gradient_gar = "average";  ///< GAR applied to worker gradients
   std::string model_gar = "median";      ///< GAR applied to server models
-  /// Synchronous runs wait for all n replies; asynchronous ones for n - f.
+  /// Quorum of SSMW/MSMW pulls: synchronous runs await all n replies,
+  /// asynchronous ones n - f. Vanilla and crash_tolerant always await nw,
+  /// decentralized always nw - fw (core/round_plan.h has every stage).
   bool asynchronous = false;
 
   // --- adversary ----------------------------------------------------------

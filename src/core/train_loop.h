@@ -11,9 +11,10 @@
 // to other ranks leave the process through the transport.
 //
 // Every deployment runs the same round loop. A small plan built from the
-// config says which rule aggregates each stage, how many replies each
-// stage awaits, how many contract() gossip rounds follow the gradient step
-// (gossip is always step-tagged) and whether replicas exchange models.
+// config (core/round_plan.h) says which rule aggregates each stage, how
+// many replies each stage awaits, how many contract() gossip rounds follow
+// the gradient step (gossip is always step-tagged) and whether replicas
+// exchange models.
 // One replica, the *reporting replica*, evaluates, probes alignment,
 // checkpoints and records gradient counts; it is a pure function of the
 // config, so every rank and both backends agree on it without a message.

@@ -13,6 +13,7 @@
 #include "attacks/registry.h"
 #include "core/checkpoint.h"
 #include "core/node_runner.h"
+#include "core/round_plan.h"
 #include "core/server.h"
 #include "core/train_loop.h"
 #include "core/worker.h"
@@ -32,79 +33,6 @@ using detail::is_decentralized;
 using detail::Runtime;
 using net::Payload;
 using tensor::Rng;
-
-/// One aggregation stage of a round, resolved once per loop instead of
-/// once per iteration: the rule, its resilience floor, the replies the pull
-/// awaits and the id span whose scheduled availability the churn floor
-/// check counts. min_n is the option-aware floor (gar_min_n over the parsed
-/// spec), so a quorum that satisfies the rule but not its options (e.g.
-/// multi_krum:m=8 at a degraded q) skips the stage instead of throwing out
-/// of the loop thread.
-struct Stage {
-  gars::GarSpec spec;
-  std::size_t f = 0;
-  std::size_t min_n = 0;
-  std::size_t awaited = 0;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  const char* span = "";
-};
-
-Stage make_stage(const std::string& rule, std::size_t f, std::size_t awaited,
-                 std::size_t lo, std::size_t hi, const char* span) {
-  Stage stage{gars::parse_gar_spec(rule), f, 0, awaited, lo, hi, span};
-  stage.min_n = gars::gar_min_n(stage.spec, f);
-  return stage;
-}
-
-/// A deployment as data: every §5 application is the same round (pull
-/// gradients, aggregate, optionally gossip the aggregate, step, optionally
-/// exchange models), differing only in these values. README "Node
-/// lifecycle & churn" tabulates them per deployment.
-struct RoundPlan {
-  Stage grad;
-  /// Decentralized contract() rounds over the gradient rule.
-  std::size_t gossip_rounds = 0;
-  /// Replicated deployments' model exchange; peers awaited exclude self.
-  std::optional<Stage> model;
-  /// Correct replicas [0, aligned) the alignment probe spans.
-  std::size_t aligned = 0;
-};
-
-RoundPlan plan_round(const DeploymentConfig& cfg) {
-  const bool async = cfg.asynchronous;
-  const std::size_t workers_end = cfg.nps + cfg.nw;
-  RoundPlan plan;
-  switch (cfg.deployment) {
-    case Deployment::kVanilla:
-    case Deployment::kCrashTolerant:
-      plan.grad =
-          make_stage("average", 0, cfg.nw, cfg.nps, workers_end, "worker");
-      break;
-    case Deployment::kSsmw:
-    case Deployment::kMsmw:
-      plan.grad = make_stage(cfg.gradient_gar, cfg.fw,
-                             async ? cfg.nw - cfg.fw : cfg.nw, cfg.nps,
-                             workers_end, "worker");
-      if (cfg.deployment == Deployment::kMsmw) {
-        plan.model = make_stage(cfg.model_gar, cfg.fps,
-                                (async ? cfg.nps - cfg.fps : cfg.nps) - 1, 0,
-                                cfg.nps, "server");
-        plan.aligned = cfg.nps - cfg.fps;
-      }
-      break;
-    case Deployment::kDecentralized: {
-      // n - f throughout (Listing 3).
-      const std::size_t q = cfg.nw - cfg.fw;
-      plan.grad = make_stage(cfg.gradient_gar, cfg.fw, q, 0, cfg.nw, "peer");
-      plan.gossip_rounds = cfg.contraction_steps;
-      plan.model = make_stage(cfg.model_gar, cfg.fw, q - 1, 0, cfg.nw, "peer");
-      plan.aligned = q;
-      break;
-    }
-  }
-  return plan;
-}
 
 /// Aggregate with the stage's rule sized to the actual reply count.
 /// Garfield builds the rule per call because asynchronous collection can

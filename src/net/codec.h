@@ -73,8 +73,9 @@ struct CodecSpec {
   [[nodiscard]] std::size_t topk_count(std::size_t d) const;
 
   /// Wire floats per model float for a dimension-d *gradient* payload —
-  /// what the analytic plane (SimSetup::codec_ratio) scales communication
-  /// volumes by. 1.0 for none; never below it for degenerate tiny d.
+  /// what the analytic plane (sim/deployment_sim.h) scales gradient
+  /// communication volumes by, int8's ratio standing in for model payloads
+  /// of any lossy codec. 1.0 for none; never below it for degenerate tiny d.
   [[nodiscard]] double wire_ratio(std::size_t d) const;
 };
 

@@ -1,21 +1,12 @@
 #include "sim/deployment_sim.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
+
+#include "core/round_plan.h"
+#include "net/codec.h"
+#include "net/conditions.h"
 
 namespace garfield::sim {
-
-std::string to_string(SimDeployment d) {
-  switch (d) {
-    case SimDeployment::kVanilla: return "vanilla";
-    case SimDeployment::kCrashTolerant: return "crash_tolerant";
-    case SimDeployment::kSsmw: return "ssmw";
-    case SimDeployment::kMsmw: return "msmw";
-    case SimDeployment::kDecentralized: return "decentralized";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -30,6 +21,15 @@ constexpr double kSerParallelism = 8.0;
 /// small loss rates the grammar targets).
 constexpr double kRetryBackoffFloor = 50e-6;
 
+/// One simulate_iteration() call: the setup plus what it parses out of
+/// the setup's config once.
+struct Pricing {
+  const SimSetup& s;
+  net::NetworkConditions conditions;
+  double gradient_ratio = 1.0;  ///< wire floats per model float, gradients
+  double state_ratio = 1.0;     ///< the same for model payloads
+};
+
 /// What the parsed NetworkConditions do to one pull stage (see header).
 struct StageNet {
   double link_factor = 1.0;  ///< slowest edge class the quorum must cross
@@ -42,9 +42,10 @@ struct StageNet {
 /// stage when the quorum cannot be met without it — fastest-q dodges slow
 /// links, stragglers and cut-off peers as long as enough healthy
 /// responders remain.
-StageNet resolve_pull(const SimSetup& s, std::size_t from, std::size_t lo,
+StageNet resolve_pull(const Pricing& p, std::size_t from, std::size_t lo,
                       std::size_t hi, std::size_t q) {
-  const net::NetworkConditions& c = s.conditions;
+  const SimSetup& s = p.s;
+  const net::NetworkConditions& c = p.conditions;
   StageNet net;
   std::size_t avail = hi - lo;
   std::size_t slow = c.count_slow(lo, hi);
@@ -138,19 +139,22 @@ StageNet resolve_pull(const SimSetup& s, std::size_t from, std::size_t lo,
 }
 
 /// One communication stage (see header for the stage model).
+/// ratio: wire floats per model float of the stage's payload class.
 /// nic_floats: the largest per-node send-or-receive volume of the stage.
 /// ser_floats: floats (de)serialized at the busiest node, already divided
 ///             by kSerParallelism where calls are concurrent.
 /// total_floats: volume crossing the switch fabric.
-double stage_time(const SimSetup& s, double nic_floats, double ser_floats,
-                  double total_floats, const StageNet& net = StageNet{}) {
+double stage_time(const Pricing& p, double ratio, double nic_floats,
+                  double ser_floats, double total_floats,
+                  const StageNet& net) {
+  const SimSetup& s = p.s;
   // Codec compression shrinks what crosses the wire and the serializers,
   // never the model itself.
-  nic_floats *= s.codec_ratio;
-  ser_floats *= s.codec_ratio;
-  total_floats *= s.codec_ratio;
+  nic_floats *= ratio;
+  ser_floats *= ratio;
+  total_floats *= ratio;
   LinkProfile edge{s.link.bandwidth_floats,
-                   s.link.latency + s.conditions.latency_seconds(s.iteration)};
+                   s.link.latency + p.conditions.latency_seconds(s.iteration)};
   // A spec byte rate caps the edge (4 bytes per wire float); degraded()
   // below then derates the capped rate by the hetero factor, matching the
   // live plane's byte_rate() / factor composition.
@@ -168,131 +172,94 @@ double stage_time(const SimSetup& s, double nic_floats, double ser_floats,
   return t;
 }
 
-/// Gradient quorum actually awaited.
-std::size_t gradient_quorum(const SimSetup& s) {
-  return s.asynchronous ? s.nw - s.fw : s.nw;
-}
-
-IterationBreakdown simulate_parameter_server(const SimSetup& s) {
+/// Walk the live round plan at the reporting server/peer (id 0):
+/// computation, the gradient stage, the gossip rounds, the model stage.
+IterationBreakdown walk_plan(const Pricing& p) {
+  const SimSetup& s = p.s;
+  const core::DeploymentConfig& cfg = s.config;
+  const core::RoundPlan plan = core::plan_round(cfg);
   const double dd = double(s.d);
-  const double nw = double(s.nw);
   IterationBreakdown b;
 
-  // Reporting server 0 pulls over the worker id span [nps, nps + nw) —
-  // the same node layout the live trainer builds.
-  const std::size_t q = gradient_quorum(s);
-  const StageNet worker_net = resolve_pull(s, 0, s.nps, s.nps + s.nw, q);
-
-  // Servers pulling gradients this iteration (they attach their model).
-  double pulling_servers = 1.0;
-  if (s.deployment == SimDeployment::kCrashTolerant ||
-      s.deployment == SimDeployment::kMsmw) {
-    pulling_servers = double(s.nps);
-  }
-
-  // Stage A: model distribution. Vanilla/SSMW/crash: workers learn the
-  // model from one (primary) server; MSMW: every replica sends its own.
-  // The sender serializes the model once and reuses the buffer for every
-  // destination; receivers deserialize model_senders copies each. The
-  // quorum's workers must receive the model, so the stage rides the same
-  // degraded edges as the gradient pull (without double-counting the
-  // quorum waits — those bind once, at collection).
+  // The traffic model: servers pulling gradients this iteration (they
+  // attach their model), and servers sending workers the model.
+  const bool replicated = cfg.deployment == core::Deployment::kCrashTolerant ||
+                          cfg.deployment == core::Deployment::kMsmw;
+  const double pulling_servers = replicated ? double(cfg.nps) : 1.0;
   const double model_senders =
-      s.deployment == SimDeployment::kMsmw ? double(s.nps) : 1.0;
-  b.communication += stage_time(
-      s, std::max(nw * dd, model_senders * dd),  // server out vs worker in
-      (1.0 + model_senders) * dd,
-      model_senders * nw * dd,
-      StageNet{worker_net.link_factor, 0.0});
+      cfg.deployment == core::Deployment::kMsmw ? double(cfg.nps) : 1.0;
 
-  // Stage B: gradient computation at every worker in parallel.
-  const double compute = s.device.iteration_overhead +
-      dd * double(s.batch_size) / s.device.compute_rate;
-  b.computation += compute;
-
-  // Stage C: gradient collection. Every pulling server receives q
-  // gradients (deserialized on parallel RPC threads); every worker
-  // serializes once and uploads to every pulling server. Straggler lag,
-  // partition lag and the jitter tail the quorum cannot dodge bind here.
-  b.communication += stage_time(
-      s, std::max(double(q) * dd, pulling_servers * dd),
-      dd + double(q) * dd / kSerParallelism,
-      pulling_servers * double(q) * dd, worker_net);
-
-  // Stage D: aggregation of gradients.
-  const std::string grad_gar =
-      (s.deployment == SimDeployment::kVanilla ||
-       s.deployment == SimDeployment::kCrashTolerant)
-          ? "average"
-          : s.gradient_gar;
-  const double agg = gar_time(grad_gar, q, s.fw, s.d, s.device);
-  if (s.native_runtime) {
+  // One pull stage's traffic, awaiting the fastest `awaited` replies.
+  const auto communicate = [&](const core::Stage& stage,
+                               std::size_t awaited, double ratio) {
+    const StageNet net = resolve_pull(p, 0, stage.lo, stage.hi, awaited);
+    const double m = double(stage.hi - stage.lo);
+    if (stage.lo == 0) {
+      // The span holds the puller: an all-to-all where every member sends
+      // to and receives from all others — O(m^2) messages per round, the
+      // scalability killer of Fig 9a.
+      const double peers = m - 1.0;
+      b.communication +=
+          stage_time(p, ratio, peers * dd, dd + peers * dd / kSerParallelism,
+                     m * peers * dd, net);
+      return;
+    }
+    // The worker span: a fan-in. First the model goes out. The sender
+    // serializes it once and reuses the buffer for every destination;
+    // receivers deserialize model_senders copies each. The quorum's
+    // workers must receive the model, so the distribution rides the same
+    // degraded edges as the gradient pull (without double-counting the
+    // quorum waits — those bind once, at collection).
+    b.communication += stage_time(
+        p, p.state_ratio,
+        std::max(m * dd, model_senders * dd),  // server out vs worker in
+        (1.0 + model_senders) * dd, model_senders * m * dd,
+        StageNet{net.link_factor, 0.0});
+    // Then every pulling server receives the quorum's gradients
+    // (deserialized on parallel RPC threads); every worker serializes once
+    // and uploads to every pulling server. Straggler lag, partition lag
+    // and the jitter tail the quorum cannot dodge bind here.
+    const double q = double(awaited);
+    b.communication +=
+        stage_time(p, ratio, std::max(q * dd, pulling_servers * dd),
+                   dd + q * dd / kSerParallelism, pulling_servers * q * dd,
+                   net);
+  };
+  const auto aggregate = [&](const core::Stage& stage) {
+    const double t =
+        gar_time(stage.spec.name, stage.inputs, stage.f, s.d, s.device);
     // reduce()-style streaming aggregation hides behind communication.
-    b.aggregation += 0.1 * agg;
-  } else {
-    b.aggregation += agg;
+    b.aggregation += s.native_runtime ? 0.1 * t : t;
+  };
+
+  // Gradient computation at every worker in parallel.
+  b.computation += s.device.iteration_overhead +
+                   dd * double(cfg.batch_size) / s.device.compute_rate;
+  communicate(plan.grad, plan.grad.awaited, p.gradient_ratio);
+  aggregate(plan.grad);
+  // Non-iid contraction rounds gossip the aggregate; the replica's own is
+  // the last input, so the pull awaits one reply fewer.
+  for (std::size_t r = 0; r < plan.gossip_rounds; ++r) {
+    communicate(plan.grad, plan.grad.awaited - 1, p.gradient_ratio);
+    aggregate(plan.grad);
   }
-
-  // Stage E (MSMW only): model exchange among replicas + model GAR. The
-  // reporting replica pulls q_models - 1 peer states over the server span.
-  if (s.deployment == SimDeployment::kMsmw) {
-    const double peers = double(s.nps - 1);
-    const std::size_t q_models = s.asynchronous ? s.nps - s.fps : s.nps;
-    const StageNet server_net =
-        resolve_pull(s, 0, 0, s.nps, q_models > 0 ? q_models - 1 : 0);
-    b.communication += stage_time(s, peers * dd,
-                                  dd + peers * dd / kSerParallelism,
-                                  double(s.nps) * peers * dd, server_net);
-    b.aggregation += gar_time(s.model_gar, q_models, s.fps, s.d, s.device);
+  if (plan.model) {
+    communicate(*plan.model, plan.model->awaited, p.state_ratio);
+    aggregate(*plan.model);
   }
-  return b;
-}
-
-IterationBreakdown simulate_decentralized(const SimSetup& s) {
-  const double dd = double(s.d);
-  const double n = double(s.nw);
-  const double peers = n - 1.0;
-  const std::size_t q = s.nw - s.fw;
-  IterationBreakdown b;
-
-  // Every exchange round is a fastest-q pull by the reporting peer over
-  // the whole peer span [0, nw).
-  const StageNet peer_net = resolve_pull(s, 0, 0, s.nw, q);
-
-  // Gradient computation happens at every peer in parallel.
-  const double compute = s.device.iteration_overhead +
-      dd * double(s.batch_size) / s.device.compute_rate;
-  b.computation += compute;
-
-  // All-to-all gradient exchange: every peer sends to and receives from all
-  // others — O(n^2) messages per round, the scalability killer of Fig 9a.
-  const double all_to_all_total = n * peers * dd;
-  const double all_to_all_ser = dd + peers * dd / kSerParallelism;
-  b.communication +=
-      stage_time(s, peers * dd, all_to_all_ser, all_to_all_total, peer_net);
-  b.aggregation += gar_time(s.gradient_gar, q, s.fw, s.d, s.device);
-
-  // Non-iid contraction rounds: gossip the aggregated gradients again.
-  for (std::size_t r = 0; r < s.contraction_steps; ++r) {
-    b.communication += stage_time(s, peers * dd, all_to_all_ser,
-                                  all_to_all_total, peer_net);
-    b.aggregation += gar_time(s.gradient_gar, q, s.fw, s.d, s.device);
-  }
-
-  // All-to-all model exchange + model aggregation.
-  b.communication +=
-      stage_time(s, peers * dd, all_to_all_ser, all_to_all_total, peer_net);
-  b.aggregation += gar_time(s.model_gar, q, s.fw, s.d, s.device);
   return b;
 }
 
 }  // namespace
 
 IterationBreakdown simulate_iteration(const SimSetup& setup) {
-  IterationBreakdown b =
-      setup.deployment == SimDeployment::kDecentralized
-          ? simulate_decentralized(setup)
-          : simulate_parameter_server(setup);
+  // Model payloads degrade any lossy codec to int8 (net/codec.h).
+  const net::CodecSpec codec = net::CodecSpec::parse(setup.config.codec);
+  const net::CodecSpec state =
+      codec.identity() ? codec : net::CodecSpec{net::CodecKind::kInt8};
+  IterationBreakdown b = walk_plan(
+      Pricing{setup, net::NetworkConditions::parse(setup.config.network),
+              codec.wire_ratio(setup.d), state.wire_ratio(setup.d)});
   if (setup.native_runtime) {
     // The frameworks' own distributed runtimes overlap parameter pushes
     // with gradient pulls and stream transfers; model that as halving the
@@ -320,7 +287,7 @@ double updates_per_sec(const SimSetup& setup) {
 }
 
 double batches_per_sec(const SimSetup& setup) {
-  return double(setup.nw) * updates_per_sec(setup);
+  return double(setup.config.nw) * updates_per_sec(setup);
 }
 
 double communication_time(const SimSetup& setup) {
@@ -329,14 +296,11 @@ double communication_time(const SimSetup& setup) {
 
 double slowdown_vs_vanilla(const SimSetup& setup) {
   SimSetup vanilla = setup;
-  vanilla.deployment = SimDeployment::kVanilla;
+  vanilla.config.deployment = core::Deployment::kVanilla;
+  vanilla.config.nps = 1;
+  vanilla.config.codec = "none";  // the native runtime has no Garfield codec
   vanilla.native_runtime = true;
   vanilla.pipelined = false;
-  vanilla.contraction_steps = 0;
-  vanilla.nps = 1;
-  vanilla.fps = 0;
-  vanilla.fw = 0;
-  vanilla.asynchronous = false;
   return simulate_iteration(setup).total() /
          simulate_iteration(vanilla).total();
 }

@@ -1,11 +1,20 @@
 // Per-deployment iteration-latency composition.
 //
-// simulate_iteration() walks the stages of one training iteration of each
-// §5 application on the modelled cluster and returns the same breakdown
-// the paper measures (Fig 7/16): computation, communication (transfer +
-// serialization + RPC overhead + straggler/partition waits) and robust
-// aggregation. Throughput figures (Fig 6, 8, 9, 10, 13, 14, 15) are
-// derived from it.
+// simulate_iteration() prices one training iteration of a live
+// core::DeploymentConfig on the modelled cluster and returns the same
+// breakdown the paper measures (Fig 7/16): computation, communication
+// (transfer + serialization + RPC overhead + straggler/partition waits)
+// and robust aggregation. Throughput figures (Fig 6, 8, 9, 10, 13, 14, 15)
+// are derived from it.
+//
+// The sim is the timing model of the live round plan (core/round_plan.h):
+// it walks the same stages the live loop runs — computation, the gradient
+// stage, the gossip rounds, then the model stage — and takes each stage's
+// quorum, span, rule and f from the plan. A stage whose span contains the
+// puller (the reporting server or peer, id 0) is an all-to-all over that
+// span; the worker-span stage is the fan-in, including model
+// distribution. Only the traffic model is the sim's own calibrated choice:
+// how many servers pull gradients and how many send the model.
 //
 // Stage model: every communication stage costs
 //     latency + max-per-node-NIC-floats / link-bandwidth
@@ -48,36 +57,27 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "net/conditions.h"
+#include "core/config.h"
 #include "sim/cost_model.h"
 #include "sim/model_spec.h"
 
 namespace garfield::sim {
 
-enum class SimDeployment {
-  kVanilla,
-  kCrashTolerant,
-  kSsmw,
-  kMsmw,
-  kDecentralized,
-};
-
-[[nodiscard]] std::string to_string(SimDeployment d);
-
+/// A live config plus the projection fields it lacks (`d` onward). The
+/// sim parses two of the config's specs itself: `network`, whose node ids
+/// follow the live layout (the plan's spans), and `codec`, which shrinks
+/// gradient payloads by the codec's wire ratio and model payloads (model
+/// distribution and the model stage) by int8's whenever the codec is lossy
+/// (config.h `codec`).
 struct SimSetup {
-  SimDeployment deployment = SimDeployment::kSsmw;
-  std::size_t d = 23539850;      ///< model dimension (ResNet-50 default)
-  std::size_t batch_size = 32;   ///< per-worker mini-batch
-  std::size_t nw = 18;           ///< workers (or peers when decentralized)
-  std::size_t fw = 3;
-  std::size_t nps = 6;           ///< ignored by vanilla/ssmw/decentralized
-  std::size_t fps = 1;
-  std::string gradient_gar = "bulyan";
-  std::string model_gar = "median";
-  bool asynchronous = true;      ///< wait for n-f replies instead of n
+  core::DeploymentConfig config;
+  /// Model dimension (ResNet-50 default); the live plane's comes from its
+  /// model.
+  std::size_t d = 23539850;
   DeviceProfile device = cpu_profile();
+  /// The fast edge class; a hetero clause derives the slow class via
+  /// degraded(link, factor).
   LinkProfile link{};
   /// Native-runtime baseline (vanilla TF / PyTorch): optimized collectives,
   /// no per-message protobuf serialization, streaming aggregation.
@@ -85,26 +85,13 @@ struct SimSetup {
   /// PyTorch-backend Garfield (§4.2): per-layer pipelining overlaps
   /// communication with aggregation.
   bool pipelined = false;
-  /// Decentralized contraction rounds per iteration (non-iid data).
-  std::size_t contraction_steps = 0;
   /// Switch-fabric capacity in units of link bandwidth.
   double fabric_links = 8.0;
-  /// Network conditions shared verbatim with the live plane
-  /// (net/conditions.h spec grammar). Node ids follow the live trainer's
-  /// layout: parameter-server deployments place servers at [0, nps) and
-  /// workers at [nps, nps + nw); decentralized deployments place peers at
-  /// [0, nw). `link` is the fast edge class; a hetero clause derives the
-  /// slow class via degraded(link, factor).
-  net::NetworkConditions conditions{};
   /// Iteration the breakdown is computed for — straggler phases, partition
   /// windows and windowed wan phases (latency/jitter/bandwidth) are
   /// iteration-scheduled, so the breakdown is a function of *when* you
   /// look.
   std::uint64_t iteration = 0;
-  /// Wire floats per model float after gradient compression (net/codec.h):
-  /// 1.0 for codec=none, ~2k/d for topk:k=..., ~0.25 for int8. Scales every
-  /// communication volume — computation and aggregation stay full-size.
-  double codec_ratio = 1.0;
 };
 
 struct IterationBreakdown {
@@ -131,7 +118,8 @@ struct IterationBreakdown {
 [[nodiscard]] double communication_time(const SimSetup& setup);
 
 /// Slowdown of `setup` relative to the native vanilla baseline on the same
-/// device/model (Fig 6/15's metric).
+/// device/model (Fig 6/15's metric). The native runtime has no Garfield
+/// codec, so the baseline always ships dense payloads.
 [[nodiscard]] double slowdown_vs_vanilla(const SimSetup& setup);
 
 }  // namespace garfield::sim

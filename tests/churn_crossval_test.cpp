@@ -39,20 +39,6 @@ namespace gs = garfield::sim;
 
 namespace {
 
-gs::SimSetup sim_ssmw() {
-  gs::SimSetup s;
-  s.deployment = gs::SimDeployment::kSsmw;
-  s.d = 1'000'000;
-  s.batch_size = 32;
-  s.nw = 6;
-  s.fw = 1;
-  s.nps = 1;
-  s.fps = 0;
-  s.gradient_gar = "multi_krum";
-  s.device = gs::cpu_profile();
-  return s;
-}
-
 gc::DeploymentConfig live_ssmw() {
   gc::DeploymentConfig cfg;
   cfg.deployment = gc::Deployment::kSsmw;
@@ -68,6 +54,16 @@ gc::DeploymentConfig live_ssmw() {
   cfg.eval_every = 1;
   cfg.seed = 20260808;
   return cfg;
+}
+
+/// The analytic plane's view of a live config: the same config, priced at
+/// d = 1e6 on the CPU profile.
+gs::SimSetup priced(const gc::DeploymentConfig& cfg) {
+  gs::SimSetup s;
+  s.config = cfg;
+  s.d = 1'000'000;
+  s.device = gs::cpu_profile();
+  return s;
 }
 
 void expect_same_curve(const gc::TrainResult& a, const gc::TrainResult& b,
@@ -182,10 +178,10 @@ TEST(ChurnSim, CrashedStragglerStopsCostingItsLagInsideTheWindow) {
   // absent, not slow, so inside [2, 4) the stage loses both the
   // straggling responder and the wait for it. Outside the window the
   // breakdown is bit-identical to before.
-  gs::SimSetup sim = sim_ssmw();
-  sim.asynchronous = false;
-  sim.conditions = gn::NetworkConditions::parse(
-      "straggler:nodes=6,lag=50ms;churn:crash=6,at_iter=2,recover_after=2");
+  gs::SimSetup sim = priced(live_ssmw());
+  sim.config.asynchronous = false;
+  sim.config.network =
+      "straggler:nodes=6,lag=50ms;churn:crash=6,at_iter=2,recover_after=2";
   sim.iteration = 0;
   const double before = gs::simulate_iteration(sim).total();
   sim.iteration = 2;
@@ -200,10 +196,10 @@ TEST(ChurnSim, ShrunkenQuorumTrimsTheJitterTail) {
   // With jitter, the q-th order statistic tail scales with q/(avail+1);
   // crashing a worker clamps the synchronous quorum from 6-of-6 to
   // 5-of-5, so the expected tail strictly drops inside the window.
-  gs::SimSetup sim = sim_ssmw();
-  sim.asynchronous = false;
-  sim.conditions = gn::NetworkConditions::parse(
-      "wan:jitter=10ms;churn:crash=6,at_iter=2,recover_after=2");
+  gs::SimSetup sim = priced(live_ssmw());
+  sim.config.asynchronous = false;
+  sim.config.network =
+      "wan:jitter=10ms;churn:crash=6,at_iter=2,recover_after=2";
   sim.iteration = 0;
   const double before = gs::simulate_iteration(sim).communication;
   sim.iteration = 2;

@@ -67,6 +67,108 @@ TEST(Config, ValidatesGarPreconditions) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+namespace {
+
+gc::DeploymentConfig plan_shape(gc::Deployment deployment, bool asynchronous,
+                                std::size_t nw, std::size_t fw,
+                                std::size_t nps, std::size_t fps,
+                                const char* gradient_gar,
+                                const char* model_gar) {
+  gc::DeploymentConfig cfg = fast_config();
+  cfg.deployment = deployment;
+  cfg.asynchronous = asynchronous;
+  cfg.nw = nw;
+  cfg.fw = fw;
+  cfg.nps = nps;
+  cfg.fps = fps;
+  cfg.gradient_gar = gradient_gar;
+  cfg.model_gar = model_gar;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(Config, ValidatesEveryPlanStageAtItsFloor) {
+  // One row per stage of the round plan: the shape whose stage sees
+  // exactly its rule's floor of inputs, and `shrink` taking one node away
+  // from it. multi_krum needs 2f+3 inputs, median 2f+1; a model stage's
+  // inputs are the peers awaited plus the replica's own state.
+  using D = gc::Deployment;
+  using Cfg = gc::DeploymentConfig;
+  gc::DeploymentConfig dec_grad =
+      plan_shape(D::kDecentralized, false, 6, 1, 1, 0, "multi_krum", "median");
+  dec_grad.contraction_steps = 2;
+  gc::DeploymentConfig dec_model =
+      plan_shape(D::kDecentralized, false, 6, 1, 1, 0, "median", "multi_krum");
+  dec_model.contraction_steps = 2;
+  const struct {
+    const char* stage;
+    gc::DeploymentConfig at_floor;
+    std::size_t Cfg::*shrink;
+    bool floor_accepted;
+  } rows[] = {
+      // Vanilla and crash_tolerant average, whatever the configured rules.
+      {"vanilla average",
+       plan_shape(D::kVanilla, true, 1, 0, 1, 0, "krum", "krum"), &Cfg::nw,
+       true},
+      {"crash_tolerant average",
+       plan_shape(D::kCrashTolerant, true, 1, 0, 3, 1, "krum", "krum"),
+       &Cfg::nw, true},
+      {"ssmw sync gradients",
+       plan_shape(D::kSsmw, false, 5, 1, 1, 0, "multi_krum", "median"),
+       &Cfg::nw, true},
+      {"ssmw async gradients",
+       plan_shape(D::kSsmw, true, 6, 1, 1, 0, "multi_krum", "median"),
+       &Cfg::nw, true},
+      // Awaits nw, the same check sync SSMW gets for this stage.
+      {"msmw sync gradients",
+       plan_shape(D::kMsmw, false, 5, 1, 4, 1, "multi_krum", "median"),
+       &Cfg::nw, true},
+      {"msmw sync models",
+       plan_shape(D::kMsmw, false, 6, 1, 3, 1, "multi_krum", "median"),
+       &Cfg::nps, true},
+      {"msmw async gradients",
+       plan_shape(D::kMsmw, true, 6, 1, 4, 1, "multi_krum", "median"),
+       &Cfg::nw, true},
+      {"msmw async models",
+       plan_shape(D::kMsmw, true, 6, 1, 4, 1, "multi_krum", "median"),
+       &Cfg::nps, true},
+      {"decentralized gradients", dec_grad, &Cfg::nw, true},
+      {"decentralized models", dec_model, &Cfg::nw, true},
+      // The option floor m + f + 2 = 6 binds above multi_krum's 2f+3 = 5.
+      {"ssmw multi_krum:m=3",
+       plan_shape(D::kSsmw, false, 6, 1, 1, 0, "multi_krum:m=3", "median"),
+       &Cfg::nw, true},
+  };
+  for (const auto& row : rows) {
+    if (row.floor_accepted) {
+      EXPECT_NO_THROW(row.at_floor.validate()) << row.stage;
+    } else {
+      EXPECT_THROW(row.at_floor.validate(), std::invalid_argument)
+          << row.stage;
+    }
+    gc::DeploymentConfig below = row.at_floor;
+    --(below.*row.shrink);
+    EXPECT_THROW(below.validate(), std::invalid_argument) << row.stage;
+  }
+}
+
+TEST(Config, SyncMsmwAtTheGradientFloorTrainsOnFullQuorums) {
+  // nw = 5, fw = 1 with multi_krum (floor 5): the sync loop awaits all
+  // five gradients, so validate() accepts it, and every aggregation of the
+  // reporting replica really sees five.
+  gc::DeploymentConfig cfg = plan_shape(gc::Deployment::kMsmw, false, 5, 1,
+                                        4, 1, "multi_krum", "median");
+  cfg.iterations = 5;
+  cfg.eval_every = 0;
+  ASSERT_NO_THROW(cfg.validate());
+  const gc::TrainResult result = gc::train(cfg);
+  ASSERT_EQ(result.reporting_gradient_counts.size(), cfg.iterations);
+  for (std::size_t count : result.reporting_gradient_counts) {
+    EXPECT_EQ(count, 5u);
+  }
+}
+
 TEST(Config, TotalNodes) {
   gc::DeploymentConfig cfg = fast_config();
   cfg.nw = 5;

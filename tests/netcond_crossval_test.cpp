@@ -45,20 +45,6 @@ namespace {
 /// layout both planes agree on); worker 6 straggles from iteration 0.
 constexpr const char* kStragglerSpec = "straggler:nodes=6,lag=60ms";
 
-gs::SimSetup sim_ssmw() {
-  gs::SimSetup s;
-  s.deployment = gs::SimDeployment::kSsmw;
-  s.d = 1'000'000;
-  s.batch_size = 32;
-  s.nw = 6;
-  s.fw = 1;
-  s.nps = 1;
-  s.fps = 0;
-  s.gradient_gar = "multi_krum";
-  s.device = gs::cpu_profile();
-  return s;
-}
-
 gc::DeploymentConfig live_ssmw() {
   gc::DeploymentConfig cfg;
   cfg.deployment = gc::Deployment::kSsmw;
@@ -74,6 +60,16 @@ gc::DeploymentConfig live_ssmw() {
   cfg.eval_every = 1;
   cfg.seed = 20260728;
   return cfg;
+}
+
+/// The analytic plane's view of a live config: the same config, priced at
+/// d = 1e6 on the CPU profile.
+gs::SimSetup priced(const gc::DeploymentConfig& cfg) {
+  gs::SimSetup s;
+  s.config = cfg;
+  s.d = 1'000'000;
+  s.device = gs::cpu_profile();
+  return s;
 }
 
 double live_seconds(const gc::DeploymentConfig& cfg) {
@@ -100,20 +96,20 @@ void expect_same_curve(const gc::TrainResult& a, const gc::TrainResult& b,
 TEST(NetcondCrossval, StragglerLagFavorsAsyncQuorumOnBothPlanes) {
   // Analytic plane: the synchronous full-cohort pull waits the straggler
   // lag out; the asynchronous n-f quorum dodges it.
-  gs::SimSetup sim = sim_ssmw();
-  sim.conditions = garfield::net::NetworkConditions::parse(kStragglerSpec);
-  sim.asynchronous = false;
+  gs::SimSetup sim = priced(live_ssmw());
+  sim.config.network = kStragglerSpec;
+  sim.config.asynchronous = false;
   const double sim_sync = gs::simulate_iteration(sim).total();
-  sim.asynchronous = true;
+  sim.config.asynchronous = true;
   const double sim_async = gs::simulate_iteration(sim).total();
-  gs::SimSetup ideal = sim_ssmw();
-  ideal.asynchronous = false;
+  gs::SimSetup ideal = priced(live_ssmw());
+  ideal.config.asynchronous = false;
   const double sim_ideal_sync = gs::simulate_iteration(ideal).total();
   EXPECT_GT(sim_sync, sim_async);
   EXPECT_GT(sim_sync - sim_ideal_sync, 0.045)  // ~the 60ms lag, not noise
       << "sync plane did not absorb the straggler lag";
   // The async quorum pays (nearly) nothing for the straggler.
-  ideal.asynchronous = true;
+  ideal.config.asynchronous = true;
   EXPECT_NEAR(sim_async, gs::simulate_iteration(ideal).total(), 0.002);
 
   // Live plane: same spec string, same ordering. 5 iterations x 60ms lag
@@ -139,10 +135,10 @@ TEST(NetcondCrossval, SlowLinksShiftTheBreakdownTowardCommunication) {
   const char* spec = "wan:latency=5ms;hetero:slow_links=1-2,factor=10";
   // Analytic plane: degraded edges inflate the communication share of the
   // Fig 7 breakdown; computation and aggregation stay put.
-  gs::SimSetup sim = sim_ssmw();
-  sim.asynchronous = false;
+  gs::SimSetup sim = priced(live_ssmw());
+  sim.config.asynchronous = false;
   const gs::IterationBreakdown ideal = gs::simulate_iteration(sim);
-  sim.conditions = garfield::net::NetworkConditions::parse(spec);
+  sim.config.network = spec;
   const gs::IterationBreakdown hetero = gs::simulate_iteration(sim);
   EXPECT_GT(hetero.communication, ideal.communication);
   EXPECT_DOUBLE_EQ(hetero.computation, ideal.computation);
@@ -182,9 +178,9 @@ TEST(NetcondCrossval, PartitionWindowBindsOnlyWhileActiveOnBothPlanes) {
   const char* spec = "partition:a=0,b=5-6,from_iter=1,len=2,lag=100ms";
   // Analytic plane: the breakdown is a function of *when* you look — the
   // partition lag binds inside the window and heals at GST.
-  gs::SimSetup sim = sim_ssmw();
-  sim.asynchronous = false;
-  sim.conditions = garfield::net::NetworkConditions::parse(spec);
+  gs::SimSetup sim = priced(live_ssmw());
+  sim.config.asynchronous = false;
+  sim.config.network = spec;
   sim.iteration = 0;
   const double before = gs::simulate_iteration(sim).total();
   sim.iteration = 1;
@@ -220,34 +216,7 @@ TEST(NetcondCrossval, PartitionWindowBindsOnlyWhileActiveOnBothPlanes) {
 TEST(NetcondCrossval, DecentralizedFabricLoadDominatesOnBothPlanes) {
   // Analytic plane: doubling n grows decentralized communication
   // super-linearly but parameter-server communication ~linearly.
-  const auto sim_comm = [](gs::SimDeployment dep, std::size_t n) {
-    gs::SimSetup s;
-    s.deployment = dep;
-    s.d = 10'000'000;
-    s.nw = n;
-    s.fw = 0;
-    s.nps = 1;
-    s.gradient_gar = "median";
-    s.model_gar = "median";
-    s.asynchronous = false;
-    return gs::communication_time(s);
-  };
-  const double sim_dec_ratio =
-      sim_comm(gs::SimDeployment::kDecentralized, 8) /
-      sim_comm(gs::SimDeployment::kDecentralized, 4);
-  const double sim_ps_ratio = sim_comm(gs::SimDeployment::kSsmw, 8) /
-                              sim_comm(gs::SimDeployment::kSsmw, 4);
-  // Super-linear vs linear: the analytic mix of the linear NIC term and
-  // the quadratic fabric term puts decentralized clearly above the
-  // parameter server's ~2x without reaching the pure (8/4)^2.
-  EXPECT_GT(sim_dec_ratio, 2.5);
-  EXPECT_LT(sim_ps_ratio, 2.3);
-
-  // Live plane: floats_transferred is exact on the in-process transport —
-  // the decentralized all-to-all moves O(n^2) floats per iteration where
-  // the parameter server moves O(n).
-  garfield::tensor::set_parallel_threads(1);
-  const auto live_floats = [](gc::Deployment dep, std::size_t n) {
+  const auto shape = [](gc::Deployment dep, std::size_t n) {
     gc::DeploymentConfig cfg;
     cfg.deployment = dep;
     cfg.model = "tiny_mlp";
@@ -262,7 +231,30 @@ TEST(NetcondCrossval, DecentralizedFabricLoadDominatesOnBothPlanes) {
     cfg.iterations = 2;
     cfg.eval_every = 0;
     cfg.seed = 7;
-    return double(gc::train(cfg).net_stats.floats_transferred);
+    return cfg;
+  };
+  const auto sim_comm = [&shape](gc::Deployment dep, std::size_t n) {
+    gs::SimSetup s = priced(shape(dep, n));
+    s.d = 10'000'000;
+    return gs::communication_time(s);
+  };
+  const double sim_dec_ratio =
+      sim_comm(gc::Deployment::kDecentralized, 8) /
+      sim_comm(gc::Deployment::kDecentralized, 4);
+  const double sim_ps_ratio = sim_comm(gc::Deployment::kSsmw, 8) /
+                              sim_comm(gc::Deployment::kSsmw, 4);
+  // Super-linear vs linear: the analytic mix of the linear NIC term and
+  // the quadratic fabric term puts decentralized clearly above the
+  // parameter server's ~2x without reaching the pure (8/4)^2.
+  EXPECT_GT(sim_dec_ratio, 2.5);
+  EXPECT_LT(sim_ps_ratio, 2.3);
+
+  // Live plane: floats_transferred is exact on the in-process transport —
+  // the decentralized all-to-all moves O(n^2) floats per iteration where
+  // the parameter server moves O(n).
+  garfield::tensor::set_parallel_threads(1);
+  const auto live_floats = [&shape](gc::Deployment dep, std::size_t n) {
+    return double(gc::train(shape(dep, n)).net_stats.floats_transferred);
   };
   const double live_dec_ratio =
       live_floats(gc::Deployment::kDecentralized, 8) /
@@ -290,17 +282,17 @@ TEST(NetcondCrossval, FaultRetryTailBindsOnlyInsideTheWindowOnBothPlanes) {
   // once they fire forever.)
   const char* spec =
       "fault:drop=0.4,delay_spike=20ms,spike=0.5,from_iter=1,len=2";
-  gs::SimSetup sim = sim_ssmw();
-  sim.asynchronous = false;
-  sim.conditions = garfield::net::NetworkConditions::parse(spec);
+  gs::SimSetup sim = priced(live_ssmw());
+  sim.config.asynchronous = false;
+  sim.config.network = spec;
   sim.iteration = 0;
   const double before = gs::simulate_iteration(sim).total();
   sim.iteration = 1;
   const double inside = gs::simulate_iteration(sim).total();
   sim.iteration = 3;
   const double after = gs::simulate_iteration(sim).total();
-  gs::SimSetup ideal_setup = sim_ssmw();
-  ideal_setup.asynchronous = false;
+  gs::SimSetup ideal_setup = priced(live_ssmw());
+  ideal_setup.config.asynchronous = false;
   const double ideal = gs::simulate_iteration(ideal_setup).total();
   EXPECT_DOUBLE_EQ(before, ideal);
   EXPECT_DOUBLE_EQ(after, ideal);
@@ -334,16 +326,17 @@ TEST(NetcondCrossval, BandwidthMakesBytesCostTimeOnBothPlanes) {
   // Analytic plane: capping the edge rate inflates communication by the
   // serialization time of the d-float gradient; a scalar-sized payload
   // barely notices the same cap.
-  gs::SimSetup big = sim_ssmw();  // d = 1e6 floats = 4 MB => ~3.2 s/frame
-  big.asynchronous = false;
+  // d = 1e6 floats = 4 MB => ~3.2 s/frame
+  gs::SimSetup big = priced(live_ssmw());
+  big.config.asynchronous = false;
   const double big_ideal = gs::simulate_iteration(big).communication;
-  big.conditions = garfield::net::NetworkConditions::parse(spec);
+  big.config.network = spec;
   const double big_capped = gs::simulate_iteration(big).communication;
-  gs::SimSetup scalar = sim_ssmw();
-  scalar.asynchronous = false;
+  gs::SimSetup scalar = priced(live_ssmw());
+  scalar.config.asynchronous = false;
   scalar.d = 100;
   const double scalar_ideal = gs::simulate_iteration(scalar).communication;
-  scalar.conditions = garfield::net::NetworkConditions::parse(spec);
+  scalar.config.network = spec;
   const double scalar_capped = gs::simulate_iteration(scalar).communication;
   EXPECT_GT(big_capped - big_ideal, 1.0)
       << "the 4 MB exchange must pay seconds of serialization at 1.25 MB/s";

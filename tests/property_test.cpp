@@ -119,16 +119,18 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------- cost-model monotonicity
 
 class SimMonotonic
-    : public ::testing::TestWithParam<gs::SimDeployment> {};
+    : public ::testing::TestWithParam<gc::Deployment> {};
 
 TEST_P(SimMonotonic, IterationTimeGrowsWithDimension) {
   gs::SimSetup s;
-  s.deployment = GetParam();
-  s.nw = 12;
-  s.fw = 2;
-  s.nps = 4;
-  s.fps = 1;
-  s.gradient_gar = "multi_krum";
+  s.config.deployment = GetParam();
+  s.config.batch_size = 32;
+  s.config.asynchronous = true;
+  s.config.nw = 12;
+  s.config.fw = 2;
+  s.config.nps = 4;
+  s.config.fps = 1;
+  s.config.gradient_gar = "multi_krum";
   double prev = 0.0;
   for (std::size_t d : {100'000UL, 1'000'000UL, 10'000'000UL}) {
     s.d = d;
@@ -140,15 +142,17 @@ TEST_P(SimMonotonic, IterationTimeGrowsWithDimension) {
 
 TEST_P(SimMonotonic, IterationTimeGrowsWithWorkers) {
   gs::SimSetup s;
-  s.deployment = GetParam();
+  s.config.deployment = GetParam();
+  s.config.batch_size = 32;
+  s.config.asynchronous = true;
   s.d = 10'000'000;
-  s.fw = 1;
-  s.nps = 4;
-  s.fps = 1;
-  s.gradient_gar = "median";
+  s.config.fw = 1;
+  s.config.nps = 4;
+  s.config.fps = 1;
+  s.config.gradient_gar = "median";
   double prev = 0.0;
   for (std::size_t nw : {4UL, 8UL, 16UL}) {
-    s.nw = nw;
+    s.config.nw = nw;
     const double t = gs::simulate_iteration(s).total();
     EXPECT_GT(t, prev);
     prev = t;
@@ -156,17 +160,19 @@ TEST_P(SimMonotonic, IterationTimeGrowsWithWorkers) {
 }
 
 TEST_P(SimMonotonic, FaultTolerantSlowdownAtLeastOne) {
-  if (GetParam() == gs::SimDeployment::kVanilla) GTEST_SKIP();
+  if (GetParam() == gc::Deployment::kVanilla) GTEST_SKIP();
   for (const char* model : {"CifarNet", "ResNet-50", "VGG"}) {
     for (bool gpu : {false, true}) {
       gs::SimSetup s;
-      s.deployment = GetParam();
+      s.config.deployment = GetParam();
+      s.config.batch_size = 32;
+      s.config.asynchronous = true;
       s.d = gs::model_spec(model).parameters;
-      s.nw = 12;
-      s.fw = 2;
-      s.nps = 4;
-      s.fps = 1;
-      s.gradient_gar = "multi_krum";
+      s.config.nw = 12;
+      s.config.fw = 2;
+      s.config.nps = 4;
+      s.config.fps = 1;
+      s.config.gradient_gar = "multi_krum";
       s.device = gpu ? gs::gpu_profile() : gs::cpu_profile();
       s.link = gpu ? gs::gpu_link() : gs::cpu_link();
       EXPECT_GT(gs::slowdown_vs_vanilla(s), 1.0)
@@ -177,12 +183,12 @@ TEST_P(SimMonotonic, FaultTolerantSlowdownAtLeastOne) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDeployments, SimMonotonic,
-    ::testing::Values(gs::SimDeployment::kVanilla,
-                      gs::SimDeployment::kCrashTolerant,
-                      gs::SimDeployment::kSsmw, gs::SimDeployment::kMsmw,
-                      gs::SimDeployment::kDecentralized),
-    [](const ::testing::TestParamInfo<gs::SimDeployment>& info) {
-      return gs::to_string(info.param);
+    ::testing::Values(gc::Deployment::kVanilla,
+                      gc::Deployment::kCrashTolerant,
+                      gc::Deployment::kSsmw, gc::Deployment::kMsmw,
+                      gc::Deployment::kDecentralized),
+    [](const ::testing::TestParamInfo<gc::Deployment>& info) {
+      return gc::to_string(info.param);
     });
 
 // ------------------------------------------- end-to-end determinism

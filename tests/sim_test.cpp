@@ -4,10 +4,14 @@
 // benches print the quantitative sweeps.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/config.h"
 #include "sim/cost_model.h"
 #include "sim/deployment_sim.h"
 #include "sim/model_spec.h"
 
+namespace gc = garfield::core;
 namespace gs = garfield::sim;
 
 // ---------------------------------------------------------------- Table 1
@@ -102,17 +106,18 @@ TEST(CostModel, UnknownGarThrows) {
 
 namespace {
 
-gs::SimSetup paper_cpu_setup(gs::SimDeployment dep) {
+gs::SimSetup paper_cpu_setup(gc::Deployment dep) {
   gs::SimSetup s;
-  s.deployment = dep;
+  s.config.deployment = dep;
   s.d = gs::model_spec("ResNet-50").parameters;
-  s.batch_size = 32;
-  s.nw = 18;
-  s.fw = 3;
-  s.nps = 6;
-  s.fps = 1;
-  s.gradient_gar = "multi_krum";
-  s.model_gar = "median";
+  s.config.batch_size = 32;
+  s.config.nw = 18;
+  s.config.fw = 3;
+  s.config.nps = 6;
+  s.config.fps = 1;
+  s.config.gradient_gar = "multi_krum";
+  s.config.model_gar = "median";
+  s.config.asynchronous = true;
   s.device = gs::cpu_profile();
   return s;
 }
@@ -120,14 +125,14 @@ gs::SimSetup paper_cpu_setup(gs::SimDeployment dep) {
 }  // namespace
 
 TEST(DeploymentSim, BreakdownComponentsPositive) {
-  for (gs::SimDeployment dep :
-       {gs::SimDeployment::kVanilla, gs::SimDeployment::kCrashTolerant,
-        gs::SimDeployment::kSsmw, gs::SimDeployment::kMsmw,
-        gs::SimDeployment::kDecentralized}) {
+  for (gc::Deployment dep :
+       {gc::Deployment::kVanilla, gc::Deployment::kCrashTolerant,
+        gc::Deployment::kSsmw, gc::Deployment::kMsmw,
+        gc::Deployment::kDecentralized}) {
     const auto b = gs::simulate_iteration(paper_cpu_setup(dep));
-    EXPECT_GT(b.computation, 0.0) << gs::to_string(dep);
-    EXPECT_GT(b.communication, 0.0) << gs::to_string(dep);
-    EXPECT_GE(b.aggregation, 0.0) << gs::to_string(dep);
+    EXPECT_GT(b.computation, 0.0) << gc::to_string(dep);
+    EXPECT_GT(b.communication, 0.0) << gc::to_string(dep);
+    EXPECT_GE(b.aggregation, 0.0) << gc::to_string(dep);
     EXPECT_NEAR(b.total(),
                 b.computation + b.communication + b.aggregation, 1e-12);
   }
@@ -137,11 +142,12 @@ TEST(DeploymentSim, CommunicationDominatesOverhead) {
   // §6.6: "communication accounts for more than 75% of the overhead while
   // robust aggregation contributes to only 11%".
   const auto vanilla = gs::simulate_iteration([] {
-    auto s = paper_cpu_setup(gs::SimDeployment::kVanilla);
+    auto s = paper_cpu_setup(gc::Deployment::kVanilla);
     s.native_runtime = true;
     return s;
   }());
-  const auto msmw = gs::simulate_iteration(paper_cpu_setup(gs::SimDeployment::kMsmw));
+  const auto msmw =
+      gs::simulate_iteration(paper_cpu_setup(gc::Deployment::kMsmw));
   const double overhead = msmw.total() - vanilla.total();
   const double comm_overhead = msmw.communication - vanilla.communication;
   const double agg_overhead = msmw.aggregation - vanilla.aggregation;
@@ -154,13 +160,13 @@ TEST(DeploymentSim, ServersCostMoreThanWorkers) {
   // tolerating Byzantine workers (SSMW), which costs less than crash
   // tolerance; decentralized is the most expensive.
   const double ssmw =
-      gs::slowdown_vs_vanilla(paper_cpu_setup(gs::SimDeployment::kSsmw));
+      gs::slowdown_vs_vanilla(paper_cpu_setup(gc::Deployment::kSsmw));
   const double crash = gs::slowdown_vs_vanilla(
-      paper_cpu_setup(gs::SimDeployment::kCrashTolerant));
+      paper_cpu_setup(gc::Deployment::kCrashTolerant));
   const double msmw =
-      gs::slowdown_vs_vanilla(paper_cpu_setup(gs::SimDeployment::kMsmw));
+      gs::slowdown_vs_vanilla(paper_cpu_setup(gc::Deployment::kMsmw));
   const double dec = gs::slowdown_vs_vanilla(
-      paper_cpu_setup(gs::SimDeployment::kDecentralized));
+      paper_cpu_setup(gc::Deployment::kDecentralized));
   EXPECT_GT(ssmw, 1.0);
   EXPECT_LT(ssmw, crash);
   EXPECT_LT(crash, msmw);
@@ -168,7 +174,7 @@ TEST(DeploymentSim, ServersCostMoreThanWorkers) {
 }
 
 TEST(DeploymentSim, GpuAboutAnOrderOfMagnitudeFaster) {
-  auto cpu = paper_cpu_setup(gs::SimDeployment::kMsmw);
+  auto cpu = paper_cpu_setup(gc::Deployment::kMsmw);
   auto gpu = cpu;
   gpu.device = gs::gpu_profile();
   gpu.link = gs::gpu_link();
@@ -180,16 +186,16 @@ TEST(DeploymentSim, GpuAboutAnOrderOfMagnitudeFaster) {
   // pipelined PyTorch backend, the gap reaches the reported "one order of
   // magnitude".
   gpu.pipelined = true;
-  gpu.nw = 10;
-  gpu.nps = 3;
-  gpu.batch_size = 100;
+  gpu.config.nw = 10;
+  gpu.config.nps = 3;
+  gpu.config.batch_size = 100;
   EXPECT_GT(gs::updates_per_sec(gpu) / gs::updates_per_sec(cpu), 8.0);
 }
 
 TEST(DeploymentSim, SlowdownGrowsThenSaturatesWithModelSize) {
   // §6.6: overhead grows with d only up to a point, then stays roughly
   // constant because everything is O(d).
-  auto setup = paper_cpu_setup(gs::SimDeployment::kMsmw);
+  auto setup = paper_cpu_setup(gc::Deployment::kMsmw);
   setup.d = gs::model_spec("MNIST_CNN").parameters;
   const double small = gs::slowdown_vs_vanilla(setup);
   setup.d = gs::model_spec("ResNet-50").parameters;
@@ -202,12 +208,12 @@ TEST(DeploymentSim, SlowdownGrowsThenSaturatesWithModelSize) {
 
 TEST(DeploymentSim, ThroughputScalesWithWorkers) {
   // Fig 8: batches/sec grows with nw for parameter-server systems.
-  auto setup = paper_cpu_setup(gs::SimDeployment::kSsmw);
+  auto setup = paper_cpu_setup(gc::Deployment::kSsmw);
   setup.d = gs::model_spec("CifarNet").parameters;
-  setup.nw = 5;
+  setup.config.nw = 5;
   const double small = gs::batches_per_sec(setup);
-  setup.nw = 20;
-  setup.fw = 3;
+  setup.config.nw = 20;
+  setup.config.fw = 3;
   const double large = gs::batches_per_sec(setup);
   EXPECT_GT(large, 1.5 * small);
 }
@@ -215,22 +221,22 @@ TEST(DeploymentSim, ThroughputScalesWithWorkers) {
 TEST(DeploymentSim, DecentralizedDoesNotScale) {
   // Fig 8/9: decentralized batches/sec flattens or degrades with n, and its
   // communication time grows super-linearly.
-  auto setup = paper_cpu_setup(gs::SimDeployment::kDecentralized);
+  auto setup = paper_cpu_setup(gc::Deployment::kDecentralized);
   setup.d = 10'000'000;  // transfer-bound regime, where the claim bites
-  setup.fw = 0;
-  setup.gradient_gar = "median";
-  setup.nw = 2;
+  setup.config.fw = 0;
+  setup.config.gradient_gar = "median";
+  setup.config.nw = 2;
   const double comm2 = gs::communication_time(setup);
-  setup.nw = 6;
+  setup.config.nw = 6;
   const double comm6 = gs::communication_time(setup);
   EXPECT_GT(comm6 / comm2, 4.0);  // super-linear (3x nodes -> >4x time)
 
   auto vanilla = setup;
-  vanilla.deployment = gs::SimDeployment::kVanilla;
+  vanilla.config.deployment = gc::Deployment::kVanilla;
   vanilla.native_runtime = true;
-  vanilla.nw = 2;
+  vanilla.config.nw = 2;
   const double v2 = gs::communication_time(vanilla);
-  vanilla.nw = 6;
+  vanilla.config.nw = 6;
   const double v6 = gs::communication_time(vanilla);
   EXPECT_LT(v6 / v2, 4.0);  // ~linear for the parameter server
 }
@@ -238,10 +244,10 @@ TEST(DeploymentSim, DecentralizedDoesNotScale) {
 TEST(DeploymentSim, ThroughputFlatInFw) {
   // Fig 10a: with nw fixed, declaring more Byzantine workers barely moves
   // throughput (same links, same batch).
-  auto setup = paper_cpu_setup(gs::SimDeployment::kMsmw);
-  setup.fw = 0;
+  auto setup = paper_cpu_setup(gc::Deployment::kMsmw);
+  setup.config.fw = 0;
   const double t0 = gs::updates_per_sec(setup);
-  setup.fw = 3;
+  setup.config.fw = 3;
   const double t3 = gs::updates_per_sec(setup);
   EXPECT_NEAR(t3 / t0, 1.0, 0.15);
 }
@@ -249,15 +255,15 @@ TEST(DeploymentSim, ThroughputFlatInFw) {
 TEST(DeploymentSim, ThroughputDropsWithFps) {
   // Fig 10b: more Byzantine servers force more replicas (nps = 3fps+1),
   // adding links and dropping throughput, but by less than ~50%.
-  auto setup = paper_cpu_setup(gs::SimDeployment::kMsmw);
-  setup.fps = 0;
-  setup.nps = 1;
+  auto setup = paper_cpu_setup(gc::Deployment::kMsmw);
+  setup.config.fps = 0;
+  setup.config.nps = 1;
   const double t0 = gs::updates_per_sec(setup);
-  setup.fps = 1;
-  setup.nps = 4;
+  setup.config.fps = 1;
+  setup.config.nps = 4;
   const double t1 = gs::updates_per_sec(setup);
-  setup.fps = 3;
-  setup.nps = 10;
+  setup.config.fps = 3;
+  setup.config.nps = 10;
   const double t3 = gs::updates_per_sec(setup);
   EXPECT_LT(t1, t0);
   EXPECT_LT(t3, t1);
@@ -266,7 +272,7 @@ TEST(DeploymentSim, ThroughputDropsWithFps) {
 
 TEST(DeploymentSim, PipeliningHelps) {
   // §4.2: the PyTorch backend overlaps communication with aggregation.
-  auto setup = paper_cpu_setup(gs::SimDeployment::kMsmw);
+  auto setup = paper_cpu_setup(gc::Deployment::kMsmw);
   setup.device = gs::gpu_profile();
   const double plain = gs::updates_per_sec(setup);
   setup.pipelined = true;
@@ -275,10 +281,54 @@ TEST(DeploymentSim, PipeliningHelps) {
 }
 
 TEST(DeploymentSim, ContractionRoundsCostCommunication) {
-  auto setup = paper_cpu_setup(gs::SimDeployment::kDecentralized);
-  setup.contraction_steps = 0;
+  auto setup = paper_cpu_setup(gc::Deployment::kDecentralized);
+  setup.config.contraction_steps = 0;
   const double base = gs::communication_time(setup);
-  setup.contraction_steps = 3;
+  setup.config.contraction_steps = 3;
   const double contracted = gs::communication_time(setup);
   EXPECT_GT(contracted, 1.5 * base);
+}
+
+TEST(DeploymentSim, VanillaAndCrashTolerantIgnoreAsynchrony) {
+  // The plan awaits nw for both whatever `asynchronous` says, so the two
+  // breakdowns are the same numbers.
+  for (gc::Deployment dep :
+       {gc::Deployment::kVanilla, gc::Deployment::kCrashTolerant}) {
+    gs::SimSetup sync = paper_cpu_setup(dep);
+    sync.config.asynchronous = false;
+    const gs::IterationBreakdown a =
+        gs::simulate_iteration(paper_cpu_setup(dep));
+    const gs::IterationBreakdown b = gs::simulate_iteration(sync);
+    EXPECT_EQ(a.computation, b.computation) << gc::to_string(dep);
+    EXPECT_EQ(a.communication, b.communication) << gc::to_string(dep);
+    EXPECT_EQ(a.aggregation, b.aggregation) << gc::to_string(dep);
+  }
+}
+
+TEST(DeploymentSim, CodecShrinksOnlyCommunication) {
+  // Gradient payloads ride the configured codec, model payloads int8 for
+  // any lossy codec, so topk < int8 < none on the wire; computation and
+  // aggregation never see the codec. The native vanilla baseline has no
+  // Garfield codec, so slowdown_vs_vanilla's denominator stays put.
+  gs::SimSetup setup = paper_cpu_setup(gc::Deployment::kMsmw);
+  setup.d = 1'000'000;
+  gs::SimSetup baseline = setup;
+  baseline.config.deployment = gc::Deployment::kVanilla;
+  baseline.config.nps = 1;
+  baseline.native_runtime = true;
+  const double native = gs::simulate_iteration(baseline).total();
+  std::vector<gs::IterationBreakdown> runs;
+  for (const char* codec : {"topk:k=0.01", "int8", "none"}) {
+    setup.config.codec = codec;
+    runs.push_back(gs::simulate_iteration(setup));
+    EXPECT_DOUBLE_EQ(runs.back().total() / gs::slowdown_vs_vanilla(setup),
+                     native)
+        << codec;
+  }
+  EXPECT_LT(runs[0].communication, runs[1].communication);
+  EXPECT_LT(runs[1].communication, runs[2].communication);
+  for (const gs::IterationBreakdown& b : runs) {
+    EXPECT_DOUBLE_EQ(b.computation, runs[2].computation);
+    EXPECT_DOUBLE_EQ(b.aggregation, runs[2].aggregation);
+  }
 }
