@@ -51,8 +51,10 @@ void run_gar(benchmark::State& state, const std::string& name) {
   const auto inputs = make_inputs(n, d);
   const auto gar = garfield::gars::make_gar(
       name, n, name == "average" ? 0 : f);
+  garfield::gars::AggregationContext ctx;
+  FlatVector out;
   for (auto _ : state) {
-    FlatVector out = gar->aggregate(inputs);
+    gar->aggregate_into(inputs, ctx, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["n"] = double(n);

@@ -29,6 +29,10 @@ Server::Server(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
       workers_(std::move(workers)),
       peer_servers_(std::move(peer_servers)),
       params_(std::make_shared<const net::Payload>(model_->parameters())) {
+  register_handlers();
+}
+
+void Server::register_handlers() {
   // The serve_* calls are virtual (ByzantineServer corrupts plaintext);
   // the codec wraps them here so corruption happens before encoding.
   cluster_.register_handler(id_, kGetModel, [this](const net::Request& req) {
@@ -54,18 +58,7 @@ void Server::rejoin() {
     arg_cache_.clear();
     gossip_residual_.clear();
   }
-  cluster_.register_handler(id_, kGetModel, [this](const net::Request& req) {
-    return encode_result(serve_model(req), /*state_class=*/true);
-  });
-  cluster_.register_handler(id_, kGetAggrGrad,
-                            [this](const net::Request& req) {
-                              return encode_result(serve_aggr_grad(req),
-                                                   /*state_class=*/false);
-                            });
-  cluster_.register_handler(id_, kGetCheckpoint,
-                            [this](const net::Request& req) {
-                              return serve_checkpoint(req);
-                            });
+  register_handlers();
 }
 
 net::PayloadPtr Server::snapshot() const {
@@ -128,56 +121,47 @@ net::HandlerResult Server::encode_result(net::HandlerResult r,
   return net::HandlerResult::reply(encoded);
 }
 
-std::vector<net::Payload> Server::validate(std::vector<net::Reply> replies) {
-  std::vector<net::Payload> out;
+std::vector<net::PayloadPtr> Server::validate(
+    std::vector<net::Reply> replies) {
+  std::vector<net::PayloadPtr> out;
   out.reserve(replies.size());
   const std::size_t d = model_->dimension();
   for (net::Reply& r : replies) {
-    if (!r.payload) {
-      rejected_.fetch_add(1);
-      continue;
-    }
-    // The aggregation kernels consume contiguous owned vectors; this is
-    // the single ingress copy of the whole pull path (the wire, the
-    // collector and the callee's serving side are all refcounted views).
-    // Encoded frames are expanded here; a frame failing the structural
-    // gate — or a decoded/plain payload failing the dimension/finiteness
-    // gate — is Byzantine garbage, dropped and counted.
-    net::Payload dense;
-    if (net::Codec::looks_encoded(*r.payload)) {
+    // An encoded frame is expanded here, and its decoded vector replaces
+    // it. A frame failing the structural gate, or a payload failing the
+    // dimension/finiteness gate, is Byzantine garbage: dropped and
+    // counted. A plain payload that passes is the one the callee served.
+    if (r.payload && net::Codec::looks_encoded(*r.payload)) {
       std::optional<net::Payload> decoded = codec_.decode(*r.payload, d);
-      if (!decoded) {
-        rejected_.fetch_add(1);
-        continue;
-      }
-      dense = std::move(*decoded);
-    } else {
-      dense = *r.payload;
+      r.payload = decoded ? std::make_shared<const net::Payload>(
+                                std::move(*decoded))
+                          : nullptr;
     }
-    if (dense.size() != d || !tensor::all_finite(dense)) {
+    if (!r.payload || r.payload->size() != d ||
+        !tensor::all_finite(*r.payload)) {
       rejected_.fetch_add(1);
       continue;
     }
-    out.push_back(std::move(dense));
+    out.push_back(std::move(r.payload));
   }
   return out;
 }
 
-std::vector<net::Payload> Server::get_gradients(std::uint64_t t,
-                                                std::size_t q) {
+std::vector<net::PayloadPtr> Server::get_gradients(std::uint64_t t,
+                                                   std::size_t q) {
   return validate(cluster_.collect(id_, workers_, kGetGradient, t,
                                    encoded_snapshot(workers_.size()), q));
 }
 
-std::vector<net::Payload> Server::get_models(std::uint64_t t,
-                                             std::size_t q) {
+std::vector<net::PayloadPtr> Server::get_models(std::uint64_t t,
+                                                std::size_t q) {
   return validate(
       cluster_.collect(id_, peer_servers_, kGetModel, t, nullptr, q));
 }
 
-std::vector<net::Payload> Server::get_aggr_grads(std::uint64_t tag,
-                                                 std::size_t q,
-                                                 std::uint64_t iteration) {
+std::vector<net::PayloadPtr> Server::get_aggr_grads(std::uint64_t tag,
+                                                    std::size_t q,
+                                                    std::uint64_t iteration) {
   return validate(cluster_.collect(id_, peer_servers_, kGetAggrGrad, tag,
                                    nullptr, q,
                                    std::chrono::seconds(30), iteration));
@@ -239,10 +223,10 @@ void Server::update_model(const net::Payload& aggregated_gradient) {
   ++step_;
 }
 
-void Server::write_model(const net::Payload& parameters) {
+void Server::write_model(net::Payload parameters) {
   util::MutexLock lock(mutex_);
   assert(parameters.size() == params_->size());
-  params_ = std::make_shared<const net::Payload>(parameters);
+  params_ = std::make_shared<const net::Payload>(std::move(parameters));
 }
 
 double Server::compute_accuracy(const data::Batch& test) {

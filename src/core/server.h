@@ -11,10 +11,12 @@
 // decentralized convergence step) and compute_accuracy().
 //
 // State is held as an immutable copy-on-write snapshot
-// (std::shared_ptr<const Payload>): update_model / write_model build a new
-// vector and swap the pointer, so serve_model and get_gradients hand out
-// refcounted pointers instead of locking and copying — one snapshot serves
-// every concurrent requester for free.
+// (std::shared_ptr<const Payload>): update_model builds a new vector and
+// write_model takes one, then each swaps the pointer, so serve_model and
+// get_gradients hand out refcounted pointers instead of locking and
+// copying — one snapshot serves every concurrent requester for free. The
+// pulls return such pointers too: a GAR reads the payloads a callee served
+// in place.
 //
 // Synchronous model exchanges (MSMW, decentralized) run in *step-tagged*
 // mode: the driving loop publishes its snapshot for iteration t
@@ -71,21 +73,23 @@ class Server {
 
   /// Pull gradients for iteration t from the workers; fastest q win. The
   /// request argument is this server's current snapshot pointer (no copy).
-  [[nodiscard]] std::vector<net::Payload> get_gradients(std::uint64_t t,
-                                                        std::size_t q);
+  /// Like every pull, it returns the replies that pass validate(): the
+  /// payloads the callees served, not copies, ready to be a GAR's rows.
+  [[nodiscard]] std::vector<net::PayloadPtr> get_gradients(std::uint64_t t,
+                                                           std::size_t q);
 
   /// Pull models from the peer server replicas; fastest q win. `t` tags
   /// the pulled iteration for step-tagged peers; untagged peers serve
   /// their live state regardless.
-  [[nodiscard]] std::vector<net::Payload> get_models(std::uint64_t t,
-                                                     std::size_t q);
+  [[nodiscard]] std::vector<net::PayloadPtr> get_models(std::uint64_t t,
+                                                        std::size_t q);
 
   /// Pull contracted gradients from peers (decentralized contract()
   /// round). `tag` is the encoded (iteration, round) gossip tag;
   /// `iteration` is the training iteration it encodes, which drives the
   /// NetworkConditions straggler/partition schedules (the tag itself
   /// would race ahead of them by the contraction depth).
-  [[nodiscard]] std::vector<net::Payload> get_aggr_grads(
+  [[nodiscard]] std::vector<net::PayloadPtr> get_aggr_grads(
       std::uint64_t tag, std::size_t q, std::uint64_t iteration);
 
   /// Install the deployment's wire codec (net/codec.h). Call once at
@@ -121,8 +125,9 @@ class Server {
   /// SGD step with an aggregated gradient (Equation (2)).
   void update_model(const net::Payload& aggregated_gradient);
 
-  /// Overwrite the parameter vector (after model-GAR aggregation).
-  void write_model(const net::Payload& parameters);
+  /// Overwrite the parameter vector (after model-GAR aggregation); the
+  /// vector becomes the new snapshot without a copy.
+  void write_model(net::Payload parameters);
 
   /// Top-1 accuracy of the current state on a test batch.
   [[nodiscard]] double compute_accuracy(const data::Batch& test);
@@ -131,6 +136,9 @@ class Server {
 
   /// Copy of the current parameter vector.
   [[nodiscard]] net::Payload parameters() const;
+
+  /// Current snapshot pointer (refcount bump, no copy).
+  [[nodiscard]] net::PayloadPtr snapshot() const;
 
   /// Snapshot of the optimizer's momentum buffer (persisted in checkpoints;
   /// empty when momentum is off or no step has run yet).
@@ -183,9 +191,6 @@ class Server {
   [[nodiscard]] virtual net::HandlerResult serve_checkpoint(
       const net::Request& req);
 
-  /// Current snapshot pointer (refcount bump, no copy).
-  [[nodiscard]] net::PayloadPtr snapshot() const;
-
   /// Consistent (parameters, velocity, step) triple under one lock hold —
   /// what serve_checkpoint seals into its blob.
   [[nodiscard]] Checkpoint current_checkpoint() const;
@@ -198,10 +203,16 @@ class Server {
     net::PayloadPtr payload;
   };
 
-  /// Keep only well-formed payloads; counts the dropped ones. Encoded
-  /// codec frames are decoded first — a frame that fails the structural
-  /// gate is dropped exactly like a non-finite plain payload.
-  [[nodiscard]] std::vector<net::Payload> validate(
+  /// (Re-)register the get_model / get_aggr_grad / get_checkpoint
+  /// handlers (construction and rejoin()).
+  void register_handlers();
+
+  /// Keep only well-formed payloads, returned as the pointers that
+  /// arrived; counts the dropped ones. Encoded codec frames are decoded
+  /// first and the decoded vector replaces the frame — a frame that fails
+  /// the structural gate is dropped exactly like a non-finite plain
+  /// payload.
+  [[nodiscard]] std::vector<net::PayloadPtr> validate(
       std::vector<net::Reply> replies);
 
   /// One cached wire encoding, keyed on the source payload's identity.

@@ -34,18 +34,28 @@ using detail::Runtime;
 using net::Payload;
 using tensor::Rng;
 
-/// Aggregate with the stage's rule sized to the actual reply count.
+/// Aggregate with the stage's rule sized to the actual row count.
 /// Garfield builds the rule per call because asynchronous collection can
 /// legally return any q in [n-f, n]; the rule object is a few words, while
 /// all heavy scratch (distance matrix, work vectors) lives in the caller's
 /// AggregationContext and is reused across iterations.
-Payload aggregate(const Stage& stage, const std::vector<Payload>& inputs,
+Payload aggregate(const Stage& stage, gars::Rows rows,
                   gars::AggregationContext& ctx) {
-  assert(!inputs.empty());
-  const gars::GarPtr gar = gars::make_gar(stage.spec, inputs.size(), stage.f);
+  assert(!rows.empty());
+  const gars::GarPtr gar = gars::make_gar(stage.spec, rows.size(), stage.f);
   Payload out;
-  gar->aggregate_into(inputs, ctx, out);
+  gar->aggregate_into(rows, ctx, out);
   return out;
+}
+
+/// A stage's rows: views of the pulled payloads, which the caller keeps
+/// alive through the aggregation. A node's own contribution, when the
+/// stage has one, is pushed after them.
+std::vector<gars::Row>& rows_of(const std::vector<net::PayloadPtr>& pulled,
+                                std::vector<gars::Row>& rows) {
+  rows.clear();
+  for (const net::PayloadPtr& p : pulled) rows.emplace_back(*p);
+  return rows;
 }
 
 /// Per-rank attack specs for a Byzantine cohort: expand the configured plan
@@ -92,7 +102,7 @@ bool recover_from_peers(Runtime& rt, Server& server, net::NodeId self,
   std::vector<net::Reply> replies = rt.cluster->collect(
       self, live, kGetCheckpoint, iteration, nullptr, live.size(),
       std::chrono::seconds(10));
-  const std::size_t dimension = server.parameters().size();
+  const std::size_t dimension = server.dimension();
   std::optional<Checkpoint> best;
   net::NodeId best_from = 0;
   for (net::Reply& r : replies) {
@@ -120,7 +130,7 @@ bool recover_from_peers(Runtime& rt, Server& server, net::NodeId self,
     }
   }
   if (!best) return false;
-  server.write_model(best->parameters);
+  server.write_model(std::move(best->parameters));
   if (!best->velocity.empty()) {
     server.restore_optimizer_velocity(best->velocity);
   }
@@ -450,6 +460,7 @@ void run_loop(Runtime& rt, std::size_t s) {
   Server& server = *rt.servers[s];
   const bool reporter = s == rt.reporter;
   gars::AggregationContext& ctx = server.aggregation_context();
+  std::vector<gars::Row> rows;  // reused by every stage of every iteration
   // Gossip tags encode (iteration, contraction round) in one integer so
   // both the publisher and the puller of a contract() round agree on what
   // "round r of iteration t" means.
@@ -464,23 +475,23 @@ void run_loop(Runtime& rt, std::size_t s) {
     if (!churn_floor_holds(rt, plan.grad, it) ||
         (plan.model && !churn_floor_holds(rt, *plan.model, it)))
       return;
-    const std::vector<Payload> grads =
+    const std::vector<net::PayloadPtr> grads =
         server.get_gradients(it, plan.grad.awaited);
     if (reporter) rt.reporting_gradient_counts.push_back(grads.size());
     std::size_t gossiped = 0;
     if (grads.size() >= plan.grad.min_n) {
-      Payload aggr = aggregate(plan.grad, grads, ctx);
+      Payload aggr = aggregate(plan.grad, rows_of(grads, rows), ctx);
       // contract(): multi-round gossip forcing correct nodes together.
       // Listing 3 enables it for non-iid data; it is keyed on the step
       // count here so the ablation can isolate its effect.
       while (gossiped < plan.gossip_rounds) {
         const std::uint64_t tag = gossip_tag(it, gossiped++);
         server.publish_aggr_grad(tag, aggr);
-        std::vector<Payload> peer_grads =
+        const std::vector<net::PayloadPtr> peer_grads =
             server.get_aggr_grads(tag, plan.grad.awaited - 1, it);
-        peer_grads.push_back(aggr);
-        if (peer_grads.size() < plan.grad.min_n) break;
-        aggr = aggregate(plan.grad, peer_grads, ctx);
+        rows_of(peer_grads, rows).emplace_back(aggr);
+        if (rows.size() < plan.grad.min_n) break;
+        aggr = aggregate(plan.grad, rows, ctx);
       }
       server.update_model(aggr);
     }
@@ -495,11 +506,12 @@ void run_loop(Runtime& rt, std::size_t s) {
       // answers not-ready and the pull parks until its publication — no
       // loop thread ever blocks on a slow replica.
       server.publish_model(it);
-      std::vector<Payload> models =
+      const std::vector<net::PayloadPtr> models =
           server.get_models(it, plan.model->awaited);
-      models.push_back(server.parameters());
-      if (models.size() >= plan.model->min_n) {
-        server.write_model(aggregate(*plan.model, models, ctx));
+      const net::PayloadPtr own = server.snapshot();
+      rows_of(models, rows).emplace_back(*own);
+      if (rows.size() >= plan.model->min_n) {
+        server.write_model(aggregate(*plan.model, rows, ctx));
       }
     }
     if (reporter) {

@@ -77,10 +77,14 @@ Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
       sampler_(shard_, batch_size, rng_.fork(0xb0)),
       probe_sampler_(shard_, batch_size, rng_.fork(0xb1)),
       momentum_(momentum) {
-  cluster.register_handler(id_, kGetGradient,
-                           [this](const net::Request& req) {
-                             return serve_gradient(req);
-                           });
+  register_handlers();
+}
+
+void Worker::register_handlers() {
+  cluster_.register_handler(id_, kGetGradient,
+                            [this](const net::Request& req) {
+                              return serve_gradient(req);
+                            });
 }
 
 void Worker::rejoin() {
@@ -98,10 +102,7 @@ void Worker::rejoin() {
     velocity_pre_.clear();
     velocity_iteration_ = std::uint64_t(-1);
   }
-  cluster_.register_handler(id_, kGetGradient,
-                            [this](const net::Request& req) {
-                              return serve_gradient(req);
-                            });
+  register_handlers();
 }
 
 Worker::ServedGradient Worker::compute_locked(const net::Request& req) {

@@ -155,6 +155,9 @@ class Worker {
     double loss = 0.0;
   };
 
+  /// (Re-)register the get_gradient handler (construction and rejoin()).
+  void register_handlers();
+
   /// Forward/backward at the request's parameters on its iteration's
   /// batch, with worker momentum folded in.
   [[nodiscard]] ServedGradient compute_locked(const net::Request& req)

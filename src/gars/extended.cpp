@@ -80,8 +80,7 @@ GeometricMedian::GeometricMedian(std::size_t n, std::size_t f,
           "geometric_median: smoothing must be finite and > 0");
 }
 
-void GeometricMedian::do_aggregate(std::span<const FlatVector> inputs,
-                                   AggregationContext& ctx,
+void GeometricMedian::do_aggregate(Rows inputs, AggregationContext& ctx,
                                    FlatVector& out) const {
   const std::size_t d = inputs.front().size();
   // Start from the coordinate-wise mean and run Weiszfeld updates:
@@ -94,7 +93,7 @@ void GeometricMedian::do_aggregate(std::span<const FlatVector> inputs,
     double weight_sum = 0.0;
     std::fill(next.begin(), next.end(), 0.0F);
     bool on_point = false;
-    for (const FlatVector& x : inputs) {
+    for (const Row x : inputs) {
       const double dist = std::sqrt(tensor::squared_distance(x, out));
       if (dist < options_.smoothing) {
         // Weiszfeld is undefined exactly on an input; that input is
@@ -127,15 +126,14 @@ CenteredClip::CenteredClip(std::size_t n, std::size_t f, Options options)
           "centered_clip: tau must be finite and >= 0 (0 = auto)");
 }
 
-void CenteredClip::do_aggregate(std::span<const FlatVector> inputs,
-                                AggregationContext& ctx,
+void CenteredClip::do_aggregate(Rows inputs, AggregationContext& ctx,
                                 FlatVector& out) const {
   const std::size_t n = inputs.size();
   const std::size_t d = inputs.front().size();
-  // Robust starting point: coordinate-wise-median-free — use the input
-  // closest to the mean? The standard recipe starts from the previous
-  // round's momentum; stateless here, we start from the mean (built in
-  // `out`) and rely on clipping to pull Byzantine leverage down.
+  // Start from the mean (built in `out`). Karimireddy et al. start from the
+  // previous round's aggregated momentum, which a stateless rule does not
+  // have. The mean can sit far from the honest cloud, but each clipped
+  // round caps a Byzantine input's pull at tau/n, so the rounds walk it back.
   tensor::mean_into(inputs, out);
 
   FlatVector& shift = ctx.vector_scratch(0, d);
@@ -154,7 +152,7 @@ void CenteredClip::do_aggregate(std::span<const FlatVector> inputs,
     }
     // center += (1/n) sum_i clip(x_i - center, tau)
     std::fill(shift.begin(), shift.end(), 0.0F);
-    for (const FlatVector& x : inputs) {
+    for (const Row x : inputs) {
       const double dist = std::sqrt(tensor::squared_distance(x, out));
       const double lambda = dist > tau ? tau / dist : 1.0;
       for (std::size_t j = 0; j < d; ++j) {
@@ -178,8 +176,8 @@ Cge::Cge(std::size_t n, std::size_t f, std::size_t keep)
               " for n=" + std::to_string(n) + ")");
 }
 
-void Cge::do_aggregate(std::span<const FlatVector> inputs,
-                       AggregationContext& ctx, FlatVector& out) const {
+void Cge::do_aggregate(Rows inputs, AggregationContext& ctx,
+                       FlatVector& out) const {
   const std::size_t n = inputs.size();
   std::vector<std::size_t>& order = ctx.index_scratch(n);
   std::iota(order.begin(), order.end(), std::size_t(0));

@@ -17,7 +17,7 @@ namespace garfield::gars {
 
 using tensor::parallel_for;
 
-void Gar::check_inputs(std::span<const FlatVector> inputs) const {
+void Gar::check_inputs(Rows inputs) const {
   if (inputs.size() != n_) {
     throw std::invalid_argument(name() + ": expected " + std::to_string(n_) +
                                 " inputs, got " +
@@ -25,25 +25,18 @@ void Gar::check_inputs(std::span<const FlatVector> inputs) const {
   }
   const std::size_t d = inputs.front().size();
   if (d == 0) throw std::invalid_argument(name() + ": empty input vectors");
-  for (const FlatVector& v : inputs) {
+  for (const Row v : inputs) {
     if (v.size() != d) {
       throw std::invalid_argument(name() + ": ragged input dimensions");
     }
   }
 }
 
-void Gar::aggregate_into(std::span<const FlatVector> inputs,
-                         AggregationContext& ctx, FlatVector& out) const {
+void Gar::aggregate_into(Rows inputs, AggregationContext& ctx,
+                         FlatVector& out) const {
   check_inputs(inputs);
   out.resize(inputs.front().size());
   do_aggregate(inputs, ctx, out);
-}
-
-FlatVector Gar::aggregate(std::span<const FlatVector> inputs) const {
-  AggregationContext ctx;
-  FlatVector out;
-  aggregate_into(inputs, ctx, out);
-  return out;
 }
 
 namespace {
@@ -56,7 +49,7 @@ void require(bool cond, const std::string& message) {
 
 // ---------------------------------------------------------- DistanceCache
 
-void DistanceCache::reset(std::span<const FlatVector> inputs) {
+void DistanceCache::reset(Rows inputs) {
   n_ = inputs.size();
   active_count_ = n_;
   matrix_.assign(n_ * n_, 0.0);
@@ -174,8 +167,8 @@ Average::Average(std::size_t n, std::size_t f) : Gar(n, f) {
           "average: needs at least f+1 inputs");
 }
 
-void Average::do_aggregate(std::span<const FlatVector> inputs,
-                           AggregationContext&, FlatVector& out) const {
+void Average::do_aggregate(Rows inputs, AggregationContext&,
+                           FlatVector& out) const {
   tensor::mean_into(inputs, out);
 }
 
@@ -244,8 +237,8 @@ Median::Median(std::size_t n, std::size_t f)
               ", f=" + std::to_string(f) + ")");
 }
 
-void Median::do_aggregate(std::span<const FlatVector> inputs,
-                          AggregationContext&, FlatVector& out) const {
+void Median::do_aggregate(Rows inputs, AggregationContext&,
+                          FlatVector& out) const {
   const std::size_t n = inputs.size();
   const std::size_t d = inputs.front().size();
   if (n == 1) {
@@ -315,8 +308,8 @@ TrimmedMean::TrimmedMean(std::size_t n, std::size_t f, std::size_t trim)
               ")");
 }
 
-void TrimmedMean::do_aggregate(std::span<const FlatVector> inputs,
-                               AggregationContext&, FlatVector& out) const {
+void TrimmedMean::do_aggregate(Rows inputs, AggregationContext&,
+                               FlatVector& out) const {
   const std::size_t n = inputs.size();
   const std::size_t d = inputs.front().size();
   const std::size_t keep = n - 2 * trim_;
@@ -341,53 +334,12 @@ Krum::Krum(std::size_t n, std::size_t f) : Gar(n, f) {
               ", f=" + std::to_string(f) + ")");
 }
 
-void Krum::scores_from_cache(const DistanceCache& cache,
-                             std::vector<double>& out) const {
-  const std::size_t q = cache.size();
-  assert(q >= 3 && cache.active_count() == q);
-  // Sum of distances to the q-f-2 closest neighbours (at least one).
-  const std::size_t neighbours = q > f_ + 2 ? q - f_ - 2 : std::size_t(1);
-  out.assign(q, 0.0);
-  std::vector<double> row(q - 1);
-  for (std::size_t i = 0; i < q; ++i) {
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < q; ++j) {
-      if (j != i) row[k++] = cache.squared_distance(i, j);
-    }
-    std::partial_sort(row.begin(), row.begin() + long(neighbours), row.end());
-    double acc = 0.0;
-    for (std::size_t m = 0; m < neighbours; ++m) acc += row[m];
-    out[i] = acc;
-  }
-}
-
-void Krum::selection_order_cached(const DistanceCache& cache,
-                                  std::span<const FlatVector> inputs,
-                                  std::vector<double>& scores,
-                                  std::vector<std::size_t>& order) const {
-  scores_from_cache(cache, scores);
-  order.resize(inputs.size());
-  std::iota(order.begin(), order.end(), std::size_t(0));
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (scores[a] != scores[b]) return scores[a] < scores[b];
-    return std::lexicographical_compare(inputs[a].begin(), inputs[a].end(),
-                                        inputs[b].begin(), inputs[b].end());
-  });
-}
-
-std::size_t Krum::select(std::span<const FlatVector> inputs) const {
-  const DistanceCache cache(inputs);
-  return select_cached(cache, inputs);
-}
-
-std::size_t Krum::select_cached(const DistanceCache& cache,
-                                std::span<const FlatVector> inputs) const {
-  assert(cache.size() == inputs.size());
+void Krum::scores_cached(const DistanceCache& cache,
+                         std::vector<double>& scores) const {
   const std::size_t q = cache.active_count();
   assert(q >= 3);
   const std::size_t neighbours = q > f_ + 2 ? q - f_ - 2 : std::size_t(1);
-  double best_score = std::numeric_limits<double>::infinity();
-  std::size_t best = cache.size();
+  scores.resize(cache.size());
   std::vector<double> row;
   row.reserve(q - 1);
   for (std::size_t i = 0; i < cache.size(); ++i) {
@@ -401,14 +353,41 @@ std::size_t Krum::select_cached(const DistanceCache& cache,
     std::partial_sort(row.begin(), row.begin() + long(neighbours), row.end());
     double score = 0.0;
     for (std::size_t m = 0; m < neighbours; ++m) score += row[m];
+    scores[i] = score;
+  }
+}
+
+void Krum::selection_order_cached(const DistanceCache& cache, Rows inputs,
+                                  std::vector<double>& scores,
+                                  std::vector<std::size_t>& order) const {
+  assert(cache.active_count() == inputs.size());
+  scores_cached(cache, scores);
+  order.resize(inputs.size());
+  std::iota(order.begin(), order.end(), std::size_t(0));
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (scores[a] != scores[b]) return scores[a] < scores[b];
+    return std::lexicographical_compare(inputs[a].begin(), inputs[a].end(),
+                                        inputs[b].begin(), inputs[b].end());
+  });
+}
+
+std::size_t Krum::select_cached(const DistanceCache& cache,
+                                Rows inputs) const {
+  assert(cache.size() == inputs.size());
+  std::vector<double> scores;
+  scores_cached(cache, scores);
+  double best_score = std::numeric_limits<double>::infinity();
+  std::size_t best = cache.size();
+  for (std::size_t i = 0; i < cache.size(); ++i) {
+    if (!cache.is_active(i)) continue;
     const bool better =
-        score < best_score ||
-        (score == best_score && best < cache.size() &&
+        scores[i] < best_score ||
+        (scores[i] == best_score && best < cache.size() &&
          std::lexicographical_compare(inputs[i].begin(), inputs[i].end(),
                                       inputs[best].begin(),
                                       inputs[best].end()));
     if (better) {
-      best_score = score;
+      best_score = scores[i];
       best = i;
     }
   }
@@ -416,10 +395,10 @@ std::size_t Krum::select_cached(const DistanceCache& cache,
   return best;
 }
 
-void Krum::do_aggregate(std::span<const FlatVector> inputs,
-                        AggregationContext& ctx, FlatVector& out) const {
+void Krum::do_aggregate(Rows inputs, AggregationContext& ctx,
+                        FlatVector& out) const {
   const DistanceCache& cache = ctx.distance_cache(inputs);
-  const FlatVector& winner = inputs[select_cached(cache, inputs)];
+  const Row winner = inputs[select_cached(cache, inputs)];
   std::copy(winner.begin(), winner.end(), out.begin());
 }
 
@@ -436,8 +415,8 @@ MultiKrum::MultiKrum(std::size_t n, std::size_t f, std::size_t m)
               std::to_string(max_m) + "] (got " + std::to_string(m_) + ")");
 }
 
-void MultiKrum::do_aggregate(std::span<const FlatVector> inputs,
-                             AggregationContext& ctx, FlatVector& out) const {
+void MultiKrum::do_aggregate(Rows inputs, AggregationContext& ctx,
+                             FlatVector& out) const {
   const DistanceCache& cache = ctx.distance_cache(inputs);
   std::vector<double>& scores = ctx.score_scratch(inputs.size());
   std::vector<std::size_t>& order = ctx.index_scratch(inputs.size());
@@ -454,8 +433,8 @@ Mda::Mda(std::size_t n, std::size_t f) : Gar(n, f) {
   require(n >= 2 * f + 1, "mda: requires n >= 2f+1");
 }
 
-void Mda::do_aggregate(std::span<const FlatVector> inputs,
-                       AggregationContext& ctx, FlatVector& out) const {
+void Mda::do_aggregate(Rows inputs, AggregationContext& ctx,
+                       FlatVector& out) const {
   const std::size_t n = inputs.size();
   const std::size_t keep = n - f_;
   const DistanceCache& cache = ctx.distance_cache(inputs);
@@ -501,8 +480,8 @@ Bulyan::Bulyan(std::size_t n, std::size_t f) : Gar(n, f) {
               ", f=" + std::to_string(f) + ")");
 }
 
-void Bulyan::do_aggregate(std::span<const FlatVector> inputs,
-                          AggregationContext& ctx, FlatVector& out) const {
+void Bulyan::do_aggregate(Rows inputs, AggregationContext& ctx,
+                          FlatVector& out) const {
   const std::size_t n = inputs.size();
   const std::size_t d = inputs.front().size();
   const std::size_t theta = n - 2 * f_;     // selection-set size

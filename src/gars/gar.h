@@ -3,23 +3,23 @@
 // A GAR is a function (R^d)^q -> R^d aggregating q gradient (or model)
 // vectors, of which up to f may be Byzantine. Garfield mirrors the paper's
 // two-call interface: make_gar(spec, n, f) is init(), aggregation is
-// aggregate(). Each rule validates its resilience precondition (the
+// aggregate_into(). Each rule validates its resilience precondition (the
 // inequality relating q and f) at construction.
 //
-// The primary aggregation entry point is
+// The one aggregation entry point is
 //
-//   gar->aggregate_into(inputs, ctx, out);
+//   gar->aggregate_into(rows, ctx, out);
 //
-// where `ctx` is a caller-owned AggregationContext holding every scratch
+// where `rows` (Rows) are borrowed views of the q input vectors: a server
+// hands its GARs the pulled payloads themselves, with no copy. Rows
+// borrow, so the caller keeps every payload they view alive until the call
+// returns. `ctx` is a caller-owned AggregationContext holding every scratch
 // buffer a rule needs (distance matrix, score/index arrays, work vectors).
 // Reusing one context across iterations makes steady-state aggregation
 // allocation-free on the O(d) and O(n^2) paths — the §4.4 caching story
-// generalized to all rule scratch state. The classic
-//
-//   FlatVector out = gar->aggregate(inputs);
-//
-// remains as a compatibility wrapper that builds a throwaway context per
-// call; migrate hot paths to aggregate_into.
+// generalized to all rule scratch state. A caller holding owned vectors
+// (std::vector<FlatVector>) passes them as they are: the context views
+// them as rows in a scratch it reuses, and the same kernel runs.
 //
 // Rule construction goes through the GarRegistry (gars/registry.h):
 // make_gar accepts either a bare rule name ("krum") or a spec string with
@@ -40,6 +40,11 @@ namespace garfield::gars {
 
 using tensor::FlatVector;
 
+/// One aggregation input: a borrowed view of a d-float vector.
+using Row = std::span<const float>;
+/// The q inputs of one aggregation call.
+using Rows = std::span<const Row>;
+
 /// Cache of pairwise squared distances over a fixed input set, with O(1)
 /// logical removal and an O(1) maintained active count. §4.4: "aggregating
 /// gradients may require multiple iterations, calculating some
@@ -52,14 +57,9 @@ using tensor::FlatVector;
 /// across aggregation calls.
 class DistanceCache {
  public:
-  DistanceCache() = default;
-  explicit DistanceCache(std::span<const FlatVector> inputs) {
-    reset(inputs);
-  }
-
   /// Recompute the matrix for a new input set, reusing storage. All inputs
   /// become active again.
-  void reset(std::span<const FlatVector> inputs);
+  void reset(Rows inputs);
 
   [[nodiscard]] double squared_distance(std::size_t i, std::size_t j) const {
     assert(i < n_ && j < n_);
@@ -102,10 +102,17 @@ class AggregationContext {
   AggregationContext& operator=(const AggregationContext&) = delete;
 
   /// Pairwise distances for `inputs`, recomputed in place on each call.
-  [[nodiscard]] DistanceCache& distance_cache(
-      std::span<const FlatVector> inputs) {
+  [[nodiscard]] DistanceCache& distance_cache(Rows inputs) {
     cache_.reset(inputs);
     return cache_;
+  }
+
+  /// Rows viewing `vectors`, in a scratch reused across calls: what the
+  /// owned-vector form of Gar::aggregate_into aggregates. Valid until the
+  /// next rows_of call.
+  [[nodiscard]] Rows rows_of(std::span<const FlatVector> vectors) {
+    rows_.assign(vectors.begin(), vectors.end());
+    return rows_;
   }
 
   /// Slot-indexed d-element work vector (contents unspecified). Slots let
@@ -139,6 +146,7 @@ class AggregationContext {
 
  private:
   DistanceCache cache_;
+  std::vector<Row> rows_;
   std::vector<FlatVector> vectors_;
   std::vector<double> scores_;
   std::vector<std::size_t> indices_;
@@ -153,17 +161,19 @@ class Gar {
   Gar(const Gar&) = delete;
   Gar& operator=(const Gar&) = delete;
 
-  /// Primary entry point: aggregate exactly n() vectors of equal dimension
-  /// into `out` (resized to d), drawing all scratch from `ctx`. `out` must
-  /// not alias any input or a ctx buffer.
-  void aggregate_into(std::span<const FlatVector> inputs,
-                      AggregationContext& ctx, FlatVector& out) const;
+  /// The one entry point: aggregate exactly n() rows of equal dimension
+  /// into `out` (resized to d), drawing all scratch from `ctx`. The rows
+  /// borrow: the caller keeps what they view alive until the call returns.
+  /// `out` must not alias any row or a ctx buffer.
+  void aggregate_into(Rows inputs, AggregationContext& ctx,
+                      FlatVector& out) const;
 
-  /// Compatibility wrapper around aggregate_into: builds a throwaway
-  /// context (and therefore allocates) per call. Fine for tests and cold
-  /// paths; hot loops should hold an AggregationContext and use
-  /// aggregate_into.
-  [[nodiscard]] FlatVector aggregate(std::span<const FlatVector> inputs) const;
+  /// The same call over owned vectors: `ctx` views them as rows in a
+  /// scratch it reuses, then the same kernel runs.
+  void aggregate_into(std::span<const FlatVector> inputs,
+                      AggregationContext& ctx, FlatVector& out) const {
+    aggregate_into(ctx.rows_of(inputs), ctx, out);
+  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -174,11 +184,11 @@ class Gar {
   Gar(std::size_t n, std::size_t f) : n_(n), f_(f) {}
 
   /// Rule kernel: inputs are validated and `out` is sized to d already.
-  virtual void do_aggregate(std::span<const FlatVector> inputs,
-                            AggregationContext& ctx, FlatVector& out) const = 0;
+  virtual void do_aggregate(Rows inputs, AggregationContext& ctx,
+                            FlatVector& out) const = 0;
 
   /// Throws std::invalid_argument unless sizes match (n inputs, equal d>0).
-  void check_inputs(std::span<const FlatVector> inputs) const;
+  void check_inputs(Rows inputs) const;
 
   std::size_t n_;
   std::size_t f_;
@@ -218,8 +228,8 @@ class Average final : public Gar {
   [[nodiscard]] std::string name() const override { return "average"; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 };
 
 /// Coordinate-wise median [Xie et al.]. Requires n >= 2f+1.
@@ -243,8 +253,8 @@ class Median final : public Gar {
   [[nodiscard]] std::string name() const override { return "median"; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
  private:
   /// Compare-exchanges (lower index, higher index), in order.
@@ -262,8 +272,8 @@ class TrimmedMean final : public Gar {
   [[nodiscard]] std::size_t trim() const { return trim_; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
  private:
   std::size_t trim_;
@@ -277,32 +287,30 @@ class Krum : public Gar {
   Krum(std::size_t n, std::size_t f);
   [[nodiscard]] std::string name() const override { return "krum"; }
 
-  /// Index of the Krum-selected vector (exposed for Bulyan and tests).
-  /// Builds a throwaway distance cache; hot paths use select_cached.
-  [[nodiscard]] std::size_t select(std::span<const FlatVector> inputs) const;
-
-  /// Krum selection over the active subset of a distance cache — the
-  /// O(q^2) re-scoring path used by Bulyan's iterations, with no O(d) work.
+  /// Index of the Krum-selected input among the active subset of a
+  /// distance cache of `inputs` — also the O(q^2) re-scoring path of
+  /// Bulyan's iterations, with no O(d) work. Score ties break on the rows'
+  /// lexicographic order, then on the lowest index.
   [[nodiscard]] std::size_t select_cached(const DistanceCache& cache,
-                                          std::span<const FlatVector> inputs)
-      const;
+                                          Rows inputs) const;
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
-  /// Krum scores for the full (all-active) cache into `out`, with the
-  /// neighbourhood size q-f-2 (clamped to >= 1).
-  void scores_from_cache(const DistanceCache& cache,
-                         std::vector<double>& out) const;
+  /// The Krum score of every active input into `scores` (sized to the
+  /// cache; inactive entries unspecified): its sum of squared distances to
+  /// its q-f-2 nearest active neighbours, q being the active count (at
+  /// least one neighbour).
+  void scores_cached(const DistanceCache& cache,
+                     std::vector<double>& scores) const;
 
-  /// Input indices ordered by ascending score into `order`. Exact score
-  /// ties are real (mutual nearest neighbours score identically), so ties
-  /// break on the vectors' lexicographic order — this keeps aggregation
-  /// invariant to reply-arrival order, which is adversarial under
-  /// asynchrony.
-  void selection_order_cached(const DistanceCache& cache,
-                              std::span<const FlatVector> inputs,
+  /// Indices of an all-active cache ordered by ascending score into
+  /// `order`. Exact score ties are real (mutual nearest neighbours score
+  /// identically), so ties break on the vectors' lexicographic order —
+  /// this keeps aggregation invariant to reply-arrival order, which is
+  /// adversarial under asynchrony.
+  void selection_order_cached(const DistanceCache& cache, Rows inputs,
                               std::vector<double>& scores,
                               std::vector<std::size_t>& order) const;
 };
@@ -318,8 +326,8 @@ class MultiKrum final : public Krum {
   [[nodiscard]] std::size_t m() const { return m_; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
  private:
   std::size_t m_;
@@ -334,8 +342,8 @@ class Mda final : public Gar {
   [[nodiscard]] std::string name() const override { return "mda"; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 };
 
 /// Bulyan [El Mhamdi et al.]: iterate Krum n-2f times to build a selection
@@ -347,8 +355,8 @@ class Bulyan final : public Gar {
   [[nodiscard]] std::string name() const override { return "bulyan"; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 };
 
 // ------------------------------------------------------------------------
@@ -375,8 +383,8 @@ class GeometricMedian final : public Gar {
   }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
  private:
   Options options_;
@@ -400,8 +408,8 @@ class CenteredClip final : public Gar {
   [[nodiscard]] std::string name() const override { return "centered_clip"; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
  private:
   Options options_;
@@ -419,8 +427,8 @@ class Cge final : public Gar {
   [[nodiscard]] std::size_t keep() const { return keep_; }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override;
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override;
 
  private:
   std::size_t keep_;

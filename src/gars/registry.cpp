@@ -23,8 +23,8 @@ class PreClipped final : public Gar {
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
  protected:
-  void do_aggregate(std::span<const FlatVector> inputs,
-                    AggregationContext& ctx, FlatVector& out) const override {
+  void do_aggregate(Rows inputs, AggregationContext& ctx,
+                    FlatVector& out) const override {
     const std::size_t n = inputs.size();
     const std::size_t d = inputs.front().size();
     std::vector<FlatVector>& staged = ctx.input_scratch(n, d);
@@ -39,6 +39,9 @@ class PreClipped final : public Gar {
         std::copy(inputs[i].begin(), inputs[i].end(), staged[i].begin());
       }
     }
+    // The loop above was the last read of `inputs`, which may be the
+    // context's row views of the caller's vectors: only now may the inner
+    // call rebuild those views over the clipped copies.
     inner_->aggregate_into(staged, ctx, out);
   }
 

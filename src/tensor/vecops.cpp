@@ -53,11 +53,12 @@ void add(std::span<const float> a, std::span<const float> b,
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void mean_into(std::span<const FlatVector> inputs, std::span<float> out) {
+void mean_into(std::span<const std::span<const float>> inputs,
+               std::span<float> out) {
   assert(!inputs.empty());
   assert(out.size() == inputs.front().size());
   std::fill(out.begin(), out.end(), 0.0F);
-  for (const FlatVector& v : inputs) {
+  for (const std::span<const float> v : inputs) {
     assert(v.size() == out.size());
     axpy(1.0F, v, out);
   }
@@ -66,8 +67,9 @@ void mean_into(std::span<const FlatVector> inputs, std::span<float> out) {
 
 FlatVector mean(std::span<const FlatVector> inputs) {
   assert(!inputs.empty());
+  const std::vector<std::span<const float>> rows(inputs.begin(), inputs.end());
   FlatVector out(inputs.front().size());
-  mean_into(inputs, out);
+  mean_into(rows, out);
   return out;
 }
 

@@ -39,9 +39,11 @@ void subtract(std::span<const float> a, std::span<const float> b,
 void add(std::span<const float> a, std::span<const float> b,
          std::span<float> out);
 
-/// Arithmetic mean of q equally-sized vectors into a caller-sized `out`
-/// (no allocation). Preconditions: !inputs.empty(), out.size() == d.
-void mean_into(std::span<const FlatVector> inputs, std::span<float> out);
+/// Arithmetic mean of q equally-sized vectors, borrowed as views, into a
+/// caller-sized `out` (no allocation). Preconditions: !inputs.empty(),
+/// out.size() == d.
+void mean_into(std::span<const std::span<const float>> inputs,
+               std::span<float> out);
 
 /// Arithmetic mean of q equally-sized vectors. Precondition: !inputs.empty().
 [[nodiscard]] FlatVector mean(std::span<const FlatVector> inputs);

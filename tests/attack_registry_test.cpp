@@ -298,10 +298,10 @@ TEST(AttackSpecRoundTrip, DecentralizedServerOnlyPlanIsActuallyMounted) {
   // Zero-latency pulls answer in submission order, which always ranks the
   // (last-built) Byzantine peer behind the fastest-q cut; jitter mixes the
   // arrival order so its poisoned model replies actually reach ingress.
-  // The jitter must dominate the transport's not-ready retry backoff
-  // (<= 2ms per redelivery): step-tagged model pulls resolve at
-  // publication time + backoff, and with small jitter that quantization
-  // would park the last-scheduled peer behind the cut every iteration.
+  // The jitter must dominate the skew between the peers' publications: a
+  // step-tagged model pull parks on its peer until that peer publishes
+  // (notify_ready), so with small jitter the last peer to publish would
+  // land behind the cut every iteration.
   cfg.network = "wan:jitter=8ms";
   ASSERT_NO_THROW(cfg.validate());
   const gc::TrainResult result = gc::train(cfg);

@@ -9,11 +9,13 @@
 
 #include "attacks/attack.h"
 #include "gars/gar.h"
+#include "support/test_support.h"
 #include "tensor/vecops.h"
 
 namespace ga = garfield::attacks;
 namespace gg = garfield::gars;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 using gt::FlatVector;
 
@@ -244,7 +246,7 @@ TEST_P(GarVsAttack, AggregateStaysAlignedWithHonestMean) {
   // Dropped vectors never reach the GAR (fastest-q semantics); aggregate
   // whatever arrived.
   gg::GarPtr gar = gg::make_gar(c.gar, delivered.size(), byzantine_count);
-  const FlatVector out = gar->aggregate(delivered);
+  const FlatVector out = ts::aggregate(*gar, delivered);
 
   EXPECT_TRUE(gt::all_finite(out)) << c.gar << " vs " << c.attack;
   EXPECT_GT(gt::cosine(out, honest_mean), 0.5)
@@ -290,5 +292,5 @@ TEST(AverageIsFragile, ReversedAttackFlipsTheMean) {
     delivered.push_back(*attack.craft(inputs[n - 1 - k], ctx));
   }
   gg::GarPtr avg = gg::make_gar("average", delivered.size(), 0);
-  EXPECT_LT(gt::cosine(avg->aggregate(delivered), honest_mean), 0.0);
+  EXPECT_LT(gt::cosine(ts::aggregate(*avg, delivered), honest_mean), 0.0);
 }

@@ -269,10 +269,36 @@ TEST(ServerWorker, GradientPullRoundTrip) {
 
   auto grads = server.get_gradients(0, 2);
   ASSERT_EQ(grads.size(), 2u);
-  EXPECT_EQ(grads[0].size(), dim);
-  EXPECT_EQ(grads[1].size(), dim);
-  EXPECT_TRUE(gt::all_finite(grads[0]));
+  EXPECT_EQ(grads[0]->size(), dim);
+  EXPECT_EQ(grads[1]->size(), dim);
+  EXPECT_TRUE(gt::all_finite(*grads[0]));
   EXPECT_EQ(worker1.gradients_served() + worker2.gradients_served(), 2u);
+}
+
+TEST(ServerWorker, PullHandsTheGarTheServedPayload) {
+  // Ingress copies nothing: what get_gradients returns (and the round loop
+  // hands its GAR as rows) is the very payload the worker served, the one
+  // a direct collect at the same iteration and parameters receives.
+  gn::Cluster::Options opts;
+  opts.nodes = 2;
+  gn::Cluster cluster(opts);
+  gt::Rng rng(5);
+  gt::Rng data_rng(6);
+  gd::Dataset data = gd::make_cluster_dataset({16}, 10, 64, data_rng, 1.0F);
+  gc::Server server(0, cluster, garfield::nn::make_model("tiny_mlp", rng), {},
+                    {1}, {});
+  gt::Rng w1(7);
+  gc::Worker worker(1, cluster, garfield::nn::make_model("tiny_mlp", w1), data,
+                    8, gt::Rng(9));
+
+  const std::vector<gn::PayloadPtr> grads = server.get_gradients(0, 1);
+  ASSERT_EQ(grads.size(), 1u);
+  const std::vector<gn::NodeId> workers{1};
+  const std::vector<gn::Reply> direct = cluster.collect(
+      0, workers, gc::kGetGradient, 0, server.snapshot(), 1);
+  ASSERT_EQ(direct.size(), 1u);
+  EXPECT_EQ(grads[0].get(), direct[0].payload.get());
+  EXPECT_EQ(worker.gradients_computed(), 1u);
 }
 
 TEST(ServerWorker, UpdateModelAppliesSgdStep) {
@@ -318,7 +344,7 @@ TEST(ServerWorker, GetModelsPullsPeerState) {
   s1.write_model(marker);
   auto models = s0.get_models(0, 1);
   ASSERT_EQ(models.size(), 1u);
-  EXPECT_EQ(models[0], marker);
+  EXPECT_EQ(*models[0], marker);
 }
 
 TEST(ServerWorker, ByzantineServerServesCorruptedModel) {
@@ -336,7 +362,7 @@ TEST(ServerWorker, ByzantineServerServesCorruptedModel) {
   byz.write_model(marker);
   auto models = honest.get_models(0, 1);
   ASSERT_EQ(models.size(), 1u);
-  EXPECT_FLOAT_EQ(models[0][0], -100.0F);  // reversed & amplified
+  EXPECT_FLOAT_EQ((*models[0])[0], -100.0F);  // reversed & amplified
 }
 
 TEST(ServerWorker, AggrGradGossip) {
@@ -359,7 +385,7 @@ TEST(ServerWorker, AggrGradGossip) {
   s1.publish_aggr_grad(0, grad);
   auto got = s0.get_aggr_grads(0, 1, 0);
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], grad);
+  EXPECT_EQ(*got[0], grad);
 }
 
 TEST(ServerWorker, IngressValidationRejectsMalformedPayloads) {

@@ -85,17 +85,17 @@ TEST(Determinism, SelectionGarsAreBitwiseInvariantUnderPermutation) {
     const ts::CloudSpec spec{c.n, 24, 0.0F, 1.0F};
     const std::vector<FlatVector> inputs = ts::honest_cloud(spec, rng);
     const gg::GarPtr gar = gg::make_gar(c.gar, c.n, c.f);
-    const FlatVector base = gar->aggregate(inputs);
+    const FlatVector base = ts::aggregate(*gar, inputs);
 
     for (std::uint64_t perm_seed = 1; perm_seed <= 8; ++perm_seed) {
-      const FlatVector out = gar->aggregate(shuffled(inputs, perm_seed));
+      const FlatVector out = ts::aggregate(*gar, shuffled(inputs, perm_seed));
       EXPECT_TRUE(bit_equal(base, out))
           << c.gar << " n=" << c.n << " f=" << c.f
           << " diverged under permutation seed " << perm_seed;
     }
     std::vector<FlatVector> reversed = inputs;
     std::reverse(reversed.begin(), reversed.end());
-    EXPECT_TRUE(bit_equal(base, gar->aggregate(reversed)))
+    EXPECT_TRUE(bit_equal(base, ts::aggregate(*gar, reversed)))
         << c.gar << " diverged under reversal";
   }
 }
@@ -114,9 +114,10 @@ TEST(Determinism, ExactScoreTiesBreakOnLexicographicOrder) {
     ASSERT_EQ(inputs.size(), c.n);
 
     const gg::GarPtr gar = gg::make_gar(c.gar, c.n, c.f);
-    const FlatVector base = gar->aggregate(inputs);
+    const FlatVector base = ts::aggregate(*gar, inputs);
     for (std::uint64_t perm_seed = 11; perm_seed <= 16; ++perm_seed) {
-      EXPECT_TRUE(bit_equal(base, gar->aggregate(shuffled(inputs, perm_seed))))
+      EXPECT_TRUE(
+          bit_equal(base, ts::aggregate(*gar, shuffled(inputs, perm_seed))))
           << c.gar << " n=" << c.n << " f=" << c.f
           << " tie-break diverged under permutation seed " << perm_seed;
     }
@@ -130,11 +131,11 @@ TEST(Determinism, KrumSelectsTheSameVectorRegardlessOfIndexing) {
   const ts::CloudSpec spec{11, 20, 0.0F, 1.0F};
   const std::vector<FlatVector> inputs = ts::honest_cloud(spec, rng);
   const gg::Krum krum(11, 3);
-  const FlatVector winner = inputs[krum.select(inputs)];
+  const FlatVector winner = inputs[ts::krum_select(krum, inputs)];
 
   for (std::uint64_t perm_seed = 21; perm_seed <= 26; ++perm_seed) {
     const std::vector<FlatVector> p = shuffled(inputs, perm_seed);
-    EXPECT_TRUE(bit_equal(winner, p[krum.select(p)])) << perm_seed;
+    EXPECT_TRUE(bit_equal(winner, p[ts::krum_select(krum, p)])) << perm_seed;
   }
 }
 
@@ -160,7 +161,7 @@ TEST(Determinism, SerialAndParallelKernelsAreBitwiseIdentical) {
     const gg::GarPtr gar = gg::make_gar(name, n, f);
 
     garfield::tensor::set_parallel_threads(1);
-    const FlatVector serial = gar->aggregate(inputs);
+    const FlatVector serial = ts::aggregate(*gar, inputs);
     for (std::size_t threads : {2u, 5u}) {
       garfield::tensor::set_parallel_threads(threads);
       gg::AggregationContext ctx;
@@ -183,7 +184,7 @@ TEST(Determinism, FixedSeedsReproduceAcrossIndependentRuns) {
       const ts::CloudSpec spec{c.n, 24, 1.0F, 0.5F};
       const std::vector<FlatVector> inputs = ts::honest_cloud(spec, rng);
       const FlatVector out =
-          gg::make_gar(c.gar, c.n, c.f)->aggregate(inputs);
+          ts::aggregate(*gg::make_gar(c.gar, c.n, c.f), inputs);
       if (run == 0) {
         first = out;
       } else {

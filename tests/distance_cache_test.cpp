@@ -36,7 +36,7 @@ std::vector<FlatVector> naive_selection(std::vector<FlatVector> pool,
   const gg::Krum krum(n, f);
   std::vector<FlatVector> selected;
   for (std::size_t k = 0; k < theta; ++k) {
-    const std::size_t pick = krum.select(pool);
+    const std::size_t pick = ts::krum_select(krum, pool);
     selected.push_back(pool[pick]);
     pool.erase(pool.begin() + long(pick));
   }
@@ -47,7 +47,8 @@ std::vector<FlatVector> naive_selection(std::vector<FlatVector> pool,
 
 TEST(DistanceCache, MatrixIsSymmetricWithZeroDiagonal) {
   auto in = random_inputs(6, 10, 1);
-  gg::DistanceCache cache(in);
+  gg::DistanceCache cache;
+  cache.reset(ts::rows(in));
   EXPECT_EQ(cache.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(cache.squared_distance(i, i), 0.0);
@@ -62,7 +63,8 @@ TEST(DistanceCache, MatrixIsSymmetricWithZeroDiagonal) {
 
 TEST(DistanceCache, RemoveTracksActiveSet) {
   auto in = random_inputs(5, 4, 2);
-  gg::DistanceCache cache(in);
+  gg::DistanceCache cache;
+  cache.reset(ts::rows(in));
   EXPECT_EQ(cache.active_count(), 5u);
   cache.remove(2);
   cache.remove(4);
@@ -75,8 +77,11 @@ TEST(DistanceCache, SelectCachedMatchesSelectOnFullSet) {
   for (std::uint64_t seed : {3u, 4u, 5u, 6u}) {
     auto in = random_inputs(9, 16, seed);
     gg::Krum krum(9, 2);
-    gg::DistanceCache cache(in);
-    EXPECT_EQ(krum.select_cached(cache, in), krum.select(in)) << seed;
+    gg::DistanceCache cache;
+    cache.reset(ts::rows(in));
+    EXPECT_EQ(krum.select_cached(cache, ts::rows(in)),
+              ts::krum_select(krum, in))
+        << seed;
   }
 }
 
@@ -88,11 +93,12 @@ TEST(DistanceCache, CachedBulyanSelectionMatchesNaive) {
     auto in = random_inputs(n, 12, seed);
     const auto naive = naive_selection(in, n, f);
 
-    gg::DistanceCache cache(in);
+    gg::DistanceCache cache;
+    cache.reset(ts::rows(in));
     gg::Krum krum(n, f);
     std::vector<FlatVector> cached;
     for (std::size_t k = 0; k < n - 2 * f; ++k) {
-      const std::size_t pick = krum.select_cached(cache, in);
+      const std::size_t pick = krum.select_cached(cache, ts::rows(in));
       cached.push_back(in[pick]);
       cache.remove(pick);
     }
@@ -109,7 +115,7 @@ TEST(DistanceCache, BulyanEndToEndUnchangedByCaching) {
   const std::size_t n = 7, f = 1, d = 8;
   auto in = random_inputs(n, d, 10);
   gg::GarPtr bulyan = gg::make_gar("bulyan", n, f);
-  const FlatVector out = bulyan->aggregate(in);
+  const FlatVector out = ts::aggregate(*bulyan, in);
 
   const auto selected = naive_selection(in, n, f);
   // Recompute phase 2 by hand for coordinate 0.
@@ -136,7 +142,8 @@ TEST(DistanceCache, RemoveUntilMinimumActiveKeepsSelectionValid) {
   // agree with plain select() over the physically compacted survivors.
   const std::size_t n = 10, f = 2, d = 8;
   auto in = random_inputs(n, d, 21);
-  gg::DistanceCache cache(in);
+  gg::DistanceCache cache;
+  cache.reset(ts::rows(in));
   gg::Krum krum(n, f);
 
   std::vector<std::size_t> alive(n);
@@ -146,9 +153,9 @@ TEST(DistanceCache, RemoveUntilMinimumActiveKeepsSelectionValid) {
     // Compact the active inputs and cross-check the cached selection.
     std::vector<FlatVector> pool;
     for (std::size_t i : alive) pool.push_back(in[i]);
-    const std::size_t cached_pick = krum.select_cached(cache, in);
+    const std::size_t cached_pick = krum.select_cached(cache, ts::rows(in));
     ASSERT_TRUE(cache.is_active(cached_pick));
-    EXPECT_EQ(in[cached_pick], pool[krum.select(pool)])
+    EXPECT_EQ(in[cached_pick], pool[ts::krum_select(krum, pool)])
         << "active=" << alive.size();
 
     // Remove a random survivor (not necessarily the pick) and re-check
@@ -163,13 +170,14 @@ TEST(DistanceCache, RemoveUntilMinimumActiveKeepsSelectionValid) {
   // At exactly 3 active inputs the neighbourhood clamps to 1 and selection
   // still works.
   ASSERT_EQ(cache.active_count(), 3u);
-  const std::size_t last_pick = krum.select_cached(cache, in);
+  const std::size_t last_pick = krum.select_cached(cache, ts::rows(in));
   EXPECT_TRUE(cache.is_active(last_pick));
 }
 
 TEST(DistanceCache, RemoveIsIdempotent) {
   auto in = random_inputs(6, 4, 23);
-  gg::DistanceCache cache(in);
+  gg::DistanceCache cache;
+  cache.reset(ts::rows(in));
   cache.remove(1);
   cache.remove(1);  // double removal must not underflow the active count
   EXPECT_EQ(cache.active_count(), 5u);
@@ -182,7 +190,8 @@ TEST(DistanceCache, ActiveCountIsMaintainedNotRecounted) {
   // active_count() is a maintained O(1) counter; it must track any
   // interleaving of removals (including repeats) exactly.
   auto in = random_inputs(12, 6, 24);
-  gg::DistanceCache cache(in);
+  gg::DistanceCache cache;
+  cache.reset(ts::rows(in));
   gt::Rng rng(25);
   std::size_t expected = 12;
   for (int step = 0; step < 64; ++step) {
@@ -198,12 +207,13 @@ TEST(DistanceCache, ResetReusesStorageAcrossInputSets) {
   // must fully reinitialize — new size, all-active, fresh distances —
   // regardless of the previous set's size or removal state.
   auto first = random_inputs(9, 8, 26);
-  gg::DistanceCache cache(first);
+  gg::DistanceCache cache;
+  cache.reset(ts::rows(first));
   cache.remove(0);
   cache.remove(5);
 
   auto second = random_inputs(5, 12, 27);
-  cache.reset(second);
+  cache.reset(ts::rows(second));
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.active_count(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
@@ -216,7 +226,7 @@ TEST(DistanceCache, ResetReusesStorageAcrossInputSets) {
 
   // Growing again after shrinking also works (no stale-capacity reads).
   auto third = random_inputs(11, 4, 28);
-  cache.reset(third);
+  cache.reset(ts::rows(third));
   EXPECT_EQ(cache.size(), 11u);
   EXPECT_EQ(cache.active_count(), 11u);
   EXPECT_EQ(cache.squared_distance(10, 3),
@@ -230,7 +240,8 @@ TEST(DistanceCache, MatrixEqualsSquaredDistanceAtAnyThreadCount) {
   const auto in = random_inputs(9, 20000, 29);
   for (const std::size_t threads : {1U, 2U, 5U}) {
     const ts::ShardCount shards(threads);
-    const gg::DistanceCache cache(in);
+    gg::DistanceCache cache;
+    cache.reset(ts::rows(in));
     for (std::size_t i = 0; i < in.size(); ++i) {
       for (std::size_t j = 0; j < in.size(); ++j) {
         EXPECT_EQ(cache.squared_distance(i, j),
@@ -253,7 +264,7 @@ TEST(DistanceCache, ContextReusedAcrossCallsYieldsSameAggregates) {
       gg::GarPtr bulyan = gg::make_gar("bulyan", n, f);
       gt::FlatVector reused;
       bulyan->aggregate_into(in, ctx, reused);
-      EXPECT_EQ(reused, bulyan->aggregate(in)) << "n=" << n;
+      EXPECT_EQ(reused, ts::aggregate(*bulyan, in)) << "n=" << n;
     }
   }
 }
@@ -265,7 +276,8 @@ TEST(DistanceCache, SelectCachedAgreesWithSelectOnRandomClouds) {
   for (std::uint64_t seed = 31; seed < 43; ++seed) {
     const std::size_t n = 12, f = 2;
     auto in = random_inputs(n, 10, seed);
-    gg::DistanceCache cache(in);
+    gg::DistanceCache cache;
+    cache.reset(ts::rows(in));
     gg::Krum krum(n, f);
     gt::Rng removal_rng(seed * 7919);
 
@@ -280,8 +292,9 @@ TEST(DistanceCache, SelectCachedAgreesWithSelectOnRandomClouds) {
 
     std::vector<FlatVector> pool;
     for (std::size_t i : alive) pool.push_back(in[i]);
-    const std::size_t cached_pick = krum.select_cached(cache, in);
+    const std::size_t cached_pick = krum.select_cached(cache, ts::rows(in));
     ASSERT_TRUE(cache.is_active(cached_pick)) << seed;
-    EXPECT_EQ(in[cached_pick], pool[krum.select(pool)]) << "seed " << seed;
+    EXPECT_EQ(in[cached_pick], pool[ts::krum_select(krum, pool)])
+        << "seed " << seed;
   }
 }

@@ -7,11 +7,13 @@
 
 #include "attacks/attack.h"
 #include "gars/gar.h"
+#include "support/test_support.h"
 #include "tensor/rng.h"
 
 namespace gg = garfield::gars;
 namespace ga = garfield::attacks;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 using gt::FlatVector;
 
@@ -67,24 +69,25 @@ TEST(ExtendedGars, SpecOptionsReachTheRules) {
   // One Weiszfeld step barely moves off the (outlier-dragged) mean; the
   // default 32 steps converge near the honest cluster.
   const FlatVector one_step =
-      gg::make_gar("geometric_median:max_iterations=1", 5, 1)->aggregate(in);
+      ts::aggregate(*gg::make_gar("geometric_median:max_iterations=1", 5, 1),
+                    in);
   const FlatVector converged =
-      gg::make_gar("geometric_median", 5, 1)->aggregate(in);
+      ts::aggregate(*gg::make_gar("geometric_median", 5, 1), in);
   EXPECT_LT(dist_to(converged, 1.0F), dist_to(one_step, 1.0F));
 
   // A tight fixed clipping radius discounts the outlier far harder than a
   // huge one (which degenerates toward the mean).
-  const FlatVector tight =
-      gg::make_gar("centered_clip:tau=0.5,iterations=20", 5, 1)
-          ->aggregate(in);
+  const FlatVector tight = ts::aggregate(
+      *gg::make_gar("centered_clip:tau=0.5,iterations=20", 5, 1), in);
   const FlatVector loose =
-      gg::make_gar("centered_clip:tau=1000", 5, 1)->aggregate(in);
+      ts::aggregate(*gg::make_gar("centered_clip:tau=1000", 5, 1), in);
   EXPECT_LT(dist_to(tight, 1.0F), dist_to(loose, 1.0F));
 
   // cge:keep=n degenerates to the mean; the default keep=n-f sheds the
   // largest-norm input.
-  const FlatVector keep_all = gg::make_gar("cge:keep=5", 5, 1)->aggregate(in);
-  const FlatVector keep_default = gg::make_gar("cge", 5, 1)->aggregate(in);
+  const FlatVector keep_all =
+      ts::aggregate(*gg::make_gar("cge:keep=5", 5, 1), in);
+  const FlatVector keep_default = ts::aggregate(*gg::make_gar("cge", 5, 1), in);
   EXPECT_LT(dist_to(keep_default, 1.0F), dist_to(keep_all, 1.0F));
 }
 
@@ -95,7 +98,7 @@ TEST(GeometricMedian, SinglePointFixedPoint) {
   FlatVector v{1.0F, -2.0F, 3.0F};
   std::vector<FlatVector> in(5, v);
   gg::GeometricMedian gar(5, 2);
-  FlatVector out = gar.aggregate(in);
+  FlatVector out = ts::aggregate(gar, in);
   for (std::size_t j = 0; j < v.size(); ++j) EXPECT_NEAR(out[j], v[j], 1e-5);
 }
 
@@ -104,7 +107,7 @@ TEST(GeometricMedian, OneDimensionalMatchesMedianInterval) {
   // statistics; with odd n it is THE median.
   std::vector<FlatVector> in = {{1.0F}, {2.0F}, {7.0F}, {100.0F}, {3.0F}};
   gg::GeometricMedian gar(5, 2);
-  EXPECT_NEAR(gar.aggregate(in)[0], 3.0F, 0.05F);
+  EXPECT_NEAR(ts::aggregate(gar, in)[0], 3.0F, 0.05F);
 }
 
 TEST(GeometricMedian, ResistsFarOutliers) {
@@ -113,7 +116,7 @@ TEST(GeometricMedian, ResistsFarOutliers) {
   in[7].assign(16, 1e5F);
   in[8].assign(16, -1e5F);
   gg::GeometricMedian gar(9, 2);
-  EXPECT_LT(dist_to(gar.aggregate(in), 1.0F), 0.5);
+  EXPECT_LT(dist_to(ts::aggregate(gar, in), 1.0F), 0.5);
 }
 
 TEST(GeometricMedian, BeatsMeanUnderAsymmetricOutliers) {
@@ -123,8 +126,8 @@ TEST(GeometricMedian, BeatsMeanUnderAsymmetricOutliers) {
   in[6].assign(8, 60.0F);  // both outliers on the same side
   gg::GeometricMedian gmed(7, 2);
   gg::Average avg(7, 0);
-  EXPECT_LT(dist_to(gmed.aggregate(in), 0.0F),
-            0.1 * dist_to(avg.aggregate(in), 0.0F));
+  EXPECT_LT(dist_to(ts::aggregate(gmed, in), 0.0F),
+            0.1 * dist_to(ts::aggregate(avg, in), 0.0F));
 }
 
 TEST(GeometricMedian, RotationInvariantUnlikeCoordinateMedian) {
@@ -140,8 +143,8 @@ TEST(GeometricMedian, RotationInvariantUnlikeCoordinateMedian) {
   std::vector<FlatVector> rotated;
   for (const auto& v : in) rotated.push_back(rotate(v));
   gg::GeometricMedian gar(3, 1);
-  const FlatVector direct = rotate(gar.aggregate(in));
-  const FlatVector via = gar.aggregate(rotated);
+  const FlatVector direct = rotate(ts::aggregate(gar, in));
+  const FlatVector via = ts::aggregate(gar, rotated);
   EXPECT_NEAR(direct[0], via[0], 1e-3);
   EXPECT_NEAR(direct[1], via[1], 1e-3);
 }
@@ -153,7 +156,7 @@ TEST(CenteredClip, CleanInputsCloseToMean) {
   auto in = cloud(9, 12, rng, 2.0F, 0.1F);
   gg::CenteredClip gar(9, 2);
   const FlatVector mean = gt::mean(in);
-  EXPECT_LT(std::sqrt(gt::squared_distance(gar.aggregate(in), mean)), 0.3);
+  EXPECT_LT(std::sqrt(gt::squared_distance(ts::aggregate(gar, in), mean)), 0.3);
 }
 
 TEST(CenteredClip, ClipsOutlierLeverage) {
@@ -161,7 +164,7 @@ TEST(CenteredClip, ClipsOutlierLeverage) {
   auto in = cloud(9, 12, rng, 1.0F, 0.1F);
   in[8].assign(12, 1e4F);
   gg::CenteredClip gar(9, 1);
-  EXPECT_LT(dist_to(gar.aggregate(in), 1.0F), 1.0);
+  EXPECT_LT(dist_to(ts::aggregate(gar, in), 1.0F), 1.0);
 }
 
 TEST(CenteredClip, ExplicitTauRespected) {
@@ -172,13 +175,13 @@ TEST(CenteredClip, ExplicitTauRespected) {
   opts.iterations = 1;
   opts.tau = 100.0;
   gg::CenteredClip gar(3, 1, opts);
-  EXPECT_NEAR(gar.aggregate(in)[0], 1.0F, 1e-5F);
+  EXPECT_NEAR(ts::aggregate(gar, in)[0], 1.0F, 1e-5F);
 }
 
 TEST(CenteredClip, IdenticalInputsShortCircuit) {
   std::vector<FlatVector> in(5, FlatVector{3.0F, 3.0F});
   gg::CenteredClip gar(5, 2);
-  FlatVector out = gar.aggregate(in);
+  FlatVector out = ts::aggregate(gar, in);
   EXPECT_FLOAT_EQ(out[0], 3.0F);
   EXPECT_FLOAT_EQ(out[1], 3.0F);
 }
@@ -188,13 +191,13 @@ TEST(CenteredClip, IdenticalInputsShortCircuit) {
 TEST(Cge, DropsLargestNorms) {
   std::vector<FlatVector> in = {{1.0F}, {1.2F}, {0.8F}, {-100.0F}, {90.0F}};
   gg::Cge gar(5, 2);
-  EXPECT_NEAR(gar.aggregate(in)[0], 1.0F, 0.21F);
+  EXPECT_NEAR(ts::aggregate(gar, in)[0], 1.0F, 0.21F);
 }
 
 TEST(Cge, FZeroIsPlainMean) {
   std::vector<FlatVector> in = {{3.0F}, {6.0F}, {9.0F}};
   gg::Cge gar(3, 0);
-  EXPECT_FLOAT_EQ(gar.aggregate(in)[0], 6.0F);
+  EXPECT_FLOAT_EQ(ts::aggregate(gar, in)[0], 6.0F);
 }
 
 TEST(Cge, PermutationInvariantWithNormTies) {
@@ -202,9 +205,9 @@ TEST(Cge, PermutationInvariantWithNormTies) {
   // lexicographic tie-break keeps the output order independent.
   std::vector<FlatVector> in = {{1.0F, 0.0F}, {0.0F, 1.0F}, {0.1F, 0.1F}};
   gg::Cge gar(3, 1);
-  FlatVector a = gar.aggregate(in);
+  FlatVector a = ts::aggregate(gar, in);
   std::swap(in[0], in[1]);
-  FlatVector b = gar.aggregate(in);
+  FlatVector b = ts::aggregate(gar, in);
   EXPECT_EQ(a, b);
 }
 
@@ -220,8 +223,8 @@ TEST(Cge, DocumentedBlindSpotSameNormFlip) {
   in.push_back(flipped);
   gg::Cge cge(7, 1);
   gg::Krum krum(7, 1);
-  const double cge_err = dist_to(cge.aggregate(in), 1.0F);
-  const double krum_err = dist_to(krum.aggregate(in), 1.0F);
+  const double cge_err = dist_to(ts::aggregate(cge, in), 1.0F);
+  const double krum_err = dist_to(ts::aggregate(krum, in), 1.0F);
   EXPECT_GT(cge_err, 2.0 * krum_err);
 }
 
@@ -256,7 +259,7 @@ TEST_P(ExtendedGarVsAttack, StaysAlignedWithHonestMean) {
     }
   }
   gg::GarPtr gar = gg::make_gar(c.gar, delivered.size(), byz);
-  const FlatVector out = gar->aggregate(delivered);
+  const FlatVector out = ts::aggregate(*gar, delivered);
   EXPECT_TRUE(gt::all_finite(out)) << c.gar << " vs " << c.attack;
   EXPECT_GT(gt::cosine(out, honest_mean), 0.5) << c.gar << " vs " << c.attack;
 }

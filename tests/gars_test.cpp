@@ -73,18 +73,19 @@ TEST(GarFactory, EnforcesResiliencePreconditions) {
 TEST(Gar, RejectsWrongInputCountAndRaggedDimensions) {
   gg::GarPtr avg = gg::make_gar("average", 3, 0);
   std::vector<FlatVector> two = {{1, 2}, {3, 4}};
-  EXPECT_THROW((void)avg->aggregate(two), std::invalid_argument);
+  EXPECT_THROW((void)ts::aggregate(*avg, two), std::invalid_argument);
   std::vector<FlatVector> ragged = {{1, 2}, {3, 4}, {5}};
-  EXPECT_THROW((void)avg->aggregate(ragged), std::invalid_argument);
+  EXPECT_THROW((void)ts::aggregate(*avg, ragged), std::invalid_argument);
   std::vector<FlatVector> empty = {{}, {}, {}};
-  EXPECT_THROW((void)avg->aggregate(empty), std::invalid_argument);
+  EXPECT_THROW((void)ts::aggregate(*avg, empty), std::invalid_argument);
 }
 
 TEST(Gar, AggregateIntoMatchesAggregateForEveryRule) {
-  // The compatibility wrapper and the primary entry point must agree
-  // bitwise, for every rule, with one shared context reused across rules
-  // and rounds (the steady-state server pattern) and an `out` that arrives
-  // dirty and wrongly sized.
+  // Owned vectors through one shared context reused across rules and
+  // rounds (the steady-state server pattern), with an `out` that arrives
+  // dirty and wrongly sized, must agree bitwise with a fresh context, for
+  // every rule. So must borrowed rows viewing separate storage, the way a
+  // server's rows view the payloads it pulled.
   gt::Rng rng(4242);
   gg::AggregationContext ctx;
   for (int round = 0; round < 2; ++round) {
@@ -97,7 +98,18 @@ TEST(Gar, AggregateIntoMatchesAggregateForEveryRule) {
       FlatVector out(3, -123.0F);  // wrong size, garbage contents
       gar->aggregate_into(inputs, ctx, out);
       EXPECT_EQ(out.size(), d) << name;
-      EXPECT_EQ(out, gar->aggregate(inputs)) << name << " round " << round;
+      EXPECT_EQ(out, ts::aggregate(*gar, inputs)) << name << " round " << round;
+      FlatVector flat;
+      for (const FlatVector& v : inputs)
+        flat.insert(flat.end(), v.begin(), v.end());
+      std::vector<gg::Row> rows;
+      for (std::size_t i = 0; i < n; ++i)
+        rows.emplace_back(flat.data() + i * d, d);
+      FlatVector borrowed(3, -123.0F);
+      gar->aggregate_into(rows, ctx, borrowed);
+      ASSERT_EQ(borrowed.size(), d) << name;
+      EXPECT_EQ(std::memcmp(borrowed.data(), out.data(), d * sizeof(float)), 0)
+          << name << " round " << round;
     }
   }
 }
@@ -107,7 +119,7 @@ TEST(Gar, AggregateIntoMatchesAggregateForEveryRule) {
 TEST(AverageGar, ComputesMean) {
   gg::GarPtr gar = gg::make_gar("average", 3, 0);
   std::vector<FlatVector> in = {{0, 3}, {3, 3}, {6, 3}};
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_FLOAT_EQ(out[0], 3.0F);
   EXPECT_FLOAT_EQ(out[1], 3.0F);
 }
@@ -117,19 +129,19 @@ TEST(AverageGar, ComputesMean) {
 TEST(MedianGar, OddCountExactMedian) {
   gg::GarPtr gar = gg::make_gar("median", 5, 2);
   std::vector<FlatVector> in = {{1}, {9}, {5}, {3}, {7}};
-  EXPECT_FLOAT_EQ(gar->aggregate(in)[0], 5.0F);
+  EXPECT_FLOAT_EQ(ts::aggregate(*gar, in)[0], 5.0F);
 }
 
 TEST(MedianGar, EvenCountAveragesMiddles) {
   gg::GarPtr gar = gg::make_gar("median", 4, 1);
   std::vector<FlatVector> in = {{1}, {2}, {3}, {10}};
-  EXPECT_FLOAT_EQ(gar->aggregate(in)[0], 2.5F);
+  EXPECT_FLOAT_EQ(ts::aggregate(*gar, in)[0], 2.5F);
 }
 
 TEST(MedianGar, ThreeInputsUsesBranchlessPath) {
   gg::GarPtr gar = gg::make_gar("median", 3, 1);
   std::vector<FlatVector> in = {{5, -1}, {1, 0}, {3, 7}};
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_FLOAT_EQ(out[0], 3.0F);
   EXPECT_FLOAT_EQ(out[1], 0.0F);
 }
@@ -137,7 +149,7 @@ TEST(MedianGar, ThreeInputsUsesBranchlessPath) {
 TEST(MedianGar, CoordinateWiseIndependence) {
   gg::GarPtr gar = gg::make_gar("median", 3, 1);
   std::vector<FlatVector> in = {{1, 100}, {2, 50}, {3, 0}};
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_FLOAT_EQ(out[0], 2.0F);
   EXPECT_FLOAT_EQ(out[1], 50.0F);
 }
@@ -145,7 +157,7 @@ TEST(MedianGar, CoordinateWiseIndependence) {
 TEST(MedianGar, IgnoresFExtremes) {
   gg::GarPtr gar = gg::make_gar("median", 5, 2);
   std::vector<FlatVector> in = {{1.0F}, {1.1F}, {0.9F}, {1e9F}, {-1e9F}};
-  EXPECT_NEAR(gar->aggregate(in)[0], 1.0F, 0.2F);
+  EXPECT_NEAR(ts::aggregate(*gar, in)[0], 1.0F, 0.2F);
 }
 
 namespace {
@@ -268,13 +280,13 @@ TEST(MedianGar, SignedZeroTiesCompareByValue) {
 TEST(TrimmedMeanGar, DropsExtremes) {
   gg::GarPtr gar = gg::make_gar("trimmed_mean", 5, 1);
   std::vector<FlatVector> in = {{2}, {4}, {6}, {100}, {-100}};
-  EXPECT_FLOAT_EQ(gar->aggregate(in)[0], 4.0F);  // mean of {2,4,6}
+  EXPECT_FLOAT_EQ(ts::aggregate(*gar, in)[0], 4.0F);  // mean of {2,4,6}
 }
 
 TEST(TrimmedMeanGar, FZeroIsPlainMean) {
   gg::GarPtr gar = gg::make_gar("trimmed_mean", 3, 0);
   std::vector<FlatVector> in = {{1}, {2}, {9}};
-  EXPECT_FLOAT_EQ(gar->aggregate(in)[0], 4.0F);
+  EXPECT_FLOAT_EQ(ts::aggregate(*gar, in)[0], 4.0F);
 }
 
 // ------------------------------------------------------------------ krum
@@ -283,7 +295,7 @@ TEST(KrumGar, ReturnsOneOfTheInputs) {
   gt::Rng rng(1);
   auto in = honest_cloud(7, 5, rng);
   gg::GarPtr gar = gg::make_gar("krum", 7, 2);
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   bool is_input = false;
   for (const auto& v : in) {
     if (v == out) is_input = true;
@@ -297,7 +309,7 @@ TEST(KrumGar, PicksFromTheDenseCluster) {
                                 {0.0F, -0.1F}, {0.05F, 0.05F}, {50.0F, 50.0F},
                                 {-50.0F, 50.0F}};
   gg::GarPtr gar = gg::make_gar("krum", 7, 2);
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_LT(std::abs(out[0]), 1.0F);
   EXPECT_LT(std::abs(out[1]), 1.0F);
 }
@@ -309,7 +321,7 @@ TEST(MultiKrumGar, AveragesSelectionSet) {
   in[7].assign(4, 1000.0F);
   in[8].assign(4, -1000.0F);
   gg::GarPtr gar = gg::make_gar("multi_krum", 9, 2);
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_LT(distance_to_center(out, 2.0F), 0.5);
 }
 
@@ -325,7 +337,7 @@ TEST(MdaGar, AveragesMinimumDiameterSubset) {
   // is the tight cluster, so the aggregate is its mean.
   std::vector<FlatVector> in = {{1.0F}, {1.2F}, {0.8F}, {100.0F}};
   gg::GarPtr gar = gg::make_gar("mda", 4, 1);
-  EXPECT_NEAR(gar->aggregate(in)[0], 1.0F, 1e-5F);
+  EXPECT_NEAR(ts::aggregate(*gar, in)[0], 1.0F, 1e-5F);
 }
 
 TEST(MdaGar, ExactSubsetChoice) {
@@ -333,13 +345,13 @@ TEST(MdaGar, ExactSubsetChoice) {
   // pair containing 9.0.
   std::vector<FlatVector> in = {{9.0F}, {10.0F}, {10.4F}};
   gg::GarPtr gar = gg::make_gar("mda", 3, 1);
-  EXPECT_NEAR(gar->aggregate(in)[0], 10.2F, 1e-5F);
+  EXPECT_NEAR(ts::aggregate(*gar, in)[0], 10.2F, 1e-5F);
 }
 
 TEST(MdaGar, FZeroAveragesEverything) {
   std::vector<FlatVector> in = {{2.0F}, {4.0F}, {9.0F}};
   gg::GarPtr gar = gg::make_gar("mda", 3, 0);
-  EXPECT_FLOAT_EQ(gar->aggregate(in)[0], 5.0F);
+  EXPECT_FLOAT_EQ(ts::aggregate(*gar, in)[0], 5.0F);
 }
 
 // ---------------------------------------------------------------- bulyan
@@ -352,7 +364,7 @@ TEST(BulyanGar, SurvivesCoordinateAttack) {
   in[6] = FlatVector(6, 1.0F);
   in[6][3] = 1e6F;  // hidden single-coordinate poison
   gg::GarPtr gar = gg::make_gar("bulyan", 7, 1);
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_LT(std::abs(out[3] - 1.0F), 0.5F);
 }
 
@@ -360,7 +372,7 @@ TEST(BulyanGar, CleanInputsStayNearMean) {
   gt::Rng rng(4);
   auto in = honest_cloud(7, 8, rng, -3.0F, 0.02F);
   gg::GarPtr gar = gg::make_gar("bulyan", 7, 1);
-  EXPECT_LT(distance_to_center(gar->aggregate(in), -3.0F), 0.3);
+  EXPECT_LT(distance_to_center(ts::aggregate(*gar, in), -3.0F), 0.3);
 }
 
 // --------------------------------------------------------- median3 (§4.3)
@@ -418,7 +430,7 @@ TEST_P(GarRobustness, BoundedDeviationUnderOutliers) {
     in[c.n - 1 - k].assign(d, sign * 1e4F);
   }
   gg::GarPtr gar = gg::make_gar(c.gar, c.n, c.f);
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   EXPECT_LT(distance_to_center(out, 1.0F), 1.0)
       << c.gar << " n=" << c.n << " f=" << c.f;
 }
@@ -431,9 +443,9 @@ TEST_P(GarRobustness, PermutationInvariant) {
   const std::size_t d = 12;
   auto in = honest_cloud(c.n, d, rng, 0.0F, 1.0F);
   gg::GarPtr gar = gg::make_gar(c.gar, c.n, c.f);
-  FlatVector base = gar->aggregate(in);
+  FlatVector base = ts::aggregate(*gar, in);
   std::reverse(in.begin(), in.end());
-  FlatVector reversed = gar->aggregate(in);
+  FlatVector reversed = ts::aggregate(*gar, in);
   for (std::size_t j = 0; j < d; ++j) EXPECT_FLOAT_EQ(base[j], reversed[j]);
 }
 
@@ -445,7 +457,7 @@ TEST_P(GarRobustness, IdempotentOnIdenticalInputs) {
   for (std::size_t j = 0; j < d; ++j) v[j] = float(j) - 4.0F;
   std::vector<FlatVector> in(c.n, v);
   gg::GarPtr gar = gg::make_gar(c.gar, c.n, c.f);
-  FlatVector out = gar->aggregate(in);
+  FlatVector out = ts::aggregate(*gar, in);
   for (std::size_t j = 0; j < d; ++j) EXPECT_NEAR(out[j], v[j], 1e-5F);
 }
 
@@ -474,7 +486,7 @@ TEST_P(GarDimensions, AllGarsHandleDimension) {
   auto in = honest_cloud(n, d, rng, 0.5F, 0.1F);
   for (const std::string& name : gg::gar_names()) {
     gg::GarPtr gar = gg::make_gar(name, n, name == "average" ? 0 : f);
-    FlatVector out = gar->aggregate(in);
+    FlatVector out = ts::aggregate(*gar, in);
     ASSERT_EQ(out.size(), d) << name;
     EXPECT_TRUE(gt::all_finite(out)) << name;
   }

@@ -14,6 +14,7 @@
 #include "gars/gar.h"
 #include "net/cluster.h"
 #include "sim/deployment_sim.h"
+#include "support/test_support.h"
 #include "tensor/rng.h"
 
 namespace gg = garfield::gars;
@@ -21,6 +22,7 @@ namespace gt = garfield::tensor;
 namespace gs = garfield::sim;
 namespace gc = garfield::core;
 namespace gn = garfield::net;
+namespace ts = garfield::testsupport;
 
 using gt::FlatVector;
 
@@ -55,10 +57,10 @@ TEST_P(GarAlgebra, ScalingEquivariant) {
   const GarShape& p = GetParam();
   auto in = random_cloud(p.n, 24, 11);
   gg::GarPtr gar = gg::make_gar(p.gar, p.n, p.f);
-  const FlatVector base = gar->aggregate(in);
+  const FlatVector base = ts::aggregate(*gar, in);
   const float a = 2.5F;
   for (auto& v : in) gt::scale(v, a);
-  const FlatVector scaled = gar->aggregate(in);
+  const FlatVector scaled = ts::aggregate(*gar, in);
   for (std::size_t j = 0; j < base.size(); ++j) {
     EXPECT_NEAR(scaled[j], a * base[j], 3e-3F * std::abs(base[j]) + 2e-3F)
         << p.gar;
@@ -73,12 +75,12 @@ TEST_P(GarAlgebra, TranslationEquivariant) {
   if (p.gar == "cge") GTEST_SKIP() << "cge is origin-dependent by design";
   auto in = random_cloud(p.n, 24, 12);
   gg::GarPtr gar = gg::make_gar(p.gar, p.n, p.f);
-  const FlatVector base = gar->aggregate(in);
+  const FlatVector base = ts::aggregate(*gar, in);
   const float c = 3.0F;
   for (auto& v : in) {
     for (float& x : v) x += c;
   }
-  const FlatVector shifted = gar->aggregate(in);
+  const FlatVector shifted = ts::aggregate(*gar, in);
   for (std::size_t j = 0; j < base.size(); ++j) {
     EXPECT_NEAR(shifted[j], base[j] + c, 5e-3F) << p.gar;
   }
@@ -90,7 +92,7 @@ TEST_P(GarAlgebra, OutputInsideCoordinateEnvelope) {
   const GarShape& p = GetParam();
   auto in = random_cloud(p.n, 16, 13);
   gg::GarPtr gar = gg::make_gar(p.gar, p.n, p.f);
-  const FlatVector out = gar->aggregate(in);
+  const FlatVector out = ts::aggregate(*gar, in);
   for (std::size_t j = 0; j < out.size(); ++j) {
     float lo = in[0][j], hi = in[0][j];
     for (const auto& v : in) {

@@ -179,20 +179,21 @@ TEST(GarRegistry, OptionsChangeBehavior) {
   auto inputs = cloud(7, 8, 99);
   for (float& x : inputs[0]) x = 1000.0F;  // magnitude outlier
   const FlatVector trim0 =
-      gg::make_gar("trimmed_mean:trim=0", 7, 1)->aggregate(inputs);
+      ts::aggregate(*gg::make_gar("trimmed_mean:trim=0", 7, 1), inputs);
   const FlatVector trim2 =
-      gg::make_gar("trimmed_mean:trim=2", 7, 1)->aggregate(inputs);
+      ts::aggregate(*gg::make_gar("trimmed_mean:trim=2", 7, 1), inputs);
   EXPECT_GT(trim0[0], 100.0F);  // mean dragged by the outlier
   EXPECT_LT(trim2[0], 5.0F);    // trimmed mean sheds it
 
   // multi_krum:m=n-f-2 equals the default construction.
   const auto mk_inputs = cloud(9, 8, 100);
-  const FlatVector def = gg::make_gar("multi_krum", 9, 2)->aggregate(mk_inputs);
+  const FlatVector def =
+      ts::aggregate(*gg::make_gar("multi_krum", 9, 2), mk_inputs);
   const FlatVector m5 =
-      gg::make_gar("multi_krum:m=5", 9, 2)->aggregate(mk_inputs);
+      ts::aggregate(*gg::make_gar("multi_krum:m=5", 9, 2), mk_inputs);
   EXPECT_EQ(def, m5);
   const FlatVector m1 =
-      gg::make_gar("multi_krum:m=1", 9, 2)->aggregate(mk_inputs);
+      ts::aggregate(*gg::make_gar("multi_krum:m=1", 9, 2), mk_inputs);
   EXPECT_NE(def, m1);  // m=1 degenerates to plain Krum's single pick
 }
 
@@ -201,16 +202,17 @@ TEST(GarRegistry, PreClipCapsMagnitudeOutliers) {
   // pre_clip bounds every input's leverage to radius/n.
   auto inputs = cloud(5, 4, 101, 0.0F, 0.01F);
   for (float& x : inputs[4]) x = 1e6F;
-  const FlatVector plain = gg::make_gar("average", 5, 0)->aggregate(inputs);
+  const FlatVector plain =
+      ts::aggregate(*gg::make_gar("average", 5, 0), inputs);
   const FlatVector clipped =
-      gg::make_gar("average:pre_clip=1", 5, 0)->aggregate(inputs);
+      ts::aggregate(*gg::make_gar("average:pre_clip=1", 5, 0), inputs);
   EXPECT_GT(gt::norm(plain), 1e4);
   EXPECT_LE(gt::norm(clipped), 1.0 + 1e-3);
   // Inputs inside the radius pass through untouched: all-honest clouds
   // aggregate identically with a generous radius.
   const auto tame = cloud(5, 4, 102);
-  EXPECT_EQ(gg::make_gar("average", 5, 0)->aggregate(tame),
-            gg::make_gar("average:pre_clip=1000", 5, 0)->aggregate(tame));
+  EXPECT_EQ(ts::aggregate(*gg::make_gar("average", 5, 0), tame),
+            ts::aggregate(*gg::make_gar("average:pre_clip=1000", 5, 0), tame));
 }
 
 // -------------------------------------------------------------- extension
@@ -233,7 +235,7 @@ TEST(GarRegistry, RuntimeRegistrationExtendsTheStringApi) {
   EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
   EXPECT_EQ(gg::gar_min_n(name, 2), 3u);
   const auto inputs = cloud(4, 8, 103);
-  const FlatVector out = gg::make_gar(name, 4, 0)->aggregate(inputs);
+  const FlatVector out = ts::aggregate(*gg::make_gar(name, 4, 0), inputs);
   EXPECT_EQ(out.size(), 8u);
 
   // Duplicate registration is a hard error.

@@ -23,6 +23,26 @@ FlatVector mean_of(std::span<const FlatVector> inputs) {
   return tensor::mean(inputs);
 }
 
+std::vector<gars::Row> rows(const std::vector<FlatVector>& vectors) {
+  return {vectors.begin(), vectors.end()};
+}
+
+FlatVector aggregate(const gars::Gar& gar,
+                     const std::vector<FlatVector>& inputs) {
+  gars::AggregationContext ctx;
+  FlatVector out;
+  gar.aggregate_into(inputs, ctx, out);
+  return out;
+}
+
+std::size_t krum_select(const gars::Krum& krum,
+                        const std::vector<FlatVector>& inputs) {
+  const std::vector<gars::Row> in = rows(inputs);
+  gars::DistanceCache cache;
+  cache.reset(in);
+  return krum.select_cached(cache, in);
+}
+
 double rms_diff(const FlatVector& a, const FlatVector& b) {
   if (a.size() != b.size() || a.empty()) {
     throw std::invalid_argument("rms_diff: size mismatch or empty");
@@ -140,7 +160,7 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   const gars::GarPtr gar =
       gars::make_gar(scenario.gar, received.size(), scenario.f);
   ScenarioResult result;
-  result.aggregate = gar->aggregate(received);
+  result.aggregate = aggregate(*gar, received);
   result.honest_mean = mean_of(honest);
   result.rms_deviation = rms_diff(result.aggregate, result.honest_mean);
   result.received = received.size();

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "gars/gar.h"
 #include "net/conditions.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
@@ -50,6 +51,23 @@ struct CloudSpec {
 
 /// Largest absolute coordinate difference.
 [[nodiscard]] double max_abs_diff(const FlatVector& a, const FlatVector& b);
+
+// ------------------------------------------------------------ aggregation
+
+/// Rows viewing `vectors`, for the calls that take gars::Rows. The rows
+/// borrow: `vectors` must outlive every use of them.
+[[nodiscard]] std::vector<gars::Row> rows(
+    const std::vector<FlatVector>& vectors);
+std::vector<gars::Row> rows(std::vector<FlatVector>&&) = delete;
+
+/// `gar` over `inputs` with a fresh AggregationContext (a server keeps one
+/// context across iterations; a test aggregates once).
+[[nodiscard]] FlatVector aggregate(const gars::Gar& gar,
+                                   const std::vector<FlatVector>& inputs);
+
+/// Krum's pick among `inputs`, over a fresh distance cache of them.
+[[nodiscard]] std::size_t krum_select(const gars::Krum& krum,
+                                      const std::vector<FlatVector>& inputs);
 
 // ------------------------------------------------------- attack scenarios
 

@@ -9,12 +9,14 @@
 #include "gars/gar.h"
 #include "nn/layers.h"
 #include "nn/model.h"
+#include "support/test_support.h"
 #include "tensor/rng.h"
 
 namespace nn = garfield::nn;
 namespace gg = garfield::gars;
 namespace gc = garfield::core;
 namespace gt = garfield::tensor;
+namespace ts = garfield::testsupport;
 
 // ------------------------------------------------- Conv2d reference sweep
 
@@ -121,7 +123,7 @@ TEST_P(GarGrid, AllFeasibleFValues) {
         continue;
       }
       gg::GarPtr gar = gg::make_gar(name, n, f);
-      const gt::FlatVector out = gar->aggregate(in);
+      const gt::FlatVector out = ts::aggregate(*gar, in);
       ASSERT_EQ(out.size(), 10u) << name;
       EXPECT_TRUE(gt::all_finite(out)) << name << " n=" << n << " f=" << f;
     }
