@@ -459,7 +459,6 @@ int run_node(const DeploymentConfig& config, const NodeOptions& options) {
     topts.nodes = options.nodes;
     topts.listen_fd = options.listen_fd;
     topts.ports = options.ports;
-    topts.pool_threads = config.pool_threads;
     auto transport = std::make_shared<net::TcpTransport>(topts);
 
     detail::Runtime rt;

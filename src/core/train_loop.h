@@ -50,8 +50,9 @@ struct Runtime {
   net::NetworkConditions conditions;
   /// Backend override for the cluster: null selects the in-process
   /// transport; run_node() installs the process's TcpTransport here before
-  /// build_runtime(). Declared before `cluster` so it outlives the
-  /// cluster's shutdown call.
+  /// build_runtime(). Declared before `cluster`, so the cluster is
+  /// destroyed first: ~Cluster shuts the transport down and drains its
+  /// pool before ~TcpTransport closes the sockets.
   std::shared_ptr<net::Transport> transport;
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<std::unique_ptr<Worker>> workers;
@@ -70,9 +71,10 @@ struct Runtime {
   /// corrupt_recovery peer, a torn carrier, a dimension mismatch).
   std::atomic<std::uint64_t> state_transfers{0};
   std::atomic<std::uint64_t> state_transfer_rejects{0};
-  // Below-floor abort: the first loop that sees the churn schedule drop a
-  // cohort under its GAR floor records why and flips the flag; every loop
-  // exits at its next gate and the driver rethrows after the join.
+  // Run abort: the first loop that sees the churn schedule drop a cohort
+  // under its GAR floor, or (in process) whose body throws, records why
+  // and flips the flag; every loop exits at its next gate and the driver
+  // rethrows after the join.
   std::atomic<bool> abort{false};
   util::Mutex abort_mutex;
   std::string abort_reason GARFIELD_GUARDED_BY(abort_mutex);
@@ -117,7 +119,7 @@ void run_loop(Runtime& rt, std::size_t s);
 
 /// Assemble the TrainResult from the reporting replica after every driving
 /// loop has joined. Throws std::runtime_error when the run aborted
-/// (below-floor churn schedule).
+/// (below-floor churn schedule, or a loop that threw).
 [[nodiscard]] TrainResult harvest(Runtime& rt);
 
 }  // namespace garfield::core::detail

@@ -173,6 +173,17 @@ std::optional<std::size_t> churn_gate(Runtime& rt, net::NodeId node,
   return std::nullopt;
 }
 
+/// End the run: record `reason` (the first one wins) and flip the abort
+/// flag. Every loop exits at its next gate, and harvest() rethrows the
+/// reason once they have joined.
+void abort_run(Runtime& rt, const std::string& reason) {
+  {
+    util::MutexLock lock(rt.abort_mutex);
+    if (rt.abort_reason.empty()) rt.abort_reason = reason;
+  }
+  rt.abort.store(true);
+}
+
 /// The scheduled-availability floor check: at iteration `it` the churn
 /// schedule must keep at least `stage.min_n` of the stage's span up, or the
 /// GAR's (n, f) resilience bound is void. Checked against the *schedule*
@@ -183,18 +194,13 @@ bool churn_floor_holds(Runtime& rt, const Stage& stage, std::size_t it) {
   const std::size_t down = rt.conditions.count_down(stage.lo, stage.hi, it);
   const std::size_t up = stage.hi - stage.lo - down;
   if (up >= stage.min_n) return true;
-  {
-    util::MutexLock lock(rt.abort_mutex);
-    if (rt.abort_reason.empty()) {
-      rt.abort_reason =
-          "churn schedule drops " + std::string(stage.span) +
-          " availability to " + std::to_string(up) + " node(s) at iteration " +
-          std::to_string(it) + ", below the '" + stage.spec.name +
-          "' GAR resilience floor min_n=" + std::to_string(stage.min_n) +
-          " — aborting instead of aggregating below the (n, f) bound";
-    }
-  }
-  rt.abort.store(true);
+  abort_run(rt,
+            "churn schedule drops " + std::string(stage.span) +
+                " availability to " + std::to_string(up) +
+                " node(s) at iteration " + std::to_string(it) +
+                ", below the '" + stage.spec.name +
+                "' GAR resilience floor min_n=" + std::to_string(stage.min_n) +
+                " — aborting instead of aggregating below the (n, f) bound");
   return false;
 }
 
@@ -583,7 +589,15 @@ TrainResult train(const DeploymentConfig& config) {
   const std::size_t loops = rt.servers.size();
   threads.reserve(loops);
   for (std::size_t s = 0; s < loops; ++s) {
-    threads.emplace_back([&rt, s] { detail::run_loop(rt, s); });
+    threads.emplace_back([&rt, s] {
+      // A loop that throws (a checkpoint write that fails, say) ends the
+      // run, not the process: harvest() rethrows its reason.
+      try {
+        detail::run_loop(rt, s);
+      } catch (const std::exception& e) {
+        abort_run(rt, e.what());
+      }
+    });
   }
   for (std::thread& t : threads) t.join();
 

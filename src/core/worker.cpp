@@ -204,8 +204,9 @@ std::optional<std::vector<net::Payload>> Worker::local_gradient_cloud(
 }
 
 bool Worker::decode_argument(net::Request& req) {
-  if (!req.argument || !net::Codec::looks_encoded(*req.argument)) {
-    return true;  // plain dense payload (or no argument): pass through
+  if (!req.argument) return false;
+  if (!net::Codec::looks_encoded(*req.argument)) {
+    return req.argument->size() == dimension_;  // plain dense payload
   }
   std::optional<net::Payload> dense = codec_.decode(*req.argument, dimension_);
   if (!dense) return false;
@@ -241,9 +242,9 @@ net::PayloadPtr Worker::encode_reply(const net::PayloadPtr& dense,
 
 net::HandlerResult Worker::serve_gradient(const net::Request& req) {
   net::Request local = req;
-  // Ingress gate: a Byzantine caller can ship arbitrary bytes as an
-  // "encoded" model — structural garbage answers with silence, exactly
-  // like a crashed peer, never a throw.
+  // Ingress gate: a Byzantine caller can ship arbitrary bytes as the
+  // model — a missing or wrong-sized argument or structural garbage
+  // answers with silence, exactly like a crashed peer, never a throw.
   if (!decode_argument(local)) return net::HandlerResult::none();
   const std::optional<ServedGradient> honest = honest_gradient(local);
   if (!honest) return net::HandlerResult::not_ready();

@@ -120,9 +120,11 @@ class Worker {
       const net::Request& req);
 
   /// Rewrite an encoded request argument (a codec state frame) back to a
-  /// dense model vector, in place. Returns false on Byzantine garbage —
-  /// the caller answers with silence, exactly like a crashed peer. Plain
-  /// dense arguments pass through untouched.
+  /// dense model vector, in place. Returns false on Byzantine garbage — a
+  /// missing argument, a plain one whose size is not the model's
+  /// dimension, or a frame that does not decode — and the caller answers
+  /// with silence, exactly like a crashed peer. Well-formed plain
+  /// arguments pass through untouched.
   [[nodiscard]] bool decode_argument(net::Request& req);
 
   /// Wire-encode one outbound gradient with the configured codec. The

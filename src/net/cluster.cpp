@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "tensor/rng.h"
@@ -37,10 +38,22 @@ Duration send_backoff(std::uint64_t seed, NodeId from, NodeId to,
   return base + Duration{std::int64_t(u * double(base.count()) * 0.5)};
 }
 
+/// Pool threads only run handler compute (delays live on the wheel), so
+/// more than the cores would just contend for them.
+std::size_t pool_size(std::size_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 }  // namespace
 
 Cluster::Cluster(const Options& options)
-    : nodes_(options.nodes), options_(options) {
+    : nodes_(options.nodes),
+      options_(options),
+      transport_(options.transport ? options.transport
+                                   : std::make_shared<Transport>()),
+      pool_(pool_size(options.pool_threads)) {
   if (nodes_ == 0) throw std::invalid_argument("Cluster: needs >= 1 node");
   // A scenario referencing nodes outside the deployment is a bug in the
   // scenario, not a quietly-ideal network.
@@ -48,16 +61,6 @@ Cluster::Cluster(const Options& options)
   states_.reserve(nodes_);
   for (std::size_t i = 0; i < nodes_; ++i)
     states_.push_back(std::make_unique<NodeState>());
-  // Physical message movement: the caller's transport, or the original
-  // in-process path (timer wheel + thread pool sized by pool_threads).
-  transport_ = options.transport;
-  if (!transport_) {
-    transport_ = std::make_shared<InProcTransport>(options.pool_threads);
-  }
-  transport_->start([this](Request request, Clock::time_point deadline,
-                           Transport::Respond respond) {
-    deliver_local(std::move(request), deadline, std::move(respond));
-  });
   // Churn schedule bootstrap: joins (and at_iter=0 crashes) are down
   // before anyone drives an iteration. Their one-shot down-edges are
   // marked applied so advance_lifecycle() cannot re-crash them later.
@@ -80,6 +83,15 @@ Cluster::Cluster(const Options& options)
     busy_until_us_ =
         std::make_unique<std::atomic<std::int64_t>[]>(nodes_ * nodes_);
   }
+  // Last: from here on, tcp reader threads can reach this Cluster.
+  transport_->start(
+      [this](Request request, Clock::time_point deadline,
+             Transport::Respond respond) {
+        deliver_local(std::move(request), deadline, std::move(respond));
+      },
+      [this](std::function<void()>&& task) {
+        return pool_.submit(std::move(task));
+      });
 }
 
 Cluster::~Cluster() {
@@ -97,9 +109,17 @@ Cluster::~Cluster() {
     dropped_tasks_.fetch_add(parked.size(), std::memory_order_relaxed);
     for (Delivery& d : parked) d.respond(nullptr);
   }
-  // The transport owns the rest of the teardown order (stop wheel, flush
-  // its backlog inline, drain the pool).
+  // Then the remote links: tcp readers post to the pool, so they stop
+  // before it does.
   transport_->shutdown();
+  // Then the clock. The wheel runs its backlog inline and refuses new
+  // entries, so a flushed retry that tries to re-arm resolves (counted as
+  // dropped) instead of looping, and a flushed send moves at once: in
+  // process it still reaches its handler, over tcp the shut stream
+  // resolves it silent. Last, the pool drains and joins; a draining task
+  // that re-arms sees the stopped-but-alive wheel and pool and is refused.
+  timer_.stop_and_flush();
+  pool_.shutdown();
 }
 
 void Cluster::register_handler(NodeId node, const std::string& method,
@@ -242,14 +262,6 @@ Duration Cluster::jitter_for(NodeId from, NodeId to,
                                         options_.seed);
 }
 
-Duration Cluster::delay_for(
-    NodeId from, NodeId to, const std::string& method,
-    std::uint64_t iteration,
-    std::optional<std::uint64_t> window_iteration) const {
-  return options_.conditions.delay(from, to, method, iteration,
-                                   options_.seed, window_iteration);
-}
-
 Duration Cluster::serialization_delay(NodeId from, NodeId to,
                                       std::size_t frame_bytes,
                                       std::uint64_t window_iteration) {
@@ -337,7 +349,7 @@ bool Cluster::park(Delivery& delivery, std::uint64_t epoch) {
         callee.parked.push_back(std::move(delivery));
         return true;
       }
-      dropped = true;  // the transport shut down under us
+      dropped = true;  // teardown stopped the clock under us
     }
   }
   if (dropped) dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -345,11 +357,16 @@ bool Cluster::park(Delivery& delivery, std::uint64_t epoch) {
   return true;
 }
 
+bool Cluster::run_after(Duration delay, std::function<void()>&& task) {
+  return delay.count() <= 0 ? pool_.submit(std::move(task))
+                            : timer_.schedule_after(delay, std::move(task));
+}
+
 bool Cluster::arm_sweep(NodeId node, NodeState& state,
                         Clock::time_point due) {
   // Rounded up so the sweep never fires before the deadline it serves.
   const Duration delay = std::chrono::ceil<Duration>(due - Clock::now());
-  if (!transport_->run_after(delay, [this, node, due] {
+  if (!run_after(delay, [this, node, due] {
         sweep_deadlines(node, due);
       })) {
     return false;
@@ -432,24 +449,31 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
       options_.conditions.fault_verdict(from, to, method, iteration,
                                         options_.seed, attempt,
                                         window_iteration);
-  const Duration delay = delay_for(from, to, method, iteration,
-                                   window_iteration) +
-                         verdict.spike_delay;
+  // Latency + jitter + slow links + straggler and partition lag; the
+  // payload-proportional serialization is added below, once the frame
+  // exists.
+  const Duration delay =
+      options_.conditions.delay(from, to, method, iteration, options_.seed,
+                                window_iteration) +
+      verdict.spike_delay;
   if (verdict.drop || verdict.corrupt || verdict.dup) {
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
   }
   if (verdict.lost()) {
     if (verdict.corrupt && transport_->remote()) {
       // Ship the damage for real on the multi-process backend: the frame
-      // goes out with a flipped body byte, the receiver's stream CRC
-      // discards it (FrameDecoder::corrupt_frames), and the transport
-      // resolves the doomed exchange immediately into this no-op — the
-      // retry below is the recovery path, exactly as for a drop.
+      // goes out after its delay with a flipped body byte, the receiver's
+      // stream CRC discards it (FrameDecoder::corrupt_frames), and the
+      // transport resolves the doomed exchange immediately into a no-op —
+      // the retry below is the recovery path, exactly as for a drop. A
+      // refusal (teardown) just never ships the damage.
       Request doomed{from,      to,       method, iteration, argument,
                      window_iteration};
       doomed.wire_corrupt = true;
-      (void)transport_->send(std::move(doomed), delay, deadline,
-                             [](PayloadPtr) {});
+      (void)run_after(delay, [this, doomed = std::move(doomed),
+                              deadline]() mutable {
+        transport_->send(std::move(doomed), deadline, [](PayloadPtr) {});
+      });
     }
     const Duration backoff =
         send_backoff(options_.seed, from, to, iteration, attempt);
@@ -469,7 +493,7 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
       send_attempt(from, to, method, iteration, std::move(argument),
                    std::move(cb), deadline, attempt + 1, window_iteration);
     };
-    if (!transport_->run_after(backoff, std::move(task))) {
+    if (!run_after(backoff, std::move(task))) {
       dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
       (*cb)(nullptr);
     }
@@ -484,8 +508,7 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
       delay + serialization_delay(from, to, request_frame_bytes(request),
                                   window);
   // Caller-side reply accounting rides the respond path: the transport
-  // invokes this on whichever thread produced the reply, which for the
-  // in-process backend is exactly where the pre-seam dispatch counted it.
+  // invokes this on whichever thread produced the reply.
   Transport::Respond wrapped = [this, cb, from, to, window,
                                 dup = verdict.dup](PayloadPtr payload) {
     if (payload) {
@@ -511,15 +534,18 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
         std::function<void()> deliver = [cb, payload]() mutable {
           (*cb)(std::move(payload));
         };
-        if (transport_->run_after(ser, std::move(deliver))) return;
+        if (run_after(ser, std::move(deliver))) return;
         // Shutdown began: deliver inline rather than losing the reply.
       }
     }
     (*cb)(std::move(payload));
   };
-  if (!transport_->send(std::move(request), send_delay, deadline,
-                        std::move(wrapped))) {
-    // Shutdown already began: count the drop and resolve the callback so
+  std::function<void()> task = [this, request = std::move(request), deadline,
+                                wrapped = std::move(wrapped)]() mutable {
+    transport_->send(std::move(request), deadline, std::move(wrapped));
+  };
+  if (!run_after(send_delay, std::move(task))) {
+    // Teardown already began: count the drop and resolve the callback so
     // a concurrent collect() sees a response instead of hanging into its
     // deadline.
     dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -622,7 +648,8 @@ NetStats Cluster::stats() const {
   s.peer_deaths = transport_->peer_deaths();
   // Reply frame costs are charged before the release bump above pairs
   // with this snapshot's acquire, so every observed reply's bytes are
-  // covered; request bytes follow the requests_sent_ charge-at-send rule.
+  // covered; a request's bytes are charged when the transport moves it,
+  // before its reply exists.
   s.bytes_sent = transport_->bytes_sent();
   s.bytes_received = transport_->bytes_received();
   s.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);

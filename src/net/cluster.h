@@ -7,15 +7,18 @@
 // reproduces that abstraction in-process:
 //
 //  - every node registers handlers (method name -> function);
-//  - handler compute executes on a shared thread pool sized to hardware
-//    concurrency; simulated link delay is resolved per edge from the
-//    deployment's NetworkConditions (net/conditions.h: base latency +
-//    deterministic per-edge hash jitter + heterogeneous slow links +
-//    iteration-scheduled straggler lag + partition windows + payload-
-//    proportional serialization at the edge's configured byte rate with a
-//    per-link busy queue, delivered as delayed — never dropped —
-//    messages) and is an event on the TimerWheel, never a sleep on a pool
-//    thread;
+//  - the Cluster owns the clock: handler compute executes on its one
+//    thread pool, sized to hardware concurrency, and every delayed step
+//    (delivery, fault retry, deadline sweep, bandwidth deferral) is an
+//    entry on its one TimerWheel, never a sleep on a pool thread; a
+//    Transport (net/transport.h) only moves a request to its callee and
+//    the reply back;
+//  - simulated link delay is resolved per edge from the deployment's
+//    NetworkConditions (net/conditions.h: base latency + deterministic
+//    per-edge hash jitter + heterogeneous slow links + iteration-scheduled
+//    straggler lag + partition windows + payload-proportional
+//    serialization at the edge's configured byte rate with a per-link
+//    busy queue, delivered as delayed — never dropped — messages);
 //  - payloads are immutable and refcounted (std::shared_ptr<const Payload>)
 //    end to end: a handler can serve the same snapshot to every requester
 //    without copying, and the Collector never copies replies beyond the
@@ -55,10 +58,12 @@
 #include <vector>
 
 #include "net/conditions.h"
+#include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "tensor/vecops.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace garfield::net {
 
@@ -188,12 +193,11 @@ class Cluster {
     /// ideal network.
     NetworkConditions conditions;
     std::uint64_t seed = 42;
-    /// Physical message movement. Null selects an internal InProcTransport
-    /// sized by pool_threads — the original single-process path, bitwise
-    /// identical to the pre-seam Cluster. A TcpTransport here turns every
-    /// cross-node call into a framed localhost stream exchange. The
-    /// Cluster becomes the transport's sole driver: ~Cluster shuts it
-    /// down.
+    /// Physical message movement. Null selects the in-process backend (a
+    /// plain Transport). A TcpTransport here turns every cross-node call
+    /// into a framed localhost stream exchange. Either way the delays and
+    /// the handler pool are this Cluster's, and it is the transport's sole
+    /// driver: ~Cluster shuts it down.
     std::shared_ptr<Transport> transport;
   };
 
@@ -308,17 +312,6 @@ class Cluster {
                                     const std::string& method,
                                     std::uint64_t iteration) const;
 
-  /// Full simulated delivery delay of one call (latency + jitter + slow
-  /// links + straggler lag + partition lag), resolved from the
-  /// NetworkConditions. Pure in its arguments. The payload-proportional
-  /// serialization component (frame bytes / byte_rate, plus the busy-link
-  /// queue) is composed next to this in send_attempt() — it needs the
-  /// concrete frame, which only the sender holds.
-  [[nodiscard]] Duration delay_for(
-      NodeId from, NodeId to, const std::string& method,
-      std::uint64_t iteration,
-      std::optional<std::uint64_t> window_iteration = std::nullopt) const;
-
   /// Credit `n` bytes a wire codec kept off the wire (NetStats::
   /// bytes_saved). Called by the codec seam's users at each encode that
   /// actually ships; relaxed monotone counter, same discipline as the
@@ -333,7 +326,6 @@ class Cluster {
   [[nodiscard]] const NetworkConditions& conditions() const {
     return options_.conditions;
   }
-  [[nodiscard]] std::uint64_t seed() const { return options_.seed; }
 
  private:
   using Callback = std::function<void(PayloadPtr)>;
@@ -347,7 +339,11 @@ class Cluster {
     Transport::Respond respond;
   };
 
-  struct NodeState {
+  /// Cache-line aligned: every delivery locks its callee's mutex and reads
+  /// its lifecycle, so one node's hot fields must not share a line with
+  /// its neighbour's lock. Unaligned, whether they do depends on what the
+  /// constructor allocated before the nodes.
+  struct alignas(64) NodeState {
     util::Mutex mutex;
     std::unordered_map<std::string, Handler> handlers
         GARFIELD_GUARDED_BY(mutex);
@@ -388,8 +384,14 @@ class Cluster {
   /// resolves the delivery at once instead.
   [[nodiscard]] bool park(Delivery& delivery, std::uint64_t epoch);
 
+  /// Run `task` once `delay` has elapsed: on the pool directly when the
+  /// delay is not positive, via the timer wheel otherwise. Returns false,
+  /// leaving `task` untouched, once teardown has stopped the wheel or the
+  /// pool.
+  [[nodiscard]] bool run_after(Duration delay, std::function<void()>&& task);
+
   /// Arm `node`'s deadline sweep at `due` (the wheel entry that resolves
-  /// expired parked requests). False once the transport shut down.
+  /// expired parked requests). False once teardown stopped the clock.
   [[nodiscard]] bool arm_sweep(NodeId node, NodeState& state,
                                Clock::time_point due)
       GARFIELD_REQUIRES(state.mutex);
@@ -401,8 +403,9 @@ class Cluster {
   void sweep_deadlines(NodeId node, Clock::time_point due);
 
   /// One send attempt of call()'s bounded retry chain: resolve the fault
-  /// verdict for `attempt`, either hand the message to the transport or
-  /// model its loss and schedule the next attempt.
+  /// verdict for `attempt`, either hand the message to the transport once
+  /// its delay has elapsed or model its loss and schedule the next
+  /// attempt.
   void send_attempt(NodeId from, NodeId to, const std::string& method,
                     std::uint64_t iteration, PayloadPtr argument,
                     CallbackPtr cb, Clock::time_point deadline,
@@ -472,10 +475,13 @@ class Cluster {
   /// Set first thing in ~Cluster: from then on a not-ready delivery
   /// resolves at once (counted as dropped) instead of parking.
   std::atomic<bool> closing_{false};
-  // Shut down explicitly by ~Cluster (stop-wheel -> drain-pool inside the
-  // transport), so in-flight deliveries can never re-arm a dead timer or
-  // submit to a dead pool.
   std::shared_ptr<Transport> transport_;
+  // The clock, declared after everything its tasks use. ~Cluster stops the
+  // wheel, then the pool: a stopped wheel or pool refuses work and stays
+  // alive until the members are destroyed, so a draining task that tries
+  // to re-arm is refused, never a dangling call.
+  util::ThreadPool pool_;
+  TimerWheel timer_{pool_};
 };
 
 }  // namespace garfield::net

@@ -92,13 +92,6 @@ TcpTransport::TcpTransport(const Options& options)
         "TcpTransport: ports vector does not cover every rank");
   }
   peers_.resize(nodes_);
-  std::size_t threads = options.pool_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  pool_ = std::make_unique<util::ThreadPool>(threads);
-  timer_ = std::make_unique<TimerWheel>(*pool_);
   {
     util::MutexLock lock(control_mutex_);
     ready_.assign(nodes_, false);
@@ -106,10 +99,16 @@ TcpTransport::TcpTransport(const Options& options)
   }
 }
 
-TcpTransport::~TcpTransport() { shutdown(); }
+TcpTransport::~TcpTransport() {
+  shutdown();
+  for (std::size_t r = 0; r < nodes_; ++r) {
+    if (peers_[r] && peers_[r]->fd >= 0) ::close(peers_[r]->fd);
+  }
+  if (options_.listen_fd >= 0) ::close(options_.listen_fd);
+}
 
-void TcpTransport::start(DeliverFn deliver) {
-  deliver_ = std::move(deliver);
+void TcpTransport::start(DeliverFn deliver, Post post) {
+  Transport::start(std::move(deliver), std::move(post));
   const auto deadline = Clock::now() + kMeshDeadline;
   // Connects first: every rank's listener was bound and put into listen()
   // by the orchestrator before any process forked, so these succeed
@@ -185,46 +184,15 @@ void TcpTransport::start(DeliverFn deliver) {
   }
 }
 
-bool TcpTransport::send_local(Request request, Duration delay,
-                              Clock::time_point deadline, Respond on_reply) {
-  // Identical to InProcTransport::send — the loopback edge of a
-  // multi-process deployment behaves exactly like the in-process backend.
-  const std::size_t req_bytes = request_frame_bytes(request);
-  bytes_sent_.fetch_add(req_bytes, std::memory_order_relaxed);
-  bytes_received_.fetch_add(req_bytes, std::memory_order_relaxed);
-  auto respond = [this, on_reply =
-                            std::move(on_reply)](PayloadPtr payload) mutable {
-    const std::size_t bytes = reply_frame_bytes(payload);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-    on_reply(std::move(payload));
-  };
-  std::function<void()> task = [this, request = std::move(request), deadline,
-                                respond = std::move(respond)]() mutable {
-    deliver_(std::move(request), deadline, std::move(respond));
-  };
-  return run_after(delay, std::move(task));
-}
-
-bool TcpTransport::send(Request request, Duration delay,
-                        Clock::time_point deadline, Respond on_reply) {
+void TcpTransport::send(Request request, Clock::time_point deadline,
+                        Respond on_reply) {
   assert(request.to < nodes_);
   if (request.to == rank_) {
-    return send_local(std::move(request), delay, deadline,
-                      std::move(on_reply));
+    // The loopback edge of a multi-process deployment is the in-process
+    // backend.
+    Transport::send(std::move(request), deadline, std::move(on_reply));
+    return;
   }
-  // The sender-side simulated delay elapses before the frame is written —
-  // the same point in the pipeline where the in-process backend delays
-  // delivery, so NetworkConditions drive both backends identically.
-  std::function<void()> task = [this, request = std::move(request), deadline,
-                                on_reply = std::move(on_reply)]() mutable {
-    write_request(std::move(request), deadline, std::move(on_reply));
-  };
-  return run_after(delay, std::move(task));
-}
-
-void TcpTransport::write_request(Request request, Clock::time_point deadline,
-                                 Respond on_reply) {
   const std::size_t to = request.to;
   Peer* peer = peers_[to].get();
   const std::uint64_t cid = next_cid_.fetch_add(1, std::memory_order_relaxed);
@@ -272,12 +240,6 @@ void TcpTransport::write_request(Request request, Clock::time_point deadline,
   if (!peer || !write_frame(*peer, body)) {
     resolve_pending(cid, nullptr);
   }
-}
-
-bool TcpTransport::run_after(Duration delay, std::function<void()>&& task) {
-  if (!pool_ || !timer_) return false;
-  return delay.count() <= 0 ? pool_->submit(std::move(task))
-                            : timer_->schedule_after(delay, std::move(task));
 }
 
 bool TcpTransport::write_frame(Peer& peer,
@@ -442,9 +404,9 @@ void TcpTransport::handle_frame(std::size_t peer_rank,
                                     respond = std::move(respond)]() mutable {
         deliver_(std::move(request), deadline, std::move(respond));
       };
-      // A refused submit means shutdown: the socket teardown resolves the
+      // A refused post means teardown: the socket teardown resolves the
       // caller via EOF, so dropping the task here is safe.
-      (void)pool_->submit(std::move(task));
+      (void)post_(std::move(task));
       break;
     }
     case kFrameReply: {
@@ -538,9 +500,10 @@ void TcpTransport::shutdown() {
   // before the EOF reaches it.
   const std::vector<std::uint8_t> exit_frame =
       frame(control_body(kFrameExit, std::uint32_t(rank_)));
-  // Sockets first: readers see EOF, resolve their peers' pending calls,
-  // and exit. Join them before draining the pool — readers submit
-  // delivery tasks and must never race pool teardown.
+  // Readers see EOF, resolve their peers' pending calls, and exit. They
+  // post deliveries to the Cluster's pool, so ~Cluster joins them here,
+  // before it stops that pool. The sockets stay open until
+  // ~TcpTransport: reply writes on pool threads may still target them.
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (!peers_[r]) continue;
     if (done_passed_.load(std::memory_order_relaxed)) {
@@ -551,22 +514,6 @@ void TcpTransport::shutdown() {
   }
   for (std::size_t r = 0; r < nodes_; ++r) {
     if (peers_[r] && peers_[r]->reader.joinable()) peers_[r]->reader.join();
-  }
-  // Then the in-process machinery, in the same order as InProcTransport:
-  // stop the wheel (flushed delayed writes see dead peers and resolve
-  // their callbacks), drain the pool, destroy both.
-  if (timer_) timer_->stop_and_flush();
-  pool_.reset();
-  timer_.reset();
-  for (std::size_t r = 0; r < nodes_; ++r) {
-    if (peers_[r] && peers_[r]->fd >= 0) {
-      ::close(peers_[r]->fd);
-      peers_[r]->fd = -1;
-    }
-  }
-  if (options_.listen_fd >= 0) {
-    ::close(options_.listen_fd);
-    options_.listen_fd = -1;
   }
 }
 

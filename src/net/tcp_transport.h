@@ -19,9 +19,11 @@
 //    deadline, and every request is answered by exactly one reply frame
 //    (a silent callee sends an empty reply, so callers never hang on a
 //    crashed node);
-//  - NetworkConditions delays are applied sender-side, before the frame is
-//    written, by the same timer-wheel path the in-process backend uses —
+//  - NetworkConditions delays elapse sender-side on the Cluster's timer
+//    wheel before send() writes the frame, on a pool thread —
 //    `wan:`/`hetero:`/`churn:` specs drive both backends identically;
+//  - arrivals hop from the peer's reader thread to the Cluster's pool
+//    (the post hook), so handler compute never runs on a reader;
 //  - a corrupted frame body fails the stream prefix CRC and is discarded
 //    by the receiver's FrameDecoder — one lost message the sender's fault
 //    retry layer recovers, never a dead stream;
@@ -48,11 +50,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/timer_wheel.h"
 #include "net/transport.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace garfield::net {
 
@@ -69,24 +69,27 @@ class TcpTransport final : public Transport {
     int listen_fd = -1;
     /// Localhost port of every rank's listener, indexed by rank.
     std::vector<std::uint16_t> ports;
-    /// Handler-compute pool size; 0 => hardware concurrency.
-    std::size_t pool_threads = 0;
   };
 
   explicit TcpTransport(const Options& options);
+  /// Shuts down if ~Cluster has not, then closes the sockets — only here,
+  /// after the Cluster's pool has drained, because reply writes on pool
+  /// threads can target them until then.
   ~TcpTransport() override;
 
   /// Builds the full mesh (connect to lower ranks, accept higher ranks)
   /// and starts one reader thread per peer. Blocks until every link is up;
   /// throws std::runtime_error if a sibling process never shows.
-  void start(DeliverFn deliver) override;
+  void start(DeliverFn deliver, Post post) override;
 
-  [[nodiscard]] bool send(Request request, Duration delay,
-                          Clock::time_point deadline,
-                          Respond on_reply) override;
-  [[nodiscard]] bool run_after(Duration delay,
-                               std::function<void()>&& task) override;
+  /// A request to this rank takes the in-process path (Transport::send);
+  /// any other is framed and written to its peer's stream inline.
+  void send(Request request, Clock::time_point deadline,
+            Respond on_reply) override;
   [[nodiscard]] bool remote() const override { return true; }
+  /// Shut the streams and join the readers, which post to the Cluster's
+  /// pool and so must stop before it does. Later writes fail as a dead
+  /// peer's would.
   void shutdown() override;
 
   // Process-level barriers, driven by the orchestrator (node_runner).
@@ -123,13 +126,6 @@ class TcpTransport final : public Transport {
     std::thread reader;
   };
 
-  /// Loopback fast path for request.to == rank_: byte-accounted and
-  /// scheduled exactly like InProcTransport::send.
-  [[nodiscard]] bool send_local(Request request, Duration delay,
-                                Clock::time_point deadline, Respond on_reply);
-  /// Frame and write one remote request; runs after the sender-side delay.
-  void write_request(Request request, Clock::time_point deadline,
-                     Respond on_reply);
   /// Write a length+CRC-prefixed frame to `peer`; false when the peer is
   /// down. With `corrupt` set the frame ships with a flipped body byte —
   /// the fault plane's wire damage, which the receiver's stream CRC
@@ -156,7 +152,6 @@ class TcpTransport final : public Transport {
   Options options_;
   std::size_t rank_;
   std::size_t nodes_;
-  DeliverFn deliver_;
   std::vector<std::unique_ptr<Peer>> peers_;  ///< by rank; self is null
   std::atomic<bool> down_{false};
   /// await_done() succeeded: shutdown() announces a clean exit.
@@ -175,11 +170,6 @@ class TcpTransport final : public Transport {
   util::CondVar control_cv_;
   std::vector<bool> ready_ GARFIELD_GUARDED_BY(control_mutex_);
   std::vector<bool> done_ GARFIELD_GUARDED_BY(control_mutex_);
-
-  // Same delayed-execution machinery as InProcTransport; shutdown() stops
-  // the wheel, drains the pool, then closes sockets.
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<TimerWheel> timer_;
 };
 
 }  // namespace garfield::net

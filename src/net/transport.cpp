@@ -1,6 +1,5 @@
 #include "net/transport.h"
 
-#include <thread>
 #include <utility>
 
 #include "net/wire.h"
@@ -35,67 +34,27 @@ std::size_t reply_frame_bytes(const PayloadPtr& payload) {
          (payload ? wire_size(payload->size()) : 0);
 }
 
-InProcTransport::InProcTransport(std::size_t pool_threads) {
-  std::size_t threads = pool_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  pool_ = std::make_unique<util::ThreadPool>(threads);
-  timer_ = std::make_unique<TimerWheel>(*pool_);
-}
-
-InProcTransport::~InProcTransport() { shutdown(); }
-
-void InProcTransport::start(DeliverFn deliver) {
+void Transport::start(DeliverFn deliver, Post post) {
   deliver_ = std::move(deliver);
+  post_ = std::move(post);
 }
 
-bool InProcTransport::send(Request request, Duration delay,
-                           Clock::time_point deadline, Respond on_reply) {
-  // Request bytes are charged at send time whether or not scheduling
-  // succeeds — the same contract as requests_sent_, which the Cluster
-  // bumps even for a dispatch that teardown then drops.
+void Transport::send(Request request, Clock::time_point deadline,
+                     Respond on_reply) {
+  // In process every frame is both sent and received. Reply bytes are
+  // charged on the answering thread just before the reply callback runs,
+  // so they happen-before the Cluster's release bump of replies_received_
+  // and every stats() snapshot covers them.
   const std::size_t req_bytes = request_frame_bytes(request);
   bytes_sent_.fetch_add(req_bytes, std::memory_order_relaxed);
   bytes_received_.fetch_add(req_bytes, std::memory_order_relaxed);
-  // Reply bytes are charged on the delivery thread just before the reply
-  // callback runs, so they happen-before the Cluster's release bump of
-  // replies_received_ and every stats() snapshot covers them.
-  auto respond = [this,
-                  on_reply = std::move(on_reply)](PayloadPtr payload) mutable {
-    const std::size_t bytes = reply_frame_bytes(payload);
-    bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
-    bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
-    on_reply(std::move(payload));
-  };
-  std::function<void()> task = [this, request = std::move(request), deadline,
-                                respond = std::move(respond)]() mutable {
-    deliver_(std::move(request), deadline, std::move(respond));
-  };
-  return run_after(delay, std::move(task));
-}
-
-bool InProcTransport::run_after(Duration delay, std::function<void()>&& task) {
-  if (!pool_ || !timer_) return false;
-  return delay.count() <= 0 ? pool_->submit(std::move(task))
-                            : timer_->schedule_after(delay, std::move(task));
-}
-
-void InProcTransport::shutdown() {
-  if (down_) return;
-  down_ = true;
-  // Teardown order matters. First stop the wheel and run its backlog
-  // inline: from here on schedule_after() refuses new entries, so a
-  // flushed or in-flight fault retry resolves its callback (counted as
-  // dropped) instead of re-arming a dying timer. The pool is still alive
-  // for any zero-delay delivery a flushed task issues. Then the pool
-  // drains and joins — draining tasks that try to re-arm still see the
-  // stopped-but-alive wheel. The unique_ptrs are destroyed afterwards with
-  // nothing in flight.
-  timer_->stop_and_flush();
-  pool_.reset();
-  timer_.reset();
+  deliver_(std::move(request), deadline,
+           [this, on_reply = std::move(on_reply)](PayloadPtr payload) {
+             const std::size_t bytes = reply_frame_bytes(payload);
+             bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
+             bytes_received_.fetch_add(bytes, std::memory_order_relaxed);
+             on_reply(std::move(payload));
+           });
 }
 
 }  // namespace garfield::net

@@ -2,24 +2,24 @@
 //
 // The paper's deployment (§4) runs each node as its own process on its own
 // machine; our Cluster grew up as a single in-process object graph. This
-// header is the boundary that lets both be true at once: Cluster resolves
-// simulated NetworkConditions delay, lifecycle gating, not-ready
-// parking and quorum accounting exactly as before, but hands the
-// *physical* movement of every request/reply to a Transport:
+// header is the boundary that lets both be true at once: the Cluster owns
+// the clock (simulated NetworkConditions delay, the one handler pool and
+// the one timer wheel), lifecycle gating, not-ready parking and quorum
+// accounting, and hands a Transport only the *physical* movement of a
+// request to its callee, once its delay has elapsed, and of the reply back:
 //
-//  - InProcTransport: the original timer-wheel + thread-pool path,
-//    factored out verbatim — same scheduling decisions in the same order,
-//    so every in-process run stays bitwise identical to the pre-seam code;
+//  - Transport itself is the in-process backend: the request reaches the
+//    callee's delivery sink inline, on the pool thread the Cluster ran the
+//    send on, and the reply is the respond callback invoked wherever the
+//    handler answered;
 //  - TcpTransport (tcp_transport.h): each node is its own OS process and
 //    frames flow over localhost TCP streams (length-prefixed net/wire
-//    blobs), with the same sender-side delay model so `wan:`/`hetero:`/
-//    `churn:` specs drive both backends identically.
+//    blobs); arrivals run on the Cluster's pool through the post hook.
 //
-// The contract is deliberately small: a callee-side delivery sink
-// (installed once by the Cluster), an async send whose callback resolves
-// exactly once, and the delayed-execution primitive the fault-retry chain
-// and the parked-request deadline sweep ride on. Byte accounting lives
-// here — both backends charge the same wire-equivalent frame costs, so
+// The contract is deliberately small: a callee-side delivery sink and a
+// post hook (both installed once by the Cluster), and a send whose
+// callback resolves exactly once. Byte accounting lives here — both
+// backends charge the same wire-equivalent frame costs, so
 // `bytes_sent`/`bytes_received` are directly comparable across backends.
 #pragma once
 
@@ -32,10 +32,7 @@
 #include <optional>
 #include <string>
 
-#include "net/timer_wheel.h"
 #include "tensor/vecops.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace garfield::net {
 
@@ -78,11 +75,10 @@ struct Request {
 [[nodiscard]] std::size_t reply_frame_bytes(const PayloadPtr& payload);
 
 /// Physical message movement under the Cluster. All policy — simulated
-/// delay resolution, lifecycle gating, handler dispatch, retry backoff,
+/// delay, scheduling, lifecycle gating, handler dispatch, retry backoff,
 /// stats — stays in the Cluster; a Transport only moves requests to the
-/// callee's delivery sink and replies back, and provides the delayed
-/// execution primitive the initial (delayed) delivery, the fault-retry
-/// chain and the parked-request deadline sweep ride on.
+/// callee's delivery sink and replies back. The base class is the
+/// in-process backend.
 class Transport {
  public:
   /// Exactly-once resolution of one delivered request. nullptr means the
@@ -96,41 +92,36 @@ class Transport {
   using DeliverFn =
       std::function<void(Request request, Clock::time_point deadline,
                          Respond respond)>;
+  /// Runs a task on the Cluster's handler pool. Returns false, leaving the
+  /// task untouched, once the Cluster's teardown has begun.
+  using Post = std::function<bool(std::function<void()>&& task)>;
 
+  Transport() = default;
   virtual ~Transport() = default;
 
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Install the delivery sink (and, for remote backends, bring links up).
-  /// Called exactly once, by the Cluster constructor, before any send().
-  virtual void start(DeliverFn deliver) = 0;
+  /// Install the delivery sink and the pool hook (and, for remote
+  /// backends, bring links up). Called exactly once, by the Cluster
+  /// constructor, before any send().
+  virtual void start(DeliverFn deliver, Post post);
 
-  /// Route `request` toward its destination after the sender-side
-  /// simulated `delay`; `on_reply` fires exactly once with the reply (or
-  /// nullptr for a silent callee). Returns false — without invoking or
-  /// consuming `on_reply`'s obligations — once shutdown has begun; the
-  /// caller resolves the callback itself (Cluster counts a dropped task).
-  [[nodiscard]] virtual bool send(Request request, Duration delay,
-                                  Clock::time_point deadline,
-                                  Respond on_reply) = 0;
-
-  /// Run `task` once `delay` has elapsed: on the pool directly when the
-  /// delay is not positive, via the timer otherwise. The fault-retry and
-  /// deadline-sweep primitive. Returns false (task left untouched) once
-  /// shutdown has begun.
-  [[nodiscard]] virtual bool run_after(Duration delay,
-                                       std::function<void()>&& task) = 0;
+  /// Move `request` to its callee now; the sender-side simulated delay has
+  /// already elapsed on the Cluster's clock. `on_reply` fires exactly once
+  /// with the reply (or nullptr for a silent callee). In process, both
+  /// frames are charged and the sink runs inline on the calling thread.
+  virtual void send(Request request, Clock::time_point deadline,
+                    Respond on_reply);
 
   /// True when request delivery crosses a process boundary — the callee
   /// has no local loop threads driving its churn schedule, so the Cluster
   /// advances the lifecycle horizon from the arrival itself.
   [[nodiscard]] virtual bool remote() const { return false; }
 
-  /// Stop moving messages: pending delayed entries are flushed inline,
-  /// in-flight work drains, and subsequent send()/run_after() return
-  /// false. Idempotent; called by ~Cluster.
-  virtual void shutdown() = 0;
+  /// Stop moving messages across process boundaries; a no-op in process.
+  /// Idempotent; called by ~Cluster before it stops its own clock.
+  virtual void shutdown() {}
 
   /// Cumulative wire-equivalent traffic through this transport endpoint.
   /// Relaxed monotone counters, same discipline as the Cluster's (reply
@@ -149,44 +140,11 @@ class Transport {
   }
 
  protected:
-  Transport() = default;
-
+  DeliverFn deliver_;
+  Post post_;
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
   std::atomic<std::uint64_t> peer_deaths_{0};
-};
-
-/// The original in-process path, factored out of the Cluster verbatim:
-/// delivery is a task on the shared ThreadPool (zero delay) or an entry on
-/// the TimerWheel (positive delay), and the reply is the respond callback
-/// invoked on whichever pool thread ran the handler. Scheduling decisions,
-/// their order, and the teardown sequence are bit-for-bit the pre-seam
-/// Cluster's, so existing runs are unchanged.
-class InProcTransport final : public Transport {
- public:
-  /// `pool_threads` == 0 sizes the pool to hardware concurrency — pool
-  /// threads only run handler compute (delays live on the wheel), so more
-  /// would just contend for the same cores.
-  explicit InProcTransport(std::size_t pool_threads = 0);
-  ~InProcTransport() override;
-
-  void start(DeliverFn deliver) override;
-  [[nodiscard]] bool send(Request request, Duration delay,
-                          Clock::time_point deadline,
-                          Respond on_reply) override;
-  [[nodiscard]] bool run_after(Duration delay,
-                               std::function<void()>&& task) override;
-  void shutdown() override;
-
- private:
-  DeliverFn deliver_;
-  bool down_ = false;  ///< set once by shutdown(); no concurrent callers
-  // Torn down by shutdown() in the order stop-wheel -> drain-pool ->
-  // destroy both, so in-flight deliveries can never re-arm a dead timer or
-  // submit to a dead pool (see ~Cluster's original comment, which moved
-  // here with the members).
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<TimerWheel> timer_;
 };
 
 }  // namespace garfield::net

@@ -9,13 +9,17 @@ ThreadPool::ThreadPool(std::size_t threads) {
     workers_.emplace_back([this] { worker_loop(); });
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { shutdown(); }
+
+void ThreadPool::shutdown() {
   {
     MutexLock lock(mutex_);
     stop_ = true;
   }
   cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
+  for (std::thread& t : workers_) {
+    if (t.joinable()) t.join();
+  }
 }
 
 bool ThreadPool::submit(std::function<void()>&& task) {

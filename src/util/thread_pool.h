@@ -1,10 +1,10 @@
 // Fixed-size thread pool. It has two users:
-//   - the transports (net/transport.h, net/tcp_transport.h) execute RPC
-//     handler invocations on one, the way a gRPC server's completion queues
-//     would. Pool threads only ever run handler compute: simulated link
-//     delay lives in the TimerWheel (net/timer_wheel.h), so the pool can be
-//     sized to hardware concurrency instead of over-provisioned to hide
-//     sleeps;
+//   - each net::Cluster (net/cluster.h) executes RPC handler invocations
+//     on its own one, the way a gRPC server's completion queues would.
+//     Pool threads only ever run handler compute: simulated link delay
+//     lives in the Cluster's TimerWheel (net/timer_wheel.h), so the pool
+//     can be sized to hardware concurrency instead of over-provisioned to
+//     hide sleeps;
 //   - tensor::parallel_for (tensor/parallel.h) keeps one process-wide
 //     instance whose threads help callers run their coordinate shards.
 //
@@ -27,6 +27,7 @@ namespace garfield::util {
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);
+  /// Calls shutdown().
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -34,11 +35,16 @@ class ThreadPool {
 
   /// Enqueue a task; never blocks. Returns false once shutdown has begun,
   /// leaving `task` untouched so the caller can still run or resolve it —
-  /// Cluster::dispatch counts these as dropped_tasks and resolves the RPC
+  /// the Cluster counts these as dropped_tasks and resolves the RPC
   /// callback so quorum accounting cannot hang; the TimerWheel runs the
   /// refused task inline.
   [[nodiscard]] bool submit(std::function<void()>&& task)
       GARFIELD_EXCLUDES(mutex_);
+
+  /// Refuse new tasks, run every queued one (a running task may still
+  /// submit; it is refused), and join the workers. Idempotent; call it
+  /// from outside the pool.
+  void shutdown() GARFIELD_EXCLUDES(mutex_);
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 

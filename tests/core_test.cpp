@@ -2,10 +2,17 @@
 // Server/Worker objects over the live cluster, and integration tests of
 // all five deployments (convergence, determinism, fault injection).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <future>
 #include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -36,6 +43,13 @@ gc::DeploymentConfig fast_config() {
   cfg.eval_every = 30;
   cfg.seed = 3;
   return cfg;
+}
+
+/// Per-process, so the parallel and serial ctest runs never share a file.
+std::string temp_path(const char* name) {
+  return (std::filesystem::temp_directory_path() /
+          ("garfield_core_" + std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 }  // namespace
@@ -301,6 +315,39 @@ TEST(ServerWorker, PullHandsTheGarTheServedPayload) {
   EXPECT_EQ(worker.gradients_computed(), 1u);
 }
 
+TEST(ServerWorker, MalformedGradientArgumentAnswersSilence) {
+  // The ingress gate covers plain arguments too: a missing model or one of
+  // the wrong dimension answers silence, like a malformed codec frame,
+  // instead of crashing the worker's process.
+  gn::Cluster::Options opts;
+  opts.nodes = 2;
+  gn::Cluster cluster(opts);
+  gt::Rng data_rng(6);
+  gd::Dataset data = gd::make_cluster_dataset({16}, 10, 64, data_rng, 1.0F);
+  gt::Rng w1(7);
+  garfield::nn::ModelPtr model = garfield::nn::make_model("tiny_mlp", w1);
+  const std::size_t dim = model->dimension();
+  gc::Worker worker(1, cluster, std::move(model), data, 8, gt::Rng(9));
+  const auto pull = [&cluster](gn::PayloadPtr argument) {
+    auto done = std::make_shared<std::promise<gn::PayloadPtr>>();
+    std::future<gn::PayloadPtr> reply = done->get_future();
+    cluster.call(
+        0, 1, gc::kGetGradient, 0, std::move(argument),
+        [done](gn::PayloadPtr p) { done->set_value(std::move(p)); },
+        std::chrono::seconds(10));
+    return reply.get();
+  };
+  EXPECT_EQ(pull(nullptr), nullptr);
+  EXPECT_EQ(pull(std::make_shared<const gn::Payload>(dim - 1, 0.1F)), nullptr);
+  // The rejected pulls left the single-flight slot free: a well-formed one
+  // is answered, not parked into its deadline.
+  const gn::PayloadPtr grad =
+      pull(std::make_shared<const gn::Payload>(dim, 0.1F));
+  ASSERT_NE(grad, nullptr);
+  EXPECT_EQ(grad->size(), dim);
+  EXPECT_EQ(worker.gradients_computed(), 1u);
+}
+
 TEST(ServerWorker, UpdateModelAppliesSgdStep) {
   gn::Cluster::Options opts;
   opts.nodes = 1;
@@ -510,13 +557,32 @@ TEST(Deployments, DecentralizedReporterWritesCheckpoints) {
   cfg.model_gar = "median";
   cfg.iterations = 12;
   cfg.checkpoint_every = 5;
-  cfg.checkpoint_path = testing::TempDir() + "garfield_dec_reporter.ckpt";
+  cfg.checkpoint_path = temp_path("dec_reporter.ckpt");
   std::remove(cfg.checkpoint_path.c_str());
   const gc::TrainResult result = gc::train(cfg);
   const gc::Checkpoint ckpt = gc::load_checkpoint(cfg.checkpoint_path);
   std::remove(cfg.checkpoint_path.c_str());
   EXPECT_EQ(ckpt.iteration, cfg.iterations);
   EXPECT_EQ(ckpt.parameters, result.final_parameters);
+}
+
+TEST(Deployments, LoopFailureThrowsFromTrain) {
+  // A driving loop that throws (the reporter's checkpoint write into a
+  // directory that does not exist) ends the run with its reason.
+  gc::DeploymentConfig cfg = fast_config();
+  cfg.deployment = gc::Deployment::kSsmw;
+  cfg.nw = 4;
+  cfg.iterations = 4;
+  cfg.checkpoint_every = 1;
+  cfg.checkpoint_path = temp_path("missing_dir") + "/run.ckpt";
+  try {
+    (void)gc::train(cfg);
+    ADD_FAILURE() << "train() returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(cfg.checkpoint_path),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Deployments, MsmwSurvivesByzantineWorkersAndServers) {

@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -737,15 +739,17 @@ tcp_pair() {
     opts.nodes = 2;
     opts.listen_fd = fd;
     opts.ports = ports;
-    opts.pool_threads = 1;
     return std::make_unique<gn::TcpTransport>(opts);
   };
   auto a = make(0, fd0);
   auto b = make(1, fd1);
   const gn::Transport::DeliverFn ignore = [](gn::Request, gn::Clock::time_point,
                                              gn::Transport::Respond) {};
-  std::thread accept_side([&] { a->start(ignore); });
-  b->start(ignore);
+  const gn::Transport::Post refuse = [](std::function<void()>&&) {
+    return false;
+  };
+  std::thread accept_side([&] { a->start(ignore, refuse); });
+  b->start(ignore, refuse);
   accept_side.join();
   return {std::move(a), std::move(b)};
 }
@@ -776,4 +780,50 @@ TEST(TcpTeardown, ExitPastTheDoneBarrierIsNoPeerDeath) {
   EXPECT_EQ(a->peer_deaths(), 0u);
   // The exit announcement is teardown, not traffic.
   EXPECT_EQ(a->bytes_received(), received);
+}
+
+TEST(TcpTeardown, DelayedSendsInFlightResolveAtClusterTeardown) {
+  // Calls still on the caller's timer wheel when its Cluster is destroyed
+  // resolve exactly once, silent, before the destructor returns: ~Cluster
+  // shuts the streams first, then flushes its wheel into the dead links.
+  std::vector<std::uint16_t> ports(2);
+  const int fd0 = listen_loopback(ports[0]);
+  const int fd1 = listen_loopback(ports[1]);
+  const auto options = [&](std::size_t rank, int fd) {
+    gn::TcpTransport::Options topts;
+    topts.rank = rank;
+    topts.nodes = 2;
+    topts.listen_fd = fd;
+    topts.ports = ports;
+    gn::Cluster::Options opts;
+    opts.nodes = 2;
+    opts.pool_threads = 1;
+    opts.conditions = gn::NetworkConditions::parse("wan:latency=200ms");
+    opts.transport = std::make_shared<gn::TcpTransport>(topts);
+    return opts;
+  };
+  const gn::Cluster::Options opts0 = options(0, fd0);
+  const gn::Cluster::Options opts1 = options(1, fd1);
+  std::unique_ptr<gn::Cluster> caller;
+  std::thread accept_side(
+      [&] { caller = std::make_unique<gn::Cluster>(opts0); });
+  gn::Cluster callee(opts1);
+  accept_side.join();
+  serve_constant(callee, 1, 7.0F);
+
+  constexpr std::size_t kCalls = 8;
+  std::array<std::atomic<int>, kCalls> fired{};
+  std::atomic<int> replies{0};
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    caller->call(0, 1, "echo", i, nullptr,
+                 [&fired, &replies, i](gn::PayloadPtr p) {
+                   fired[i].fetch_add(1);
+                   if (p) replies.fetch_add(1);
+                 });
+  }
+  caller.reset();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(fired[i].load(), 1) << "call " << i;
+  }
+  EXPECT_EQ(replies.load(), 0);
 }
