@@ -61,7 +61,7 @@ std::vector<std::uint8_t> encode_abort(const std::string& reason) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_result(const TrainResult& r) {
+std::vector<std::uint8_t> encode_train_result(const TrainResult& r) {
   std::vector<std::uint8_t> out;
   put_header(out, /*ok=*/true, "");
   put_u64(out, r.iterations_run);
@@ -108,7 +108,7 @@ std::vector<std::uint8_t> encode_result(const TrainResult& r) {
 }
 
 /// Decode, or rethrow the child's abort reason.
-TrainResult decode_result(std::span<const std::uint8_t> bytes) {
+TrainResult decode_train_result(std::span<const std::uint8_t> bytes) {
   net::ByteReader in(bytes, "node result blob");
   if (in.u32() != kResultMagic) {
     throw std::runtime_error("node result blob: bad magic");
@@ -435,7 +435,7 @@ TrainResult train_multiprocess(const DeploymentConfig& config) {
                                " failed (" + describe_exit(status[r]) + ")");
     }
   }
-  return decode_result(read_file(result_path));
+  return decode_train_result(read_file(result_path));
 }
 
 }  // namespace detail
@@ -492,7 +492,7 @@ int run_node(const DeploymentConfig& config, const NodeOptions& options) {
     if (options.rank == rt.reporter && !options.result_path.empty()) {
       std::vector<std::uint8_t> blob;
       try {
-        blob = encode_result(detail::harvest(rt));
+        blob = encode_train_result(detail::harvest(rt));
       } catch (const std::exception& e) {
         // Below-floor churn abort (or any harvest failure): the reason
         // travels to the parent, which rethrows it from train().

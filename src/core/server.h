@@ -12,11 +12,18 @@
 //
 // State is held as an immutable copy-on-write snapshot
 // (std::shared_ptr<const Payload>): update_model builds a new vector and
-// write_model takes one, then each swaps the pointer, so serve_model and
+// write_model takes one, then each swaps the pointer, so model pulls and
 // get_gradients hand out refcounted pointers instead of locking and
 // copying — one snapshot serves every concurrent requester for free. The
 // pulls return such pointers too: a GAR reads the payloads a callee served
 // in place.
+//
+// A snapshot or gossip publication is kept as a Published pair: the dense
+// vector this node computes with, and the wire frame the cluster's codec
+// (net/codec.h) made from it once, when it was written or published — a
+// state-class frame for a snapshot, a gradient-class frame folding in the
+// gossip error-feedback residual for a publication. Every puller ships
+// that frame; under codec=none it is the dense payload itself.
 //
 // Synchronous model exchanges (MSMW, decentralized) run in *step-tagged*
 // mode: the driving loop publishes its snapshot for iteration t
@@ -72,7 +79,8 @@ class Server {
   [[nodiscard]] std::size_t dimension() const { return model_->dimension(); }
 
   /// Pull gradients for iteration t from the workers; fastest q win. The
-  /// request argument is this server's current snapshot pointer (no copy).
+  /// request argument is the current snapshot's frame (no copy; the
+  /// snapshot pointer itself under codec=none).
   /// Like every pull, it returns the replies that pass validate(): the
   /// payloads the callees served, not copies, ready to be a GAR's rows.
   [[nodiscard]] std::vector<net::PayloadPtr> get_gradients(std::uint64_t t,
@@ -92,16 +100,6 @@ class Server {
   [[nodiscard]] std::vector<net::PayloadPtr> get_aggr_grads(
       std::uint64_t tag, std::size_t q, std::uint64_t iteration);
 
-  /// Install the deployment's wire codec (net/codec.h). Call once at
-  /// build time, before the driving loops start. Gradient-class payloads
-  /// this node serves (the contraction gossip) are compressed with the
-  /// configured codec; state-class payloads (the model snapshot riding
-  /// get_gradients requests, serve_model replies) degrade lossy codecs to
-  /// int8 — a model missing most coordinates is not a model. Encoded
-  /// ingress payloads are decoded — and Byzantine garbage rejected — in
-  /// validate(). Default: identity.
-  void set_codec(net::CodecSpec spec) { codec_ = net::Codec(spec); }
-
   /// Switch model serving to step-tagged mode (see file comment). Call
   /// before the driving loops start; publish_model then gates what peers
   /// can pull. Untagged mode (the default, and asynchronous MSMW) serves
@@ -114,7 +112,9 @@ class Server {
   void publish_model(std::uint64_t t) GARFIELD_EXCLUDES(mutex_);
 
   /// Publish this node's contracted gradient for gossip tag `tag`; peers
-  /// pulling get_aggr_grads(tag, ...) park until it is published.
+  /// pulling get_aggr_grads(tag, ...) park until it is published. Its
+  /// gradient-class frame is made here, in publish order, and advances
+  /// the gossip residual once.
   void publish_aggr_grad(std::uint64_t tag, net::Payload grad)
       GARFIELD_EXCLUDES(mutex_);
 
@@ -122,11 +122,13 @@ class Server {
   /// skipped); peers receive a decline instead of waiting forever.
   void skip_aggr_grad(std::uint64_t tag) GARFIELD_EXCLUDES(mutex_);
 
-  /// SGD step with an aggregated gradient (Equation (2)).
+  /// SGD step with an aggregated gradient (Equation (2)). The new
+  /// snapshot gets its state-class frame here.
   void update_model(const net::Payload& aggregated_gradient);
 
   /// Overwrite the parameter vector (after model-GAR aggregation); the
-  /// vector becomes the new snapshot without a copy.
+  /// vector becomes the new snapshot without a copy, with its state-class
+  /// frame.
   void write_model(net::Payload parameters);
 
   /// Top-1 accuracy of the current state on a test batch.
@@ -137,7 +139,7 @@ class Server {
   /// Copy of the current parameter vector.
   [[nodiscard]] net::Payload parameters() const;
 
-  /// Current snapshot pointer (refcount bump, no copy).
+  /// Current snapshot pointer, dense (refcount bump, no copy).
   [[nodiscard]] net::PayloadPtr snapshot() const;
 
   /// Snapshot of the optimizer's momentum buffer (persisted in checkpoints;
@@ -179,11 +181,23 @@ class Server {
   [[nodiscard]] std::uint64_t rejected_payloads() const;
 
  protected:
-  /// What get_model serves; ByzantineServer corrupts it.
-  [[nodiscard]] virtual net::HandlerResult serve_model(
-      const net::Request& req);
-  [[nodiscard]] virtual net::HandlerResult serve_aggr_grad(
-      const net::Request& req);
+  /// A payload as this node keeps and ships it: `dense` is what it
+  /// computes with, `wire` the codec frame made from it once (the same
+  /// pointer under codec=none). A null `dense` on a gossip ring entry marks
+  /// a skipped round.
+  struct Published {
+    net::PayloadPtr dense;
+    net::PayloadPtr wire;
+  };
+
+  /// The reply to a pull the publication `honest` answers: its frame.
+  /// `iteration` is the requested tag, `gossip` tells a get_aggr_grad
+  /// pull from a get_model one. ByzantineServer crafts a reply from
+  /// `honest.dense` instead. Called with no lock held.
+  [[nodiscard]] virtual net::HandlerResult answer(Published honest,
+                                                  std::uint64_t iteration,
+                                                  bool gossip);
+
   /// What get_checkpoint serves: the live state as a digest-sealed blob
   /// (encode_checkpoint_blob + pack_bytes). ByzantineServer tampers with
   /// the blob *after* the digest is computed, which is exactly what the
@@ -195,12 +209,14 @@ class Server {
   /// what serve_checkpoint seals into its blob.
   [[nodiscard]] Checkpoint current_checkpoint() const;
 
+  /// The cluster's wire codec (net::Cluster::Options::codec).
+  [[nodiscard]] net::Codec codec() const { return cluster_.codec(); }
+
  private:
-  /// One tagged publication (model or contracted gradient). A null payload
-  /// on an aggr-grad entry marks a skipped round.
+  /// One tagged publication (model or contracted gradient).
   struct TaggedEntry {
     std::uint64_t tag = 0;
-    net::PayloadPtr payload;
+    Published published;
   };
 
   /// (Re-)register the get_model / get_aggr_grad / get_checkpoint
@@ -215,39 +231,19 @@ class Server {
   [[nodiscard]] std::vector<net::PayloadPtr> validate(
       std::vector<net::Reply> replies);
 
-  /// One cached wire encoding, keyed on the source payload's identity.
-  /// The key is OWNING: holding the source alive is what makes pointer
-  /// identity exact — a raw key would dangle once the snapshot/ring drops
-  /// its reference, and the freed address can be reused by the very next
-  /// published payload, silently serving a stale frame (real transports
-  /// hold no extra reference to the argument bytes, so they hit this).
-  struct EncodedFrame {
-    net::PayloadPtr source;
-    net::PayloadPtr encoded;
-  };
+  /// `parameters` as a snapshot, with its state-class frame (lossy codecs
+  /// degrade to int8: a model missing most coordinates is not a model).
+  [[nodiscard]] Published snapshot_of(net::Payload parameters) const;
 
-  /// The current snapshot, state-encoded for the get_gradients request
-  /// argument (identity codec: the snapshot itself). Cached per snapshot
-  /// pointer; charges NetStats::bytes_saved once per destination.
-  [[nodiscard]] net::PayloadPtr encoded_snapshot(std::size_t destinations);
-
-  /// Compress an outbound handler reply. Wrapped around the *virtual*
-  /// serve_model / serve_aggr_grad calls at handler-registration level, so
-  /// ByzantineServer attacks operate on the plaintext payload and the
-  /// corrupted result is encoded after — a Byzantine sender still speaks
-  /// the wire format (attacks on the format itself live in the fuzz
-  /// suite). `state_class` selects encode_state over encode_gradient.
-  [[nodiscard]] net::HandlerResult encode_result(net::HandlerResult r,
-                                                 bool state_class);
-
-  /// Tagged lookup shared by serve_model / serve_aggr_grad: not_ready
-  /// until `tag` is published, then the ring entry. Long-evicted tags are
-  /// clamped to the oldest retained entry when `serve_oldest_on_eviction`
-  /// (model pulls — staleness is tolerable) and declined otherwise
-  /// (gossip pulls — a wrong round would corrupt the contraction).
-  [[nodiscard]] net::HandlerResult serve_tagged(
-      const std::deque<TaggedEntry>& ring, std::uint64_t tag,
-      bool serve_oldest_on_eviction) const GARFIELD_REQUIRES(mutex_);
+  /// The get_model (`gossip` false) and get_aggr_grad handler. Untagged
+  /// model serving answers the live snapshot. Tagged pulls answer
+  /// not_ready until the tag is published, then its ring entry; a tag
+  /// evicted from the ring is clamped to the oldest retained entry for
+  /// model pulls (staleness is tolerable) and declined for gossip pulls
+  /// (a wrong round would corrupt the contraction).
+  [[nodiscard]] net::HandlerResult serve(const net::Request& req,
+                                         bool gossip)
+      GARFIELD_EXCLUDES(mutex_);
 
   net::NodeId id_;
   net::Cluster& cluster_;
@@ -262,19 +258,12 @@ class Server {
 
   gars::AggregationContext aggregation_context_;
 
-  /// Wire codec; immutable after set_codec (build time).
-  net::Codec codec_;
-
   mutable util::Mutex mutex_;
-  /// Outbound reply encodings (serve_model / serve_aggr_grad frames).
-  std::deque<EncodedFrame> reply_cache_ GARFIELD_GUARDED_BY(mutex_);
-  /// State-encoded get_gradients request arguments.
-  std::deque<EncodedFrame> arg_cache_ GARFIELD_GUARDED_BY(mutex_);
-  /// Error-feedback memory for the gossip (gradient-class) channel; the
-  /// reply cache advances it once per distinct published gradient.
+  /// Error-feedback memory for the gossip (gradient-class) channel,
+  /// advanced once per publication.
   tensor::FlatVector gossip_residual_ GARFIELD_GUARDED_BY(mutex_);
-  /// Immutable snapshot, swapped on write.
-  net::PayloadPtr params_ GARFIELD_GUARDED_BY(mutex_);
+  /// Immutable snapshot and its frame, swapped on write.
+  Published params_ GARFIELD_GUARDED_BY(mutex_);
   bool tagged_models_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::deque<TaggedEntry> model_ring_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<TaggedEntry> aggr_ring_ GARFIELD_GUARDED_BY(mutex_);
@@ -288,14 +277,17 @@ class Server {
 /// iteration tag on the pull), this node's id and the declared server
 /// cohort shape; the honest view stays empty — a Byzantine server has no
 /// channel to its peers' parameter vectors, so omniscient attacks degrade
-/// gracefully to their view-free behaviour.
+/// gracefully to their view-free behaviour. A crafted reply is encoded by
+/// the attacker on its own, with no residual, in the class of the channel
+/// it answers: a Byzantine sender still speaks the wire format (attacks on
+/// the format itself live in the fuzz suite).
 class ByzantineServer final : public Server {
  public:
   /// The cohort-GAR specs are what the deployment aggregates this node's
   /// two reply channels with ("" when unknown) — adaptive attacks probe
   /// them through AttackContext::gar: `model_cohort_gar` (config's
-  /// model_gar) covers serve_model, `aggr_cohort_gar` (config's
-  /// gradient_gar) covers the contraction-gossip serve_aggr_grad, which
+  /// model_gar) covers get_model, `aggr_cohort_gar` (config's
+  /// gradient_gar) covers the contraction gossip (get_aggr_grad), which
   /// peers re-aggregate with the *gradient* rule.
   ByzantineServer(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
                   nn::SgdOptimizer::Options opt,
@@ -307,8 +299,10 @@ class ByzantineServer final : public Server {
                   std::string aggr_cohort_gar = {});
 
  protected:
-  net::HandlerResult serve_model(const net::Request& req) override;
-  net::HandlerResult serve_aggr_grad(const net::Request& req) override;
+  /// Craft from `honest.dense` (attacks rewrite a copy; the honest
+  /// snapshot stays shared with everyone else) and encode the result.
+  net::HandlerResult answer(Published honest, std::uint64_t iteration,
+                            bool gossip) override;
   /// State-transfer tamper channel: when the mounted attack declares
   /// tampers_state_transfer() (corrupt_recovery), the served blob's
   /// iteration tag is flipped *after* the digest seal — a corruption the
@@ -317,13 +311,6 @@ class ByzantineServer final : public Server {
   net::HandlerResult serve_checkpoint(const net::Request& req) override;
 
  private:
-  /// Corrupt a copy of the honest payload (attacks rewrite in place; the
-  /// honest snapshot stays shared with everyone else). `cohort_gar` names
-  /// the rule the pulling peers aggregate this channel with.
-  [[nodiscard]] net::HandlerResult corrupt(const net::Payload& honest,
-                                           std::uint64_t iteration,
-                                           const std::string& cohort_gar);
-
   util::Mutex attack_mutex_;
   /// Stateful across rounds (alternating phase, adaptive_z intensity) and
   /// reachable from every pool thread serving this node's pulls.

@@ -307,6 +307,9 @@ void build_runtime(Runtime& rt) {
   net_opts.nodes = cfg.total_nodes();
   net_opts.pool_threads = cfg.pool_threads;
   net_opts.conditions = net::NetworkConditions::parse(cfg.network);
+  // One codec for the whole cluster (mixed-codec clusters are not a thing:
+  // the spec is part of the deployment config every process shares).
+  net_opts.codec = net::CodecSpec::parse(cfg.codec);
   // Fault verdicts and jitter hash on the cluster seed, so the per-shape
   // constants are part of every run's trajectory.
   net_opts.seed = cfg.seed ^ (decentralized ? 0xc2u : 0xc1u);
@@ -379,14 +382,6 @@ void build_runtime(Runtime& rt) {
       (cfg.deployment == Deployment::kMsmw && !cfg.asynchronous)) {
     for (auto& server : rt.servers) server->enable_step_tagged_serving();
   }
-  // Install the wire codec on every endpoint before any loop starts: the
-  // whole cluster speaks one codec (mixed-codec clusters are not a thing —
-  // the spec is part of the deployment config every process shares).
-  const net::CodecSpec codec = net::CodecSpec::parse(cfg.codec);
-  if (!codec.identity()) {
-    for (auto& server : rt.servers) server->set_codec(codec);
-    for (auto& worker : rt.workers) worker->set_codec(codec);
-  }
 }
 
 /// Wire the churn schedule's recovery path: when advance_lifecycle brings
@@ -449,8 +444,18 @@ void register_recovery_hooks(Runtime& rt,
 }
 
 void resume_replicas(Runtime& rt) {
-  if (rt.config.resume_from.empty()) return;
-  const Checkpoint ckpt = load_checkpoint(rt.config.resume_from);
+  const std::string& path = rt.config.resume_from;
+  if (path.empty()) return;
+  const Checkpoint ckpt = load_checkpoint(path);
+  // A checkpoint of another model fails here, before any loop starts, and
+  // says which file — not later, inside the first evaluation.
+  const std::size_t dimension = rt.servers.front()->dimension();
+  if (ckpt.parameters.size() != dimension) {
+    throw std::runtime_error(
+        "resume_from '" + path + "' holds " +
+        std::to_string(ckpt.parameters.size()) + " parameters, but model '" +
+        rt.config.model + "' has " + std::to_string(dimension));
+  }
   for (auto& server : rt.servers) {
     server->write_model(ckpt.parameters);
     // A resumed momentum run continues with the exact saved velocity.
@@ -591,11 +596,18 @@ TrainResult train(const DeploymentConfig& config) {
   for (std::size_t s = 0; s < loops; ++s) {
     threads.emplace_back([&rt, s] {
       // A loop that throws (a checkpoint write that fails, say) ends the
-      // run, not the process: harvest() rethrows its reason.
+      // run, not the process: harvest() rethrows its reason. Every loop's
+      // node goes down with it — the failed loop will not publish again,
+      // nor will the others once they reach their abort gate — so pulls
+      // parked on a publication resolve silent at once instead of at
+      // their collect deadline.
       try {
         detail::run_loop(rt, s);
       } catch (const std::exception& e) {
         abort_run(rt, e.what());
+        for (net::NodeId node = 0; node < rt.servers.size(); ++node) {
+          rt.cluster->crash(node);
+        }
       }
     });
   }

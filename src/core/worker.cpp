@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "net/wire.h"
-
 namespace garfield::core {
 
 namespace {
@@ -96,7 +94,6 @@ void Worker::rejoin() {
     util::MutexLock lock(mutex_);
     cache_.clear();
     cloud_cache_.clear();
-    encode_cache_.clear();
     residuals_.clear();
     velocity_.clear();
     velocity_pre_.clear();
@@ -203,41 +200,17 @@ std::optional<std::vector<net::Payload>> Worker::local_gradient_cloud(
   return out;
 }
 
-bool Worker::decode_argument(net::Request& req) {
-  if (!req.argument) return false;
-  if (!net::Codec::looks_encoded(*req.argument)) {
-    return req.argument->size() == dimension_;  // plain dense payload
-  }
-  std::optional<net::Payload> dense = codec_.decode(*req.argument, dimension_);
-  if (!dense) return false;
-  req.argument = std::make_shared<const net::Payload>(std::move(*dense));
-  return true;
+bool Worker::decode_argument(net::Request& req) const {
+  req.argument = net::Codec::dense(std::move(req.argument), dimension_);
+  return req.argument != nullptr;
 }
 
 net::PayloadPtr Worker::encode_reply(const net::PayloadPtr& dense,
                                      net::NodeId from) {
-  if (codec_.identity() || !dense) return dense;
+  if (codec().identity()) return dense;
   util::MutexLock lock(mutex_);
-  // Saturating: encoding a tiny tensor can be *larger* than dense (the
-  // 3-float header), which saves nothing rather than un-saving.
-  const auto charge_saved = [&](const net::Payload& encoded) {
-    if (encoded.size() < dense->size()) {
-      cluster_.note_bytes_saved(net::wire_size(dense->size()) -
-                                net::wire_size(encoded.size()));
-    }
-  };
-  for (const EncodedEntry& e : encode_cache_) {
-    if (e.source == dense && e.from == from) {
-      charge_saved(*e.encoded);
-      return e.encoded;
-    }
-  }
-  auto encoded = std::make_shared<const net::Payload>(
-      codec_.encode_gradient(*dense, &residuals_[from]));
-  encode_cache_.push_back(EncodedEntry{dense, from, encoded});
-  if (encode_cache_.size() > kGradientCacheDepth) encode_cache_.pop_front();
-  charge_saved(*encoded);
-  return encoded;
+  return std::make_shared<const net::Payload>(
+      codec().encode_gradient(*dense, &residuals_[from]));
 }
 
 net::HandlerResult Worker::serve_gradient(const net::Request& req) {

@@ -25,6 +25,12 @@
 // the cache while another compute is in flight answers not-ready and
 // parks on the cluster; the compute's end (cached, counted) notifies, and
 // the redelivered pull is usually a cache hit.
+//
+// The wire codec is the cluster's (net::Cluster::Options::codec). A
+// request argument — a server snapshot, possibly a state-class frame — is
+// decoded at ingress. Each reply is encoded once, as it is served to its
+// requester: a pull answers one requester's iteration once, so nothing
+// caches frames. The cluster counts what each frame saved.
 #pragma once
 
 #include <deque>
@@ -71,15 +77,6 @@ class Worker {
   /// crash window skipped.
   void rejoin();
 
-  /// Install the deployment's gradient-compression codec (net/codec.h).
-  /// Called once at build time, before any pull arrives: replies are
-  /// encoded with it (one error-feedback residual per requesting node, so
-  /// each requester sees a coherent corrected stream regardless of how
-  /// concurrent pulls interleave) and encoded request arguments (the
-  /// server's int8 model snapshot) are decoded at ingress. Default:
-  /// identity.
-  void set_codec(net::CodecSpec spec) { codec_ = net::Codec(spec); }
-
   /// Mean training loss of the gradients served so far (diagnostics).
   [[nodiscard]] double mean_loss() const;
   /// Replies served (cache hits included).
@@ -119,28 +116,27 @@ class Worker {
   [[nodiscard]] virtual net::HandlerResult serve_gradient(
       const net::Request& req);
 
-  /// Rewrite an encoded request argument (a codec state frame) back to a
-  /// dense model vector, in place. Returns false on Byzantine garbage — a
+  /// Rewrite the request argument to the dense model vector it stands for
+  /// (net::Codec::dense), in place. Returns false on Byzantine garbage — a
   /// missing argument, a plain one whose size is not the model's
   /// dimension, or a frame that does not decode — and the caller answers
   /// with silence, exactly like a crashed peer. Well-formed plain
   /// arguments pass through untouched.
-  [[nodiscard]] bool decode_argument(net::Request& req);
+  [[nodiscard]] bool decode_argument(net::Request& req) const;
 
-  /// Wire-encode one outbound gradient with the configured codec. The
+  /// Encode one outbound gradient for requester `from`, once. The
   /// error-feedback residual is keyed on the requesting node: each
   /// requester's stream of gradients is corrected independently, which
   /// keeps the encoding a pure function of (requester, computed-gradient
   /// sequence) — request arrival order across requesters, which real
   /// transports do not make deterministic, cannot leak into the frames.
-  /// Cached per (source payload, requester) so a re-pull of the same
-  /// computation ships the same frame and advances the residual once.
-  /// Charges NetStats::bytes_saved for the frame. Identity codec returns
-  /// `dense` unchanged.
+  /// Identity codec returns `dense` unchanged.
   [[nodiscard]] net::PayloadPtr encode_reply(const net::PayloadPtr& dense,
-                                             net::NodeId from);
+                                             net::NodeId from)
+      GARFIELD_EXCLUDES(mutex_);
 
-  [[nodiscard]] const net::Codec& codec() const { return codec_; }
+  /// The cluster's wire codec (net::Cluster::Options::codec).
+  [[nodiscard]] net::Codec codec() const { return cluster_.codec(); }
 
   tensor::Rng rng_;
 
@@ -199,20 +195,6 @@ class Worker {
     std::vector<net::Payload> cloud;
   };
 
-  /// One cached wire encoding, keyed on the source gradient's identity
-  /// and the requesting node (whose residual the frame folded in). The
-  /// key is OWNING: holding the source alive is what makes pointer
-  /// identity exact — a raw key would dangle once the gradient ring
-  /// evicts, and the freed address can be reused by a later computation,
-  /// silently serving a stale frame.
-  struct EncodedEntry {
-    net::PayloadPtr source;
-    net::NodeId from = 0;
-    net::PayloadPtr encoded;
-  };
-
-  net::Codec codec_;
-
   /// Held across a forward/backward. Lock order: compute_mutex_ before
   /// mutex_ (a compute inserts its result under both; rejoin() clears
   /// under both), never the reverse.
@@ -224,7 +206,6 @@ class Worker {
   bool computing_ GARFIELD_GUARDED_BY(mutex_) = false;
   std::deque<CacheEntry> cache_ GARFIELD_GUARDED_BY(mutex_);
   std::deque<CloudEntry> cloud_cache_ GARFIELD_GUARDED_BY(mutex_);
-  std::deque<EncodedEntry> encode_cache_ GARFIELD_GUARDED_BY(mutex_);
   /// Error-feedback memory per requesting node: what compression dropped
   /// from that requester's stream last round, added back before
   /// compressing this round (net/codec.h).

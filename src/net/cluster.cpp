@@ -326,10 +326,21 @@ void Cluster::dispatch(Delivery delivery) {
     }
     HandlerResult result = handler(delivery.request);
     if (!result.park) {
+      // Counted here, by the sender of the reply: over tcp that is the
+      // callee's process, as call() is the caller's for the argument.
+      if (result.payload) note_saved(*result.payload);
       delivery.respond(std::move(result.payload));
       return;
     }
     if (park(delivery, epoch)) return;
+  }
+}
+
+void Cluster::note_saved(const Payload& sent) {
+  // Under codec=none this is the looks_encoded test alone: the shared
+  // counter is touched only by frames that saved something.
+  if (const std::uint64_t saved = Codec::saved_bytes(sent); saved != 0) {
+    bytes_saved_.fetch_add(saved, std::memory_order_relaxed);
   }
 }
 
@@ -430,6 +441,7 @@ void Cluster::call(NodeId from, NodeId to, const std::string& method,
   if (argument) {
     floats_transferred_.fetch_add(argument->size(),
                                   std::memory_order_relaxed);
+    note_saved(*argument);
   }
   auto cb = std::make_shared<Callback>(std::move(on_done));
   send_attempt(from, to, method, iteration, std::move(argument),

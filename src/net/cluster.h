@@ -43,7 +43,9 @@
 //    primitive that lets Garfield run in asynchronous settings.
 //
 // Transfer accounting (requests, replies, floats moved, wasted replies,
-// dropped tasks) feeds the communication-cost experiments.
+// dropped tasks, bytes a wire codec saved) feeds the communication-cost
+// experiments. The codec itself is an Options field: the nodes make their
+// frames with it, and the Cluster only counts them.
 #pragma once
 
 #include <atomic>
@@ -57,6 +59,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/codec.h"
 #include "net/conditions.h"
 #include "net/timer_wheel.h"
 #include "net/transport.h"
@@ -168,9 +171,11 @@ struct NetStats {
   /// backend has no peer processes, so this stays 0 there.
   std::uint64_t peer_deaths = 0;
   /// Bytes a gradient-compression codec (net/codec.h) kept off the wire:
-  /// the sum over every encoded frame actually sent of
-  /// (plain wire cost - encoded wire cost). Always 0 under codec=none.
-  /// bytes_sent counts what really crossed the link, so
+  /// Codec::saved_bytes summed over every frame this Cluster sent, counted
+  /// where floats_transferred is — a request argument in call(), a reply
+  /// in dispatch() — so crafted Byzantine frames count like honest ones,
+  /// and over tcp each rank counts the frames it sends. Always 0 under
+  /// codec=none. bytes_sent counts what really crossed the link, so
   /// bytes_sent + bytes_saved is the codec=none-equivalent traffic.
   std::uint64_t bytes_saved = 0;
   /// Wire-equivalent traffic through this endpoint's Transport, charged
@@ -192,6 +197,10 @@ class Cluster {
     /// partition windows (net/conditions.h spec grammar). Defaults to the
     /// ideal network.
     NetworkConditions conditions;
+    /// The wire codec every node of the deployment speaks (net/codec.h):
+    /// each node reads it through codec() to make its frames. Identity by
+    /// default.
+    CodecSpec codec;
     std::uint64_t seed = 42;
     /// Physical message movement. Null selects the in-process backend (a
     /// plain Transport). A TcpTransport here turns every cross-node call
@@ -312,13 +321,8 @@ class Cluster {
                                     const std::string& method,
                                     std::uint64_t iteration) const;
 
-  /// Credit `n` bytes a wire codec kept off the wire (NetStats::
-  /// bytes_saved). Called by the codec seam's users at each encode that
-  /// actually ships; relaxed monotone counter, same discipline as the
-  /// rest.
-  void note_bytes_saved(std::uint64_t n) {
-    bytes_saved_.fetch_add(n, std::memory_order_relaxed);
-  }
+  /// The deployment's wire codec (Options::codec).
+  [[nodiscard]] Codec codec() const { return Codec(options_.codec); }
 
   /// The parsed conditions this cluster resolves every edge from — shared
   /// with attack contexts so schedule-aware adversaries (window_striker)
@@ -376,6 +380,10 @@ class Cluster {
   /// park on a not-ready answer (redelivering at once when a notify raced
   /// the handler).
   void dispatch(Delivery delivery);
+
+  /// Count what `sent`, a frame this Cluster sends, saved on the wire
+  /// (NetStats::bytes_saved).
+  void note_saved(const Payload& sent);
 
   /// Park a not-ready delivery on its callee, arming the deadline sweep
   /// if it is due earliest. Returns false, leaving `delivery` untouched,

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "net/wire.h"
 #include "util/spec.h"
 
 namespace garfield::net {
@@ -172,7 +173,7 @@ Payload Codec::encode_state(const Payload& dense) const {
 }
 
 std::optional<Payload> Codec::decode(const Payload& encoded,
-                                     std::size_t dimension) const {
+                                     std::size_t dimension) {
   if (encoded.size() >= 3) {
     const std::uint32_t magic = float_bits(encoded[0]);
     if (magic == kTopkMagic) {
@@ -221,6 +222,26 @@ std::optional<Payload> Codec::decode(const Payload& encoded,
   // other shape is garbage.
   if (encoded.size() == dimension) return encoded;
   return std::nullopt;
+}
+
+PayloadPtr Codec::dense(PayloadPtr payload, std::size_t dimension) {
+  if (!payload) return nullptr;
+  if (!looks_encoded(*payload)) {
+    return payload->size() == dimension ? payload : nullptr;
+  }
+  std::optional<Payload> decoded = decode(*payload, dimension);
+  if (!decoded) return nullptr;
+  return std::make_shared<const Payload>(std::move(*decoded));
+}
+
+std::uint64_t Codec::saved_bytes(const Payload& frame) {
+  std::size_t d = 0;
+  if (!looks_encoded(frame) ||
+      !integral_in_range(frame[1], double(1ULL << 24), d) ||
+      frame.size() >= d) {
+    return 0;
+  }
+  return wire_size(d) - wire_size(frame.size());
 }
 
 bool Codec::looks_encoded(const Payload& payload) {

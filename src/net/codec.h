@@ -45,7 +45,17 @@
 // so every structural violation (wrong magic, dimension mismatch,
 // out-of-range index, non-finite scale) returns nullopt — the caller
 // treats the payload exactly like a non-finite plain gradient (rejected,
-// counted, never thrown through).
+// counted, never thrown through). dense() is that gate as both ingress
+// points (Server::validate, a worker's request argument) call it.
+//
+// Where frames are made and counted: the codec is a net::Cluster option
+// every node reads. A frame is made once, where its payload is made — a
+// server snapshot's state frame when the snapshot is written, a gossip
+// publication's gradient frame when it is published, a worker reply's
+// gradient frame as it is served to its requester, a Byzantine node's
+// crafted frame by the attacker — and kept with that payload. The Cluster
+// counts what each frame it sends saved (saved_bytes(), NetStats::
+// bytes_saved), next to its float count.
 #pragma once
 
 #include <cstdint>
@@ -104,9 +114,25 @@ class Codec {
 
   /// Decode an encoded payload back to `dimension` dense floats. Returns
   /// nullopt on any structural violation — the Byzantine-garbage ingress
-  /// gate. Identity codec requires size == dimension and returns a copy.
-  [[nodiscard]] std::optional<Payload> decode(const Payload& encoded,
-                                              std::size_t dimension) const;
+  /// gate. A payload without a codec magic word must hold exactly
+  /// `dimension` floats and comes back as a copy. Any codec's frames
+  /// decode, whatever spec the receiver holds.
+  [[nodiscard]] static std::optional<Payload> decode(const Payload& encoded,
+                                                     std::size_t dimension);
+
+  /// The dense vector a received payload stands for: `payload` itself when
+  /// it is plain and holds `dimension` floats, the decoded vector when it
+  /// is a well-formed frame, nullptr otherwise (missing, a plain payload
+  /// of another size, a frame decode() rejects).
+  [[nodiscard]] static PayloadPtr dense(PayloadPtr payload,
+                                        std::size_t dimension);
+
+  /// Wire bytes `frame` saves against the plain vector it encodes:
+  /// wire_size(d) - wire_size(frame.size()) for a frame of a d-float
+  /// vector (d read and range-checked as decode() does) that is smaller
+  /// than plain; 0 for a plain payload, a malformed header, or a frame no
+  /// smaller than plain (a tiny tensor's 3-float header).
+  [[nodiscard]] static std::uint64_t saved_bytes(const Payload& frame);
 
   /// True when `payload` opens with one of the codec magic words — how a
   /// receiver distinguishes an encoded frame from a plain dense one.

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <limits>
@@ -435,6 +436,51 @@ TEST(ServerWorker, AggrGradGossip) {
   EXPECT_EQ(*got[0], grad);
 }
 
+TEST(ServerWorker, LatePullOfAPublishedGossipTagShipsItsFrame) {
+  // A gossip publication is encoded once, when it is published, and its
+  // error-feedback residual advances once: every peer pulling the tag gets
+  // that frame, however late. Each round here also serves one model frame,
+  // and tag 0 is pulled again after 14 publications, still in the ring.
+  gn::Cluster::Options opts;
+  opts.nodes = 3;
+  opts.codec = gn::CodecSpec::parse("int8");
+  gn::Cluster cluster(opts);
+  gt::Rng rng(18);
+  gc::Server server(0, cluster, garfield::nn::make_model("tiny_mlp", rng), {},
+                    {}, {1, 2});
+  server.enable_step_tagged_serving();
+  const std::size_t dim = server.dimension();
+  const auto pull = [&cluster](gn::NodeId from, const char* method,
+                               std::uint64_t tag) {
+    const std::vector<gn::NodeId> publisher{0};
+    const std::vector<gn::Reply> got = cluster.collect(
+        from, publisher, method, tag, nullptr, 1, std::chrono::seconds(5));
+    return got.empty() ? gn::PayloadPtr{} : got[0].payload;
+  };
+  gn::PayloadPtr early;
+  for (std::uint64_t t = 0; t < 14; ++t) {
+    gn::Payload grad(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      grad[i] = 0.001F * float((i * 37 + t * 11) % 101) - 0.05F;
+    }
+    server.publish_aggr_grad(t, grad);
+    if (t == 0) early = pull(1, gc::kGetAggrGrad, 0);
+    server.update_model(gn::Payload(dim, 0.01F));
+    server.publish_model(t);
+    ASSERT_NE(pull(1, gc::kGetModel, t), nullptr) << "round " << t;
+  }
+  const gn::PayloadPtr late = pull(2, gc::kGetAggrGrad, 0);
+  ASSERT_NE(early, nullptr);
+  ASSERT_NE(late, nullptr);
+  EXPECT_TRUE(gn::Codec::looks_encoded(*early));
+  // Byte-equal (a frame opens with a NaN magic word, so not operator==).
+  ASSERT_EQ(late->size(), early->size());
+  EXPECT_EQ(std::memcmp(late->data(), early->data(),
+                        early->size() * sizeof(float)),
+            0)
+      << "a late pull re-encoded tag 0";
+}
+
 TEST(ServerWorker, IngressValidationRejectsMalformedPayloads) {
   gn::Cluster::Options opts;
   opts.nodes = 3;
@@ -568,21 +614,68 @@ TEST(Deployments, DecentralizedReporterWritesCheckpoints) {
 
 TEST(Deployments, LoopFailureThrowsFromTrain) {
   // A driving loop that throws (the reporter's checkpoint write into a
-  // directory that does not exist) ends the run with its reason.
-  gc::DeploymentConfig cfg = fast_config();
-  cfg.deployment = gc::Deployment::kSsmw;
-  cfg.nw = 4;
-  cfg.iterations = 4;
-  cfg.checkpoint_every = 1;
-  cfg.checkpoint_path = temp_path("missing_dir") + "/run.ckpt";
-  try {
-    (void)gc::train(cfg);
-    ADD_FAILURE() << "train() returned";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(cfg.checkpoint_path),
-              std::string::npos)
-        << e.what();
+  // directory that does not exist) ends the run with its reason, at once:
+  // its node goes down with it, so replicas parked on its next
+  // publication hear silence instead of waiting out their deadline.
+  for (const gc::Deployment d :
+       {gc::Deployment::kSsmw, gc::Deployment::kMsmw,
+        gc::Deployment::kDecentralized}) {
+    gc::DeploymentConfig cfg = fast_config();
+    cfg.deployment = d;
+    cfg.nw = 4;
+    cfg.nps = d == gc::Deployment::kMsmw ? 3 : 1;
+    cfg.iterations = 4;
+    cfg.checkpoint_every = 1;
+    cfg.checkpoint_path = temp_path("missing_dir") + "/run.ckpt";
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)gc::train(cfg);
+      ADD_FAILURE() << gc::to_string(d) << ": train() returned";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(cfg.checkpoint_path),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10))
+        << gc::to_string(d);
   }
+}
+
+TEST(Deployments, ResumeFromACheckpointOfAnotherModelThrows) {
+  // A checkpoint of another model fails the run before any loop starts,
+  // naming the key, the file and both sizes.
+  const std::string path = temp_path("other_model.ckpt");
+  gc::save_checkpoint(path, gc::Checkpoint{3, gn::Payload(10, 0.5F), {}});
+  gt::Rng rng(20);
+  const std::size_t dim =
+      garfield::nn::make_model("tiny_mlp", rng)->dimension();
+  for (const gc::Deployment d :
+       {gc::Deployment::kSsmw, gc::Deployment::kMsmw,
+        gc::Deployment::kDecentralized}) {
+    gc::DeploymentConfig cfg = fast_config();
+    cfg.deployment = d;
+    cfg.nw = 4;
+    cfg.nps = d == gc::Deployment::kMsmw ? 3 : 1;
+    cfg.iterations = 20;
+    cfg.eval_every = 5;
+    cfg.resume_from = path;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)gc::train(cfg);
+      ADD_FAILURE() << gc::to_string(d) << ": train() returned";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("resume_from"), std::string::npos) << what;
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find(" 10 "), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(dim)), std::string::npos) << what;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10))
+        << gc::to_string(d);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Deployments, MsmwSurvivesByzantineWorkersAndServers) {

@@ -10,6 +10,9 @@
 // Pinned here:
 //   - vanilla / crash-tolerant / SSMW / MSMW / decentralized parity, each
 //     rank its own process
+//   - the same parity under the int8 and topk codecs (SSMW, attacked MSMW,
+//     decentralized with two contraction rounds), and bytes_saved counted
+//     by the rank that sends each frame
 //   - crash/recovery over TCP: a `churn:` schedule derived independently
 //     by every process walks the same trajectory as the in-process FSM
 //   - primary fail-stop: a permanent `churn:crash=0` hands reporting to
@@ -26,6 +29,7 @@
 #include <stdlib.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -36,9 +40,11 @@
 
 #include "core/config.h"
 #include "core/trainer.h"
+#include "net/wire.h"
 #include "support/test_support.h"
 
 namespace gc = garfield::core;
+namespace gn = garfield::net;
 namespace ts = garfield::testsupport;
 
 namespace {
@@ -162,6 +168,90 @@ TEST(TransportBackend, DecentralizedIsBitwiseIdenticalAcrossBackends) {
   const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
   if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
   expect_bitwise(run_inproc(cfg), *tcp, "decentralized");
+}
+
+// ------------------------------------------------------------ codec parity
+
+namespace {
+
+/// A fixed codec is part of the config: its frames, error-feedback
+/// residuals included, are a function of the run, so an int8 or topk run
+/// is held to the same contract as an uncompressed one — identical on a
+/// second in-process run and over tcp.
+void expect_codec_parity(gc::DeploymentConfig cfg, const std::string& what) {
+  for (const char* codec : {"int8", "topk:k=0.1"}) {
+    cfg.codec = codec;
+    const std::string label = what + " codec=" + codec;
+    const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+    if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+    const gc::TrainResult inproc = run_inproc(cfg);
+    EXPECT_GT(inproc.net_stats.bytes_saved, 0u) << label;
+    expect_bitwise(inproc, run_inproc(cfg), (label + " rerun").c_str());
+    expect_bitwise(inproc, *tcp, label.c_str());
+  }
+}
+
+}  // namespace
+
+TEST(TransportBackend, SsmwCodecRunsAreBitwiseIdentical) {
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kSsmw);
+  cfg.nw = 3;
+  cfg.fw = 0;
+  cfg.nps = 1;
+  cfg.gradient_gar = "median";
+  expect_codec_parity(cfg, "ssmw");
+}
+
+TEST(TransportBackend, MsmwCodecRunsUnderAttackAreBitwiseIdentical) {
+  // Crafted frames too: the Byzantine workers' and server's replies are
+  // encoded by the attackers themselves.
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kMsmw);
+  cfg.nps = 4;
+  cfg.fps = 1;
+  cfg.nw = 7;
+  cfg.fw = 2;
+  cfg.gradient_gar = "multi_krum";
+  cfg.model_gar = "median";
+  cfg.worker_attack = "little_is_enough";
+  cfg.server_attack = "reversed";
+  expect_codec_parity(cfg, "msmw+attacks");
+}
+
+TEST(TransportBackend, DecentralizedCodecRunsAreBitwiseIdentical) {
+  // Two contraction rounds: every peer's gossip frames carry its
+  // gradient-class residual from one publication to the next.
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kDecentralized);
+  cfg.nw = 3;
+  cfg.fw = 0;
+  cfg.contraction_steps = 2;
+  expect_codec_parity(cfg, "decentralized");
+}
+
+TEST(TransportBackend, BytesSavedCountsEveryFrameSent) {
+  // Each frame is counted by the rank that sends it, crafted ones
+  // included. Under int8 every frame of this run — a server's snapshot
+  // argument, an honest or a little_is_enough gradient reply — carries d
+  // floats in 3 + ceil(d/4), and each iteration sends nw of each.
+  gc::DeploymentConfig cfg = tiny(gc::Deployment::kSsmw);
+  cfg.nw = 5;
+  cfg.fw = 1;
+  cfg.nps = 1;
+  cfg.gradient_gar = "median";
+  cfg.worker_attack = "little_is_enough";
+  cfg.codec = "int8";
+  cfg.iterations = 12;
+  const gc::TrainResult inproc = run_inproc(cfg);
+  const std::size_t d = inproc.final_parameters.size();
+  const std::uint64_t saved_per_frame =
+      gn::wire_size(d) - gn::wire_size(3 + (d + 3) / 4);
+  const std::uint64_t frames_each_way = cfg.iterations * cfg.nw;
+  // In process one Cluster sends both: the arguments and the replies.
+  EXPECT_EQ(inproc.net_stats.bytes_saved,
+            2 * frames_each_way * saved_per_frame);
+  const std::optional<gc::TrainResult> tcp = try_tcp(cfg);
+  if (!tcp) GTEST_SKIP() << "garfield_node launcher not built";
+  // Over tcp the reporting rank is the server: it counts its arguments.
+  EXPECT_EQ(tcp->net_stats.bytes_saved, frames_each_way * saved_per_frame);
 }
 
 // -------------------------------------------------- crash/recovery on TCP
