@@ -1,6 +1,7 @@
 // nn forward/backward per zoo model, and the matmul kernels underneath.
 //
-// Prints, each as the median of the timed runs after warm-up runs:
+// Prints the matmul_nt path the host picked (baseline or avx2), then, each
+// as the median of the timed runs after warm-up runs:
 //   (a) forward and backward us of every zoo model at batch 16. Backward is
 //       Module::backward_params, the pass Model::gradient runs;
 //   (b) us and GFLOP/s of matmul_nt (forward), matmul (input gradient) and
@@ -126,8 +127,9 @@ std::pair<double, double> time_model(gn::Model& model) {
 
 int main() {
   std::printf("nn kernels at batch %zu: median of %zu runs after %zu warm-up "
-              "runs\n\n",
-              kBatch, timed_runs(), warmup_runs());
+              "runs, matmul_nt path %s\n\n",
+              kBatch, timed_runs(), warmup_runs(),
+              gt::detail::path_name(gt::detail::matmul_nt_path()));
   std::printf("%-15s %12s %12s\n", "model", "forward_us", "backward_us");
   for (const auto& [name, gemms] : kZooGemms) {
     gt::Rng rng(1);

@@ -280,10 +280,16 @@ Listener bind_loopback(int backlog) {
 /// Locate the garfield_node launcher: the GARFIELD_NODE_BIN override
 /// first (tests point it at the build tree), then siblings of the current
 /// executable — covering tests (build/<test>) and tools (build/tools/<t>)
-/// in the same build tree.
+/// in the same build tree. An override that names no executable throws
+/// here, naming the variable and the path, before any rank is forked.
 std::string find_node_binary() {
   if (const char* env = std::getenv("GARFIELD_NODE_BIN");
       env != nullptr && *env != '\0') {
+    if (::access(env, X_OK) != 0) {
+      throw std::runtime_error(
+          std::string("transport=tcp: GARFIELD_NODE_BIN=") + env +
+          " is not an executable file: " + std::strerror(errno));
+    }
     return env;
   }
   char buf[4096];

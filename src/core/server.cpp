@@ -16,6 +16,14 @@ namespace {
 /// semantics for unboundedly-lagging asynchronous peers.
 constexpr std::size_t kRingDepth = 16;
 
+/// The stream tag of one crafted reply: a function of who pulled which
+/// publication on which channel, never of the order pulls arrive in.
+std::uint64_t reply_stream(net::NodeId requester, std::uint64_t iteration,
+                           bool gossip) {
+  return tensor::splitmix64_mix(iteration) ^
+         (std::uint64_t(requester) << 1 | std::uint64_t(gossip));
+}
+
 }  // namespace
 
 Server::Server(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
@@ -226,10 +234,12 @@ net::HandlerResult Server::serve(const net::Request& req, bool gossip) {
   }
   // A skipped gossip round, or a declined eviction.
   if (!found.dense) return net::HandlerResult::none();
-  return answer(std::move(found), req.iteration, gossip);
+  return answer(std::move(found), req.from, req.iteration, gossip);
 }
 
-net::HandlerResult Server::answer(Published honest, std::uint64_t /*iteration*/,
+net::HandlerResult Server::answer(Published honest,
+                                  net::NodeId /*requester*/,
+                                  std::uint64_t /*iteration*/,
                                   bool /*gossip*/) {
   return net::HandlerResult::reply(std::move(honest.wire));
 }
@@ -264,12 +274,14 @@ ByzantineServer::ByzantineServer(net::NodeId id, net::Cluster& cluster,
       aggr_cohort_gar_(std::move(aggr_cohort_gar)) {}
 
 net::HandlerResult ByzantineServer::answer(Published honest,
+                                           net::NodeId requester,
                                            std::uint64_t iteration,
                                            bool gossip) {
+  tensor::Rng rng = rng_.fork(reply_stream(requester, iteration, gossip));
   std::optional<net::Payload> crafted;
   {
     util::MutexLock lock(attack_mutex_);
-    attacks::AttackContext ctx(rng_);
+    attacks::AttackContext ctx(rng);
     ctx.iteration = iteration;
     ctx.attacker_id = id();
     ctx.n = declared_n_;

@@ -190,11 +190,12 @@ class Server {
     net::PayloadPtr wire;
   };
 
-  /// The reply to a pull the publication `honest` answers: its frame.
-  /// `iteration` is the requested tag, `gossip` tells a get_aggr_grad
-  /// pull from a get_model one. ByzantineServer crafts a reply from
-  /// `honest.dense` instead. Called with no lock held.
+  /// The reply to `requester`'s pull that the publication `honest`
+  /// answers: its frame. `iteration` is the requested tag, `gossip` tells
+  /// a get_aggr_grad pull from a get_model one. ByzantineServer crafts a
+  /// reply from `honest.dense` instead. Called with no lock held.
   [[nodiscard]] virtual net::HandlerResult answer(Published honest,
+                                                  net::NodeId requester,
                                                   std::uint64_t iteration,
                                                   bool gossip);
 
@@ -301,8 +302,11 @@ class ByzantineServer final : public Server {
  protected:
   /// Craft from `honest.dense` (attacks rewrite a copy; the honest
   /// snapshot stays shared with everyone else) and encode the result.
-  net::HandlerResult answer(Published honest, std::uint64_t iteration,
-                            bool gossip) override;
+  /// Each reply draws from its own fork of the node's stream, keyed on
+  /// (requester, iteration, channel), so a run's draws do not depend on
+  /// the order its pulls arrive in.
+  net::HandlerResult answer(Published honest, net::NodeId requester,
+                            std::uint64_t iteration, bool gossip) override;
   /// State-transfer tamper channel: when the mounted attack declares
   /// tampers_state_transfer() (corrupt_recovery), the served blob's
   /// iteration tag is flipped *after* the digest seal — a corruption the
@@ -315,7 +319,8 @@ class ByzantineServer final : public Server {
   /// Stateful across rounds (alternating phase, adaptive_z intensity) and
   /// reachable from every pool thread serving this node's pulls.
   attacks::AttackPtr attack_ GARFIELD_GUARDED_BY(attack_mutex_);
-  tensor::Rng rng_ GARFIELD_GUARDED_BY(attack_mutex_);
+  /// Never drawn from: each reply forks its own stream (see answer()).
+  const tensor::Rng rng_;
   std::size_t declared_n_;
   std::size_t declared_f_;
   std::string model_cohort_gar_;

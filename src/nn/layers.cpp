@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -24,9 +25,10 @@ Tensor Linear::forward(const Tensor& input, bool /*train*/) {
   assert(input.rank() == 2 && input.dim(1) == in_);
   input_cache_ = input;
   Tensor out = tensor::matmul_nt(input, weight_);  // {b,in} x {out,in}^T
-  const std::size_t b = out.dim(0);
-  for (std::size_t i = 0; i < b; ++i)
-    for (std::size_t j = 0; j < out_; ++j) out.at(i, j) += bias_[j];
+  const float* bias = bias_.data().data();
+  float* row = out.data().data();
+  for (std::size_t i = 0; i < out.dim(0); ++i, row += out_)
+    for (std::size_t j = 0; j < out_; ++j) row[j] += bias[j];
   return out;
 }
 
@@ -40,10 +42,10 @@ void Linear::backward_params(const Tensor& grad_output) {
   assert(grad_output.rank() == 2 && grad_output.dim(1) == out_);
   // dW = dY^T @ X  ({out,b} x {b,in})
   grad_weight_ += tensor::matmul_tn(grad_output, input_cache_);
-  const std::size_t b = grad_output.dim(0);
-  for (std::size_t i = 0; i < b; ++i)
-    for (std::size_t j = 0; j < out_; ++j)
-      grad_bias_[j] += grad_output.at(i, j);
+  float* grad_bias = grad_bias_.data().data();
+  const float* row = grad_output.data().data();
+  for (std::size_t i = 0; i < grad_output.dim(0); ++i, row += out_)
+    for (std::size_t j = 0; j < out_; ++j) grad_bias[j] += row[j];
 }
 
 std::vector<Param> Linear::params() {
@@ -52,15 +54,28 @@ std::vector<Param> Linear::params() {
 
 // ---------------------------------------------------------------- ReLU
 
+namespace {
+
+/// Gives `t` the shape `shape`, keeping its storage when the shape is
+/// already that: for buffers whose every element the caller overwrites.
+void reshape_for_overwrite(Tensor& t, const Shape& shape) {
+  if (t.shape() != shape) t = Tensor(shape);
+}
+
+}  // namespace
+
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  mask_ = Tensor::zeros(input.shape());
-  Tensor out = input;
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.0F) {
-      mask_[i] = 1.0F;
-    } else {
-      out[i] = 0.0F;
-    }
+  reshape_for_overwrite(mask_, input.shape());
+  Tensor out(input.shape());
+  const float* in = input.data().data();
+  float* o = out.data().data();
+  float* mask = mask_.data().data();
+  for (std::size_t i = 0; i < input.numel(); ++i) {
+    // Selects, not a branch on the data's sign, which mispredicts. NaN
+    // and -0 fail the test and give +0.
+    const bool pass = in[i] > 0.0F;
+    o[i] = pass ? in[i] : 0.0F;
+    mask[i] = pass ? 1.0F : 0.0F;
   }
   return out;
 }
@@ -107,19 +122,40 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
 
 namespace {
 
-// Expand {b, c, h, w} into columns {b*oh*ow, c*k*k}; zero padding.
-Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
-              std::size_t padding, std::size_t oh, std::size_t ow) {
+/// Whether the kernel window at output (oy, ox) lies inside the h x w
+/// image; its top-left input pixel is (y0, x0) when it does.
+bool window_inside(std::size_t oy, std::size_t ox, std::size_t kernel,
+                   std::size_t stride, std::size_t padding, std::size_t h,
+                   std::size_t w, std::size_t& y0, std::size_t& x0) {
+  if (oy * stride < padding || ox * stride < padding) return false;
+  y0 = oy * stride - padding;
+  x0 = ox * stride - padding;
+  return y0 + kernel <= h && x0 + kernel <= w;
+}
+
+// Expand {b, c, h, w} into columns {b*oh*ow, c*k*k}, zero padding, written
+// over `cols`.
+void im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
+            std::size_t padding, std::size_t oh, std::size_t ow,
+            Tensor& cols) {
   const std::size_t b = input.dim(0), c = input.dim(1), h = input.dim(2),
                     w = input.dim(3);
-  Tensor cols({b * oh * ow, c * kernel * kernel});
-  const float* in = input.data().data();
-  float* out = cols.data().data();
   const std::size_t row_len = c * kernel * kernel;
+  reshape_for_overwrite(cols, {b * oh * ow, row_len});
+  const float* in = input.data().data();
+  float* row = cols.data().data();
   for (std::size_t n = 0; n < b; ++n) {
+    const float* image = in + n * c * h * w;
     for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        float* row = out + ((n * oh + oy) * ow + ox) * row_len;
+      for (std::size_t ox = 0; ox < ow; ++ox, row += row_len) {
+        std::size_t y0 = 0, x0 = 0;
+        if (window_inside(oy, ox, kernel, stride, padding, h, w, y0, x0)) {
+          float* dst = row;
+          for (std::size_t ch = 0; ch < c; ++ch)
+            for (std::size_t ky = 0; ky < kernel; ++ky, dst += kernel)
+              std::copy_n(image + (ch * h + y0 + ky) * w + x0, kernel, dst);
+          continue;
+        }
         std::size_t idx = 0;
         for (std::size_t ch = 0; ch < c; ++ch) {
           for (std::size_t ky = 0; ky < kernel; ++ky) {
@@ -129,8 +165,8 @@ Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
               if (iy < 0 || ix < 0 || iy >= long(h) || ix >= long(w)) {
                 row[idx] = 0.0F;
               } else {
-                row[idx] =
-                    in[((n * c + ch) * h + std::size_t(iy)) * w + std::size_t(ix)];
+                row[idx] = image[(ch * h + std::size_t(iy)) * w +
+                                 std::size_t(ix)];
               }
             }
           }
@@ -138,22 +174,32 @@ Tensor im2col(const Tensor& input, std::size_t kernel, std::size_t stride,
       }
     }
   }
-  return cols;
 }
 
-// Scatter-add columns back into an image (adjoint of im2col).
+// Scatter-add columns back into an image (adjoint of im2col). Every pixel
+// receives its adds in the order of the loops below, window by window.
 void col2im(const Tensor& cols, std::size_t kernel, std::size_t stride,
             std::size_t padding, std::size_t oh, std::size_t ow,
             Tensor& image) {
   const std::size_t b = image.dim(0), c = image.dim(1), h = image.dim(2),
                     w = image.dim(3);
-  const float* in = cols.data().data();
-  float* out = image.data().data();
   const std::size_t row_len = c * kernel * kernel;
+  const float* row = cols.data().data();
   for (std::size_t n = 0; n < b; ++n) {
+    float* out = image.data().data() + n * c * h * w;
     for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        const float* row = in + ((n * oh + oy) * ow + ox) * row_len;
+      for (std::size_t ox = 0; ox < ow; ++ox, row += row_len) {
+        std::size_t y0 = 0, x0 = 0;
+        if (window_inside(oy, ox, kernel, stride, padding, h, w, y0, x0)) {
+          const float* src = row;
+          for (std::size_t ch = 0; ch < c; ++ch) {
+            for (std::size_t ky = 0; ky < kernel; ++ky, src += kernel) {
+              float* dst = out + (ch * h + y0 + ky) * w + x0;
+              for (std::size_t kx = 0; kx < kernel; ++kx) dst[kx] += src[kx];
+            }
+          }
+          continue;
+        }
         std::size_t idx = 0;
         for (std::size_t ch = 0; ch < c; ++ch) {
           for (std::size_t ky = 0; ky < kernel; ++ky) {
@@ -161,8 +207,8 @@ void col2im(const Tensor& cols, std::size_t kernel, std::size_t stride,
             for (std::size_t kx = 0; kx < kernel; ++kx, ++idx) {
               const long ix = long(ox * stride + kx) - long(padding);
               if (iy >= 0 && ix >= 0 && iy < long(h) && ix < long(w)) {
-                out[((n * c + ch) * h + std::size_t(iy)) * w +
-                    std::size_t(ix)] += row[idx];
+                out[(ch * h + std::size_t(iy)) * w + std::size_t(ix)] +=
+                    row[idx];
               }
             }
           }
@@ -180,38 +226,44 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   const std::size_t b = input.dim(0);
   const std::size_t oh = out_size(input.dim(2));
   const std::size_t ow = out_size(input.dim(3));
-  cols_cache_ = im2col(input, kernel_, stride_, padding_, oh, ow);
+  im2col(input, kernel_, stride_, padding_, oh, ow, cols_cache_);
   // {b*oh*ow, ckk} x {out_ch, ckk}^T -> {b*oh*ow, out_ch}
-  Tensor prod = tensor::matmul_nt(cols_cache_, weight_);
-  for (std::size_t r = 0; r < prod.dim(0); ++r)
-    for (std::size_t ch = 0; ch < out_ch_; ++ch) prod.at(r, ch) += bias_[ch];
-  // Rearrange {b*oh*ow, out_ch} -> {b, out_ch, oh, ow}.
+  const Tensor prod = tensor::matmul_nt(cols_cache_, weight_);
+  // Rearrange {b*oh*ow, out_ch} -> {b, out_ch, oh, ow}, adding the bias.
   Tensor out({b, out_ch_, oh, ow});
-  for (std::size_t n = 0; n < b; ++n)
-    for (std::size_t oy = 0; oy < oh; ++oy)
-      for (std::size_t ox = 0; ox < ow; ++ox)
-        for (std::size_t ch = 0; ch < out_ch_; ++ch)
-          out.data()[((n * out_ch_ + ch) * oh + oy) * ow + ox] =
-              prod.at((n * oh + oy) * ow + ox, ch);
+  const std::size_t plane = oh * ow;
+  const float* bias = bias_.data().data();
+  for (std::size_t n = 0; n < b; ++n) {
+    const float* rows = prod.data().data() + n * plane * out_ch_;
+    float* o = out.data().data() + n * out_ch_ * plane;
+    for (std::size_t ch = 0; ch < out_ch_; ++ch, o += plane)
+      for (std::size_t s = 0; s < plane; ++s)
+        o[s] = rows[s * out_ch_ + ch] + bias[ch];
+  }
   return out;
 }
 
 Tensor Conv2d::accumulate_param_grads(const Tensor& grad_output) {
   const std::size_t b = input_shape_[0];
-  const std::size_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  // Back to {b*oh*ow, out_ch} layout.
-  Tensor grad_rows({b * oh * ow, out_ch_});
-  for (std::size_t n = 0; n < b; ++n)
-    for (std::size_t oy = 0; oy < oh; ++oy)
-      for (std::size_t ox = 0; ox < ow; ++ox)
-        for (std::size_t ch = 0; ch < out_ch_; ++ch)
-          grad_rows.at((n * oh + oy) * ow + ox, ch) =
-              grad_output.data()[((n * out_ch_ + ch) * oh + oy) * ow + ox];
+  const std::size_t plane = grad_output.dim(2) * grad_output.dim(3);
+  // Back to {b*oh*ow, out_ch} layout. dL/db adds each channel's entries on
+  // the way, in ascending row order.
+  Tensor grad_rows({b * plane, out_ch_});
+  float* grad_bias = grad_bias_.data().data();
+  for (std::size_t n = 0; n < b; ++n) {
+    const float* g = grad_output.data().data() + n * out_ch_ * plane;
+    float* rows = grad_rows.data().data() + n * plane * out_ch_;
+    for (std::size_t ch = 0; ch < out_ch_; ++ch, g += plane) {
+      float sum = grad_bias[ch];
+      for (std::size_t s = 0; s < plane; ++s) {
+        rows[s * out_ch_ + ch] = g[s];
+        sum += g[s];
+      }
+      grad_bias[ch] = sum;
+    }
+  }
   // dW = dY^T @ cols: {out_ch, b*oh*ow} x {b*oh*ow, ckk}.
   grad_weight_ += tensor::matmul_tn(grad_rows, cols_cache_);
-  for (std::size_t r = 0; r < grad_rows.dim(0); ++r)
-    for (std::size_t ch = 0; ch < out_ch_; ++ch)
-      grad_bias_[ch] += grad_rows.at(r, ch);
   return grad_rows;
 }
 
@@ -246,33 +298,30 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   const std::size_t oh = (h - kernel_) / stride_ + 1;
   const std::size_t ow = (w - kernel_) / stride_ + 1;
   Tensor out({b, c, oh, ow});
-  argmax_.assign(out.numel(), 0);
+  argmax_.resize(out.numel());
   const float* in = input.data().data();
-  for (std::size_t n = 0; n < b; ++n) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = in + (n * c + ch) * h * w;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          // A window of only -inf or NaN keeps best = -inf and routes its
-          // gradient to its own first element.
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx =
-              (n * c + ch) * h * w + oy * stride_ * w + ox * stride_;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = (n * c + ch) * h * w + iy * w + ix;
-              }
-            }
+  float* o = out.data().data();
+  std::size_t* arg = argmax_.data();
+  for (std::size_t p = 0; p < b * c; ++p) {
+    const std::size_t base = p * h * w;  // plane p = (n, ch)
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        // A window of only -inf or NaN keeps best = -inf and routes its
+        // gradient to its own first element.
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = base + oy * stride_ * w + ox * stride_;
+        for (std::size_t ky = 0; ky < kernel_; ++ky) {
+          const std::size_t i0 = base + (oy * stride_ + ky) * w + ox * stride_;
+          for (std::size_t kx = 0; kx < kernel_; ++kx) {
+            // Selects, not a branch: the first strict maximum wins.
+            const float v = in[i0 + kx];
+            const bool better = v > best;
+            best = better ? v : best;
+            best_idx = better ? i0 + kx : best_idx;
           }
-          const std::size_t o = ((n * c + ch) * oh + oy) * ow + ox;
-          out.data()[o] = best;
-          argmax_[o] = best_idx;
         }
+        *o++ = best;
+        *arg++ = best_idx;
       }
     }
   }
@@ -281,8 +330,9 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
   Tensor grad_input(input_shape_);
-  for (std::size_t o = 0; o < grad_output.numel(); ++o)
-    grad_input[argmax_[o]] += grad_output[o];
+  float* gi = grad_input.data().data();
+  const float* g = grad_output.data().data();
+  for (std::size_t o = 0; o < grad_output.numel(); ++o) gi[argmax_[o]] += g[o];
   return grad_input;
 }
 

@@ -131,32 +131,47 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-// Two doubles: one SSE2 register on x86-64 (GCC/Clang vector extension).
-// Each lane performs exactly the scalar IEEE operation.
-using Double2 = double __attribute__((vector_size(16)));
+// W doubles side by side: one SSE2 register on x86-64 for W = 2, one AVX2
+// register for W = 4 (GCC/Clang vector extension). Each lane performs
+// exactly the scalar IEEE operation.
+template <std::size_t W>
+struct Doubles;
+template <>
+struct Doubles<2> {
+  using type = double __attribute__((vector_size(16)));
+};
+template <>
+struct Doubles<4> {
+  using type = double __attribute__((vector_size(32)));
+};
 
 // matmul_nt tiles: kNtRows rows of a share every packed row of b^T, and
-// kNtCols output columns are summed side by side in Double2 lanes.
+// kNtCols output columns are summed side by side in W-double lanes.
 constexpr std::size_t kNtRows = 4;
 constexpr std::size_t kNtCols = 8;
 
 // One tile of matmul_nt: `rows` rows of a (row stride k) against one panel
 // (kNtCols packed columns of b^T, row p at panel + p * kNtCols), written to
 // the first `cols` columns of out. Each output is its own accumulator, fed
-// p = 0, 1, ..., k-1 in order, exactly like the scalar dot product.
-template <std::size_t rows>
-void matmul_nt_tile(const float* a, std::size_t k, const double* panel,
-                    float* out, std::size_t out_stride, std::size_t cols) {
-  constexpr std::size_t lanes = kNtCols / 2;
-  Double2 acc[rows][lanes] = {};
+// p = 0, 1, ..., k-1 in order, exactly like the scalar dot product; the
+// lane count W only decides how many of them one instruction advances.
+template <std::size_t W, std::size_t rows>
+[[gnu::always_inline]] inline void matmul_nt_tile(const float* a,
+                                                  std::size_t k,
+                                                  const double* panel,
+                                                  float* out,
+                                                  std::size_t out_stride,
+                                                  std::size_t cols) {
+  using Vec = typename Doubles<W>::type;
+  constexpr std::size_t lanes = kNtCols / W;
+  Vec acc[rows][lanes] = {};
   for (std::size_t p = 0; p < k; ++p) {
     for (std::size_t r = 0; r < rows; ++r) {
       const double av = a[r * k + p];
-      const Double2 a2 = {av, av};
       for (std::size_t l = 0; l < lanes; ++l) {
-        Double2 b2;
-        std::memcpy(&b2, panel + p * kNtCols + 2 * l, sizeof(b2));
-        acc[r][l] += a2 * b2;
+        Vec bv;
+        std::memcpy(&bv, panel + p * kNtCols + W * l, sizeof(bv));
+        acc[r][l] += av * bv;
       }
     }
   }
@@ -169,15 +184,15 @@ void matmul_nt_tile(const float* a, std::size_t k, const double* panel,
       out[r * out_stride + c] = float(sums[r][c]);
 }
 
-}  // namespace
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1));
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor out({m, n});
-  const float* ap = a.data().data();
-  const float* bp = b.data().data();
-  float* op = out.data().data();
+// out (m x n) = a (m x k) @ b^T (n x k), one panel of kNtCols columns of
+// b^T at a time. Inlined into each path's entry, so the packing loop and the
+// tiles are compiled for that path's instruction set.
+template <std::size_t W>
+[[gnu::always_inline]] inline void matmul_nt_panels(const float* a,
+                                                    const float* b, float* out,
+                                                    std::size_t m,
+                                                    std::size_t k,
+                                                    std::size_t n) {
   std::vector<double> panel(k * kNtCols);
   for (std::size_t j = 0; j < n; j += kNtCols) {
     // Pack columns j.. of b^T as double; the zero padding past column n
@@ -185,15 +200,72 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
     const std::size_t cols = std::min(kNtCols, n - j);
     for (std::size_t p = 0; p < k; ++p)
       for (std::size_t c = 0; c < kNtCols; ++c)
-        panel[p * kNtCols + c] = c < cols ? bp[(j + c) * k + p] : 0.0;
+        panel[p * kNtCols + c] = c < cols ? b[(j + c) * k + p] : 0.0;
     std::size_t i = 0;
     for (; i + kNtRows <= m; i += kNtRows)
-      matmul_nt_tile<kNtRows>(ap + i * k, k, panel.data(), op + i * n + j, n,
-                              cols);
+      matmul_nt_tile<W, kNtRows>(a + i * k, k, panel.data(), out + i * n + j,
+                                 n, cols);
     for (; i < m; ++i)
-      matmul_nt_tile<1>(ap + i * k, k, panel.data(), op + i * n + j, n, cols);
+      matmul_nt_tile<W, 1>(a + i * k, k, panel.data(), out + i * n + j, n,
+                           cols);
   }
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void matmul_nt_avx2(const float* a, const float* b,
+                                            float* out, std::size_t m,
+                                            std::size_t k, std::size_t n) {
+  matmul_nt_panels<4>(a, b, out, m, k, n);
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+const char* path_name(NtPath path) {
+  return path == NtPath::avx2 ? "avx2" : "baseline";
+}
+
+bool can_run(NtPath path) {
+#if defined(__x86_64__)
+  if (path == NtPath::avx2) {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+  }
+#endif
+  return path == NtPath::baseline;
+}
+
+NtPath matmul_nt_path() {
+  static const NtPath path =
+      can_run(NtPath::avx2) ? NtPath::avx2 : NtPath::baseline;
+  return path;
+}
+
+Tensor matmul_nt(const Tensor& a, const Tensor& b,
+                 [[maybe_unused]] NtPath path) {
+  assert(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(1));
+  assert(can_run(path));
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
+  Tensor out({m, n});
+  const float* ap = a.data().data();
+  const float* bp = b.data().data();
+  float* op = out.data().data();
+#if defined(__x86_64__)
+  if (path == NtPath::avx2) {
+    matmul_nt_avx2(ap, bp, op, m, k, n);
+    return out;
+  }
+#endif
+  matmul_nt_panels<2>(ap, bp, op, m, k, n);
   return out;
+}
+
+}  // namespace detail
+
+Tensor matmul_nt(const Tensor& a, const Tensor& b) {
+  return detail::matmul_nt(a, b, detail::matmul_nt_path());
 }
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {

@@ -89,8 +89,29 @@ class Tensor {
 
 /// out = a @ b^T: (m,k) x (n,k) -> (m,n). out[i][j] is float(acc), where
 /// the double acc sums double(a[i][p]) * double(b[j][p]) over p in order.
-/// The forward kernel of Linear and Conv2d.
+/// The forward kernel of Linear and Conv2d. Runs the widest path the host
+/// supports (detail::matmul_nt_path()); every path gives the same bits.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
+
+namespace detail {
+
+/// The builds of matmul_nt's tile: 2 double lanes per instruction
+/// (baseline, any target) or 4 (avx2, x86-64 hosts that have it). A
+/// product of two floats is exact in double, so every path sums the same
+/// terms in the same order and rounds the same way.
+enum class NtPath { baseline, avx2 };
+
+[[nodiscard]] const char* path_name(NtPath path);
+/// Whether this build and host can run `path`.
+[[nodiscard]] bool can_run(NtPath path);
+/// The path matmul_nt takes: the widest one can_run(), read once per
+/// process from CPUID.
+[[nodiscard]] NtPath matmul_nt_path();
+/// matmul_nt on `path`, which the host must be able to run: lets tests
+/// hold each path to the reference, whichever the host picks.
+[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b, NtPath path);
+
+}  // namespace detail
 
 /// out = a^T @ b: (k,m) x (k,n) -> (m,n). Sums a[p][i] * b[p][j] in float
 /// over p in order, skipping terms whose a[p][i] is zero. The

@@ -6,11 +6,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -639,6 +641,39 @@ TEST(Deployments, LoopFailureThrowsFromTrain) {
     EXPECT_LT(std::chrono::steady_clock::now() - start,
               std::chrono::seconds(10))
         << gc::to_string(d);
+  }
+}
+
+TEST(Deployments, NodeBinaryOverrideWithoutAFileThrowsAtLookup) {
+  // A GARFIELD_NODE_BIN that names no executable fails a tcp run at the
+  // launcher lookup, naming the variable and the path, not later as a
+  // forked rank's "exit code 127".
+  struct RestoreNodeBin {
+    std::optional<std::string> saved;
+    RestoreNodeBin() {
+      if (const char* v = std::getenv("GARFIELD_NODE_BIN")) saved = v;
+    }
+    ~RestoreNodeBin() {
+      if (saved) {
+        ::setenv("GARFIELD_NODE_BIN", saved->c_str(), 1);
+      } else {
+        ::unsetenv("GARFIELD_NODE_BIN");
+      }
+    }
+  } restore;
+  const std::string missing = temp_path("no_such_garfield_node");
+  ::setenv("GARFIELD_NODE_BIN", missing.c_str(), 1);
+  gc::DeploymentConfig cfg = fast_config();
+  cfg.transport = "tcp";
+  cfg.iterations = 2;
+  try {
+    (void)gc::train(cfg);
+    ADD_FAILURE() << "train() returned";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("GARFIELD_NODE_BIN"), std::string::npos) << what;
+    EXPECT_NE(what.find(missing), std::string::npos) << what;
+    EXPECT_EQ(what.find("exit code"), std::string::npos) << what;
   }
 }
 

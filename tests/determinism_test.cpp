@@ -15,6 +15,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/trainer.h"
 #include "gars/gar.h"
 #include "support/test_support.h"
 #include "tensor/parallel.h"
@@ -190,6 +191,37 @@ TEST(Determinism, FixedSeedsReproduceAcrossIndependentRuns) {
       } else {
         EXPECT_TRUE(bit_equal(first, out)) << c.gar << " not reproducible";
       }
+    }
+  }
+}
+
+TEST(Determinism, CraftingServerRepliesDoNotDependOnArrivalOrder) {
+  // A Byzantine server answers every puller with its own crafted reply.
+  // Each reply's draws must be a function of the run (requester,
+  // iteration, channel), not of which pull the pool happened to serve
+  // first. Under a codec the crafted frames reach the model GAR, so a
+  // draw handed to another puller changes the final parameters.
+  garfield::core::DeploymentConfig cfg;
+  cfg.deployment = garfield::core::Deployment::kMsmw;
+  cfg.model = "tiny_mlp";
+  cfg.nps = 4;
+  cfg.fps = 1;
+  cfg.nw = 7;
+  cfg.fw = 2;
+  cfg.gradient_gar = "multi_krum";
+  cfg.model_gar = "median";
+  cfg.worker_attack = "sign_flip";
+  cfg.server_attack = "random";
+  cfg.iterations = 12;
+  cfg.eval_every = 0;
+  cfg.seed = 7;
+  for (const char* codec : {"int8", "topk:k=0.1"}) {
+    cfg.codec = codec;
+    const FlatVector first = garfield::core::train(cfg).final_parameters;
+    for (int run = 1; run < 4; ++run) {
+      EXPECT_TRUE(
+          bit_equal(first, garfield::core::train(cfg).final_parameters))
+          << "codec=" << codec << ": run " << run << " differs from run 0";
     }
   }
 }

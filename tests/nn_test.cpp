@@ -2,10 +2,15 @@
 // losses, optimizer, Model flattening and the model zoo.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/dataset.h"
 #include "nn/layers.h"
@@ -208,6 +213,433 @@ TEST(Dropout, TrainModeZeroesSome) {
   }
   EXPECT_GT(zeros, 64u);
   EXPECT_LT(zeros, 192u);
+}
+
+// -------------------------------------------- layers against their references
+
+namespace {
+
+// The plain loops of ReLU, Conv2d, MaxPool2d and Linear, kept as references
+// the layers must match bit for bit: forward output, dL/d(input), and the
+// dL/dW and dL/db added onto what the gradients already hold. Each keeps
+// its own order of operations: one loop per pass, in the order listed.
+namespace reference {
+
+gt::Tensor linear_forward(const gt::Tensor& input, const gt::Tensor& weight,
+                          const gt::Tensor& bias) {
+  gt::Tensor out = gt::matmul_nt(input, weight);
+  for (std::size_t i = 0; i < out.dim(0); ++i)
+    for (std::size_t j = 0; j < out.dim(1); ++j) out.at(i, j) += bias[j];
+  return out;
+}
+
+/// Adds dL/dW and dL/db; returns dL/d(input).
+gt::Tensor linear_backward(const gt::Tensor& grad_output,
+                           const gt::Tensor& input, const gt::Tensor& weight,
+                           gt::Tensor& grad_weight, gt::Tensor& grad_bias) {
+  grad_weight += gt::matmul_tn(grad_output, input);
+  for (std::size_t i = 0; i < grad_output.dim(0); ++i)
+    for (std::size_t j = 0; j < grad_output.dim(1); ++j)
+      grad_bias[j] += grad_output.at(i, j);
+  return gt::matmul(grad_output, weight);
+}
+
+gt::Tensor relu_forward(const gt::Tensor& input, gt::Tensor& mask) {
+  mask = gt::Tensor::zeros(input.shape());
+  gt::Tensor out = input;
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    if (out[i] > 0.0F) {
+      mask[i] = 1.0F;
+    } else {
+      out[i] = 0.0F;
+    }
+  }
+  return out;
+}
+
+gt::Tensor relu_backward(const gt::Tensor& grad_output,
+                         const gt::Tensor& mask) {
+  gt::Tensor grad = grad_output;
+  for (std::size_t i = 0; i < grad.numel(); ++i) grad[i] *= mask[i];
+  return grad;
+}
+
+struct ConvGeometry {
+  std::size_t kernel, stride, padding, oh, ow;
+};
+
+gt::Tensor im2col(const gt::Tensor& input, const ConvGeometry& g) {
+  const std::size_t b = input.dim(0), c = input.dim(1), h = input.dim(2),
+                    w = input.dim(3);
+  const std::size_t row_len = c * g.kernel * g.kernel;
+  gt::Tensor cols({b * g.oh * g.ow, row_len});
+  for (std::size_t n = 0; n < b; ++n) {
+    for (std::size_t oy = 0; oy < g.oh; ++oy) {
+      for (std::size_t ox = 0; ox < g.ow; ++ox) {
+        float* row = cols.data().data() + ((n * g.oh + oy) * g.ow + ox) * row_len;
+        std::size_t idx = 0;
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+            const long iy = long(oy * g.stride + ky) - long(g.padding);
+            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++idx) {
+              const long ix = long(ox * g.stride + kx) - long(g.padding);
+              if (iy < 0 || ix < 0 || iy >= long(h) || ix >= long(w)) {
+                row[idx] = 0.0F;
+              } else {
+                row[idx] = input[((n * c + ch) * h + std::size_t(iy)) * w +
+                                 std::size_t(ix)];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+void col2im(const gt::Tensor& cols, const ConvGeometry& g, gt::Tensor& image) {
+  const std::size_t b = image.dim(0), c = image.dim(1), h = image.dim(2),
+                    w = image.dim(3);
+  const std::size_t row_len = c * g.kernel * g.kernel;
+  for (std::size_t n = 0; n < b; ++n) {
+    for (std::size_t oy = 0; oy < g.oh; ++oy) {
+      for (std::size_t ox = 0; ox < g.ow; ++ox) {
+        const float* row =
+            cols.data().data() + ((n * g.oh + oy) * g.ow + ox) * row_len;
+        std::size_t idx = 0;
+        for (std::size_t ch = 0; ch < c; ++ch) {
+          for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+            const long iy = long(oy * g.stride + ky) - long(g.padding);
+            for (std::size_t kx = 0; kx < g.kernel; ++kx, ++idx) {
+              const long ix = long(ox * g.stride + kx) - long(g.padding);
+              if (iy >= 0 && ix >= 0 && iy < long(h) && ix < long(w)) {
+                image[((n * c + ch) * h + std::size_t(iy)) * w +
+                      std::size_t(ix)] += row[idx];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+gt::Tensor conv_forward(const gt::Tensor& input, const gt::Tensor& weight,
+                        const gt::Tensor& bias, const ConvGeometry& g,
+                        gt::Tensor& cols) {
+  const std::size_t b = input.dim(0), out_ch = weight.dim(0);
+  cols = im2col(input, g);
+  gt::Tensor prod = gt::matmul_nt(cols, weight);
+  for (std::size_t r = 0; r < prod.dim(0); ++r)
+    for (std::size_t ch = 0; ch < out_ch; ++ch) prod.at(r, ch) += bias[ch];
+  gt::Tensor out({b, out_ch, g.oh, g.ow});
+  for (std::size_t n = 0; n < b; ++n)
+    for (std::size_t oy = 0; oy < g.oh; ++oy)
+      for (std::size_t ox = 0; ox < g.ow; ++ox)
+        for (std::size_t ch = 0; ch < out_ch; ++ch)
+          out[((n * out_ch + ch) * g.oh + oy) * g.ow + ox] =
+              prod.at((n * g.oh + oy) * g.ow + ox, ch);
+  return out;
+}
+
+/// Adds dL/dW and dL/db; returns dL/d(input).
+gt::Tensor conv_backward(const gt::Tensor& grad_output, const gt::Tensor& cols,
+                         const gt::Tensor& weight,
+                         const gt::Shape& input_shape, const ConvGeometry& g,
+                         gt::Tensor& grad_weight, gt::Tensor& grad_bias) {
+  const std::size_t b = input_shape[0], out_ch = weight.dim(0);
+  gt::Tensor grad_rows({b * g.oh * g.ow, out_ch});
+  for (std::size_t n = 0; n < b; ++n)
+    for (std::size_t oy = 0; oy < g.oh; ++oy)
+      for (std::size_t ox = 0; ox < g.ow; ++ox)
+        for (std::size_t ch = 0; ch < out_ch; ++ch)
+          grad_rows.at((n * g.oh + oy) * g.ow + ox, ch) =
+              grad_output[((n * out_ch + ch) * g.oh + oy) * g.ow + ox];
+  grad_weight += gt::matmul_tn(grad_rows, cols);
+  for (std::size_t r = 0; r < grad_rows.dim(0); ++r)
+    for (std::size_t ch = 0; ch < out_ch; ++ch)
+      grad_bias[ch] += grad_rows.at(r, ch);
+  const gt::Tensor grad_cols = gt::matmul(grad_rows, weight);
+  gt::Tensor grad_input(input_shape);
+  col2im(grad_cols, g, grad_input);
+  return grad_input;
+}
+
+gt::Tensor maxpool_forward(const gt::Tensor& input, std::size_t kernel,
+                           std::size_t stride,
+                           std::vector<std::size_t>& argmax) {
+  const std::size_t b = input.dim(0), c = input.dim(1), h = input.dim(2),
+                    w = input.dim(3);
+  const std::size_t oh = (h - kernel) / stride + 1;
+  const std::size_t ow = (w - kernel) / stride + 1;
+  gt::Tensor out({b, c, oh, ow});
+  argmax.assign(out.numel(), 0);
+  for (std::size_t n = 0; n < b; ++n) {
+    for (std::size_t ch = 0; ch < c; ++ch) {
+      const std::size_t plane = (n * c + ch) * h * w;
+      for (std::size_t oy = 0; oy < oh; ++oy) {
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          std::size_t best_idx = plane + oy * stride * w + ox * stride;
+          for (std::size_t ky = 0; ky < kernel; ++ky) {
+            for (std::size_t kx = 0; kx < kernel; ++kx) {
+              const std::size_t iy = oy * stride + ky;
+              const std::size_t ix = ox * stride + kx;
+              const float v = input[plane + iy * w + ix];
+              if (v > best) {
+                best = v;
+                best_idx = plane + iy * w + ix;
+              }
+            }
+          }
+          const std::size_t o = ((n * c + ch) * oh + oy) * ow + ox;
+          out[o] = best;
+          argmax[o] = best_idx;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+gt::Tensor maxpool_backward(const gt::Tensor& grad_output,
+                            const gt::Shape& input_shape,
+                            const std::vector<std::size_t>& argmax) {
+  gt::Tensor grad_input(input_shape);
+  for (std::size_t o = 0; o < grad_output.numel(); ++o)
+    grad_input[argmax[o]] += grad_output[o];
+  return grad_input;
+}
+
+}  // namespace reference
+
+/// Entries over 2^-8..2^8 in magnitude, both signs, about a tenth of them
+/// zero, so float sums depend on the order of their additions. With
+/// `special_rate` > 0, that share of entries is -0, +inf, -inf or NaN.
+gt::Tensor layer_input(const gt::Shape& shape, gt::Rng& rng,
+                       double special_rate) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0F, inf, -inf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  gt::Tensor t(shape);
+  for (float& v : t.data()) {
+    if (rng.bernoulli(special_rate)) {
+      v = specials[rng.index(4)];
+    } else {
+      v = rng.bernoulli(0.1) ? 0.0F
+                             : std::ldexp(rng.normal(), int(rng.index(17)) - 8);
+    }
+  }
+  return t;
+}
+
+/// Finite operands give memcmp-equal results. Where the reference holds a
+/// NaN, only the NaN's sign and payload may differ; every other bit may not.
+void expect_same_bits(const gt::Tensor& got, const gt::Tensor& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < want.numel(); ++i) {
+    const bool same =
+        std::isnan(want[i])
+            ? std::isnan(got[i])
+            : std::bit_cast<std::uint32_t>(got[i]) ==
+                  std::bit_cast<std::uint32_t>(want[i]);
+    if (!same) {
+      ADD_FAILURE() << what << ": entry " << i << " is " << got[i]
+                    << ", the reference has " << want[i];
+      return;
+    }
+  }
+}
+
+/// Gives a layer's parameters and accumulated gradients random values and
+/// returns copies of them: {weight, bias, grad_weight, grad_bias}.
+std::vector<gt::Tensor> seed_params(nn::Module& layer, gt::Rng& rng) {
+  std::vector<gt::Tensor> copies;
+  for (const nn::Param& p : layer.params()) {
+    *p.value = layer_input(p.value->shape(), rng, 0.0);
+    copies.push_back(*p.value);
+  }
+  for (const nn::Param& p : layer.params()) {
+    *p.grad = layer_input(p.grad->shape(), rng, 0.0);
+    copies.push_back(*p.grad);
+  }
+  return copies;
+}
+
+void copy_params(nn::Module& from, nn::Module& to) {
+  const std::vector<nn::Param> src = from.params(), dst = to.params();
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    *dst[i].value = *src[i].value;
+    *dst[i].grad = *src[i].grad;
+  }
+}
+
+/// Rounds of one layer object: finite operands, then operands with
+/// specials, then finite again at another batch size, so buffers a layer
+/// keeps between calls are reused and reallocated.
+struct Round {
+  std::size_t batch;
+  double special_rate;
+};
+const Round kRounds[] = {{16, 0.0}, {16, 1.0 / 256}, {3, 0.0}, {16, 0.0}};
+
+std::string round_name(const std::string& layer, const Round& r) {
+  return layer + " batch " + std::to_string(r.batch) +
+         (r.special_rate > 0 ? " with specials" : "");
+}
+
+}  // namespace
+
+TEST(LayerReference, ReluMatchesReferenceLoops) {
+  gt::Rng rng(40);
+  nn::ReLU relu;
+  // One layer across shapes: its mask is reused and reallocated.
+  for (const gt::Shape& shape :
+       {gt::Shape{16, 16, 16, 16}, gt::Shape{16, 32, 8, 8},
+        gt::Shape{16, 32, 8, 8}, gt::Shape{16, 128}, gt::Shape{3, 5, 7}}) {
+    for (const double special_rate : {0.0, 1.0 / 16}) {
+      const std::string what =
+          "relu " + gt::shape_to_string(shape) +
+          (special_rate > 0 ? " with specials" : "");
+      const gt::Tensor x = layer_input(shape, rng, special_rate);
+      const gt::Tensor g = layer_input(shape, rng, special_rate);
+      gt::Tensor mask;
+      expect_same_bits(relu.forward(x, true),
+                       reference::relu_forward(x, mask), what + " forward");
+      expect_same_bits(relu.backward(g), reference::relu_backward(g, mask),
+                       what + " backward");
+    }
+  }
+}
+
+TEST(LayerReference, Conv2dMatchesReferenceLoops) {
+  struct Case {
+    std::size_t in_ch, out_ch, h, w, kernel, stride, padding;
+  };
+  // CifarNet's two convolutions, then strided ones on an odd image, without
+  // and with padding.
+  const Case cases[] = {{3, 16, 16, 16, 3, 1, 1},
+                        {16, 32, 8, 8, 3, 1, 1},
+                        {2, 3, 7, 5, 3, 2, 0},
+                        {2, 3, 7, 5, 3, 2, 1}};
+  gt::Rng rng(41);
+  for (const Case& c : cases) {
+    nn::Conv2d conv(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng);
+    nn::Conv2d twin(c.in_ch, c.out_ch, c.kernel, c.stride, c.padding, rng);
+    const reference::ConvGeometry geo{
+        c.kernel, c.stride, c.padding,
+        (c.h + 2 * c.padding - c.kernel) / c.stride + 1,
+        (c.w + 2 * c.padding - c.kernel) / c.stride + 1};
+    for (const Round& r : kRounds) {
+      const std::string what =
+          round_name("conv " + std::to_string(c.in_ch) + "->" +
+                         std::to_string(c.out_ch) + " at " +
+                         std::to_string(c.h) + "x" + std::to_string(c.w) +
+                         " stride " + std::to_string(c.stride) + " padding " +
+                         std::to_string(c.padding),
+                     r);
+      std::vector<gt::Tensor> want = seed_params(conv, rng);
+      copy_params(conv, twin);
+      const gt::Tensor x =
+          layer_input({r.batch, c.in_ch, c.h, c.w}, rng, r.special_rate);
+      const gt::Tensor g = layer_input({r.batch, c.out_ch, geo.oh, geo.ow},
+                                       rng, r.special_rate);
+      gt::Tensor cols;
+      expect_same_bits(conv.forward(x, true),
+                       reference::conv_forward(x, want[0], want[1], geo, cols),
+                       what + " forward");
+      const gt::Tensor want_gx = reference::conv_backward(
+          g, cols, want[0], x.shape(), geo, want[2], want[3]);
+      expect_same_bits(conv.backward(g), want_gx, what + " dL/dx");
+      (void)twin.forward(x, true);
+      twin.backward_params(g);
+      for (nn::Module* layer : {static_cast<nn::Module*>(&conv),
+                                static_cast<nn::Module*>(&twin)}) {
+        const std::vector<nn::Param> p = layer->params();
+        expect_same_bits(*p[0].grad, want[2], what + " dL/dW");
+        expect_same_bits(*p[1].grad, want[3], what + " dL/db");
+      }
+    }
+  }
+}
+
+TEST(LayerReference, MaxPool2dMatchesReferenceLoops) {
+  struct Case {
+    std::size_t ch, h, w, kernel, stride;
+  };
+  // CifarNet's two poolings, then windows that leave rows and columns out
+  // and windows that overlap, on an odd image.
+  const Case cases[] = {{16, 16, 16, 2, 2},
+                        {32, 8, 8, 2, 2},
+                        {3, 7, 5, 2, 2},
+                        {3, 7, 5, 3, 2}};
+  gt::Rng rng(42);
+  for (const Case& c : cases) {
+    nn::MaxPool2d pool(c.kernel, c.stride);
+    const std::size_t oh = (c.h - c.kernel) / c.stride + 1;
+    const std::size_t ow = (c.w - c.kernel) / c.stride + 1;
+    for (const Round& r : kRounds) {
+      const std::string what = round_name(
+          "pool " + std::to_string(c.kernel) + "/" + std::to_string(c.stride) +
+              " of " + std::to_string(c.ch) + "x" + std::to_string(c.h) +
+              "x" + std::to_string(c.w),
+          r);
+      gt::Tensor x = layer_input({r.batch, c.ch, c.h, c.w}, rng,
+                                 16 * r.special_rate);
+      if (r.special_rate > 0) {
+        // One window of NaN only: its gradient goes to its first element.
+        const std::size_t plane = (1 * c.ch + 1) * c.h * c.w;
+        for (std::size_t ky = 0; ky < c.kernel; ++ky)
+          for (std::size_t kx = 0; kx < c.kernel; ++kx)
+            x[plane + (c.stride + ky) * c.w + c.stride + kx] =
+                std::numeric_limits<float>::quiet_NaN();
+      }
+      const gt::Tensor g =
+          layer_input({r.batch, c.ch, oh, ow}, rng, r.special_rate);
+      std::vector<std::size_t> argmax;
+      expect_same_bits(pool.forward(x, true),
+                       reference::maxpool_forward(x, c.kernel, c.stride,
+                                                  argmax),
+                       what + " forward");
+      expect_same_bits(pool.backward(g),
+                       reference::maxpool_backward(g, x.shape(), argmax),
+                       what + " backward");
+    }
+  }
+}
+
+TEST(LayerReference, LinearMatchesReferenceLoops) {
+  gt::Rng rng(43);
+  // CifarNet's two Linear layers.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{512, 128}, {128, 10}};
+  for (const auto& [in, out] : shapes) {
+    nn::Linear linear(in, out, rng);
+    nn::Linear twin(in, out, rng);
+    for (const Round& r : kRounds) {
+      const std::string what = round_name(
+          "linear " + std::to_string(in) + "->" + std::to_string(out), r);
+      std::vector<gt::Tensor> want = seed_params(linear, rng);
+      copy_params(linear, twin);
+      const gt::Tensor x = layer_input({r.batch, in}, rng, r.special_rate);
+      const gt::Tensor g = layer_input({r.batch, out}, rng, r.special_rate);
+      expect_same_bits(linear.forward(x, true),
+                       reference::linear_forward(x, want[0], want[1]),
+                       what + " forward");
+      const gt::Tensor want_gx =
+          reference::linear_backward(g, x, want[0], want[2], want[3]);
+      expect_same_bits(linear.backward(g), want_gx, what + " dL/dx");
+      (void)twin.forward(x, true);
+      twin.backward_params(g);
+      for (nn::Module* layer : {static_cast<nn::Module*>(&linear),
+                                static_cast<nn::Module*>(&twin)}) {
+        const std::vector<nn::Param> p = layer->params();
+        expect_same_bits(*p[0].grad, want[2], what + " dL/dW");
+        expect_same_bits(*p[1].grad, want[3], what + " dL/db");
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------ loss

@@ -209,6 +209,37 @@ void expect_same_bytes(const gt::Tensor& got, const gt::Tensor& want,
       << what;
 }
 
+/// Equal bit for bit, except that where the reference holds a NaN, the
+/// result may hold a NaN of any sign and payload.
+void expect_same_up_to_nan(const gt::Tensor& got, const gt::Tensor& want,
+                           const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::size_t i = 0; i < want.numel(); ++i) {
+    if (std::isnan(want[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << what << " entry " << i;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << what << " entry " << i;
+    }
+  }
+}
+
+/// An operand with about 1% of its entries +inf, -inf or NaN.
+gt::Tensor poisoned(std::size_t rows, std::size_t cols, gt::Rng& rng) {
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  gt::Tensor t = operand(rows, cols, rng, 0.3);
+  for (float& v : t.data())
+    if (rng.bernoulli(0.01)) v = specials[rng.index(3)];
+  return t;
+}
+
+/// Shapes of the non-finite cases: off-tile, zoo, and many rows.
+const std::vector<Gemm> kNonFiniteGemms = {
+    {7, 9, 5}, {16, 27, 16}, {33, 20, 10}, {1024, 36, 4}};
+
 /// All three kernels against their references on one GEMM's operands.
 void check_gemm(const Gemm& g, gt::Rng& rng, double zero_frac) {
   const std::string what = "m=" + std::to_string(g.m) + " k=" +
@@ -253,33 +284,9 @@ TEST(Matmul, KernelsMatchReferenceOnNonFiniteInputs) {
   // is the first operand's: NaN sign and payload may differ, NaN positions
   // and every other bit may not.
   gt::Rng rng(6);
-  const float specials[] = {std::numeric_limits<float>::infinity(),
-                            -std::numeric_limits<float>::infinity(),
-                            std::numeric_limits<float>::quiet_NaN()};
-  const auto poisoned = [&](std::size_t rows, std::size_t cols) {
-    gt::Tensor t = operand(rows, cols, rng, 0.3);
-    for (float& v : t.data())
-      if (rng.bernoulli(0.01)) v = specials[rng.index(3)];
-    return t;
-  };
-  const auto expect_same_up_to_nan = [](const gt::Tensor& got,
-                                        const gt::Tensor& want,
-                                        const std::string& what) {
-    ASSERT_EQ(got.shape(), want.shape()) << what;
-    for (std::size_t i = 0; i < want.numel(); ++i) {
-      if (std::isnan(want[i])) {
-        EXPECT_TRUE(std::isnan(got[i])) << what << " entry " << i;
-      } else {
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                  std::bit_cast<std::uint32_t>(want[i]))
-            << what << " entry " << i;
-      }
-    }
-  };
-  for (const Gemm& g : {Gemm{7, 9, 5}, Gemm{16, 27, 16}, Gemm{33, 20, 10},
-                        Gemm{1024, 36, 4}}) {
-    const gt::Tensor x = poisoned(g.m, g.k), w = poisoned(g.n, g.k),
-                     dy = poisoned(g.m, g.n);
+  for (const Gemm& g : kNonFiniteGemms) {
+    const gt::Tensor x = poisoned(g.m, g.k, rng), w = poisoned(g.n, g.k, rng),
+                     dy = poisoned(g.m, g.n, rng);
     const std::string what = "m=" + std::to_string(g.m);
     expect_same_up_to_nan(gt::matmul_nt(x, w), reference_matmul_nt(x, w),
                           "matmul_nt " + what);
@@ -289,6 +296,54 @@ TEST(Matmul, KernelsMatchReferenceOnNonFiniteInputs) {
                           "matmul_tn " + what);
   }
 }
+
+/// matmul_nt on each path the build has, whichever one the host picks:
+/// a host that picks avx2 still runs the baseline here.
+class MatmulNtPath : public ::testing::TestWithParam<gt::detail::NtPath> {
+ protected:
+  void SetUp() override {
+    if (!gt::detail::can_run(GetParam())) {
+      GTEST_SKIP() << "this build or CPU lacks "
+                   << gt::detail::path_name(GetParam());
+    }
+  }
+};
+
+TEST_P(MatmulNtPath, MatchesReferenceBitwise) {
+  const gt::detail::NtPath path = GetParam();
+  std::vector<Gemm> shapes = kZooGemms;
+  for (std::size_t m = 1; m <= 9; ++m)
+    for (std::size_t k = 1; k <= 9; ++k)
+      for (std::size_t n = 1; n <= 9; ++n) shapes.push_back({m, k, n});
+  gt::Rng rng(7);
+  for (const Gemm& g : shapes) {
+    const std::string what = "m=" + std::to_string(g.m) + " k=" +
+                             std::to_string(g.k) + " n=" + std::to_string(g.n);
+    gt::Tensor x = operand(g.m, g.k, rng), w = operand(g.n, g.k, rng);
+    expect_same_bytes(gt::detail::matmul_nt(x, w, path),
+                      reference_matmul_nt(x, w), what);
+    cancel_in_pairs(x, w, rng);
+    expect_same_bytes(gt::detail::matmul_nt(x, w, path),
+                      reference_matmul_nt(x, w), "cancelling terms, " + what);
+  }
+}
+
+TEST_P(MatmulNtPath, MatchesReferenceOnNonFiniteInputs) {
+  gt::Rng rng(8);
+  for (const Gemm& g : kNonFiniteGemms) {
+    const gt::Tensor x = poisoned(g.m, g.k, rng), w = poisoned(g.n, g.k, rng);
+    expect_same_up_to_nan(gt::detail::matmul_nt(x, w, GetParam()),
+                          reference_matmul_nt(x, w),
+                          "m=" + std::to_string(g.m));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, MatmulNtPath,
+    ::testing::Values(gt::detail::NtPath::baseline, gt::detail::NtPath::avx2),
+    [](const ::testing::TestParamInfo<gt::detail::NtPath>& info) {
+      return std::string(gt::detail::path_name(info.param));
+    });
 
 TEST(VecOps, AxpyScaleDot) {
   gt::FlatVector x{1, 2, 3}, y{10, 20, 30};
