@@ -17,19 +17,26 @@
 // A fourth section ("fig3d") times aggregate_into at the GAR shapes of the
 // repository benchmark's workloads (garfield_bench/), with 1 caller and
 // with 4 concurrent callers, the way the 4 servers of an MSMW deployment
-// aggregate at once.
+// aggregate at once. Its header names the distance-tile path the host
+// picked. A serial table follows (set_parallel_threads(1), one caller):
+// aggregate_into on that path, and the Krum family's distance matrix alone
+// on every path the host can run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <latch>
+#include <span>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_support.h"
 #include "gars/gar.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
+#include "tensor/tensor.h"
 
 namespace {
 
@@ -162,13 +169,31 @@ void thread_scaling_report() {
   }
 }
 
+using clock = std::chrono::steady_clock;
+
+/// Median us of `calls` calls of fn after `warmup` untimed ones.
+template <class Fn>
+double median_call_us(int warmup, int calls, Fn&& fn) {
+  for (int k = 0; k < warmup; ++k) fn();
+  std::vector<double> us;
+  for (int k = 0; k < calls; ++k) {
+    const auto begin = clock::now();
+    fn();
+    us.push_back(
+        std::chrono::duration<double, std::micro>(clock::now() - begin)
+            .count());
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
 // Fig 3d: aggregate_into µs at the benchmark workloads' GAR shapes. Each
 // caller owns its rule, context and output and shares the inputs; it runs
 // `warmup` calls, then times `calls` more. The table prints the median and
 // quartiles over all callers' timed calls. Smoke mode shrinks d and the
 // call count.
 void workload_shapes_report() {
-  using clock = std::chrono::steady_clock;
+  namespace gt = garfield::tensor;
   struct Shape {
     const char* gar;
     std::size_t n, f, d;
@@ -188,8 +213,10 @@ void workload_shapes_report() {
 
   std::printf(
       "\nfig3d/workload_shapes: aggregate_into us, median and quartiles of "
-      "%d calls per caller after %d warm-up calls (hardware threads: %u)\n",
-      calls, warmup, std::thread::hardware_concurrency());
+      "%d calls per caller after %d warm-up calls (hardware threads: %u; "
+      "distance tile path %s)\n",
+      calls, warmup, std::thread::hardware_concurrency(),
+      gt::detail::path_name(gt::detail::simd_path()));
   std::printf("%-11s %3s %3s %7s %8s %10s %10s %10s  %s\n", "gar", "n", "f",
               "d", "callers", "median_us", "q1_us", "q3_us", "shape of");
   for (const Shape& shape : shapes) {
@@ -232,6 +259,51 @@ void workload_shapes_report() {
                   at(0.75), shape.use);
     }
   }
+
+  std::vector<gt::detail::SimdPath> paths;
+  for (const auto path : {gt::detail::SimdPath::baseline,
+                          gt::detail::SimdPath::avx2}) {
+    if (gt::detail::can_run(path)) paths.push_back(path);
+  }
+  std::printf(
+      "\nfig3d/serial: one caller at set_parallel_threads(1), median us of "
+      "%d calls after %d warm-up calls:\naggregate_into on the picked path "
+      "(%s), and the distance matrix alone on each path\n",
+      calls, warmup, gt::detail::path_name(gt::detail::simd_path()));
+  std::printf("%-11s %3s %3s %7s %10s", "gar", "n", "f", "d", "agg_us");
+  for (const auto path : paths)
+    std::printf(" %11s_us", gt::detail::path_name(path));
+  std::printf("\n");
+  gt::set_parallel_threads(1);
+  for (const Shape& shape : shapes) {
+    const std::size_t d = smoke ? std::min<std::size_t>(shape.d, 1000)
+                                : shape.d;
+    const auto inputs = make_inputs(shape.n, d);
+    const auto gar = garfield::gars::make_gar(shape.gar, shape.n, shape.f);
+    garfield::gars::AggregationContext ctx;
+    FlatVector out;
+    std::printf("%-11s %3zu %3zu %7zu %10.1f", shape.gar, shape.n, shape.f, d,
+                median_call_us(warmup, calls, [&] {
+                  gar->aggregate_into(inputs, ctx, out);
+                }));
+    benchmark::DoNotOptimize(out.data());
+    const std::vector<std::span<const float>> rows(inputs.begin(),
+                                                   inputs.end());
+    std::vector<double> matrix(shape.n * shape.n);
+    for (const auto path : paths) {
+      if (std::string(shape.gar) != "multi_krum") {
+        std::printf(" %14s", "-");
+        continue;
+      }
+      std::printf(" %14.1f", median_call_us(warmup, calls, [&] {
+                    gt::detail::squared_distance_matrix(rows, matrix, path);
+                    benchmark::DoNotOptimize(matrix.data());
+                    benchmark::ClobberMemory();
+                  }));
+    }
+    std::printf("\n");
+  }
+  gt::set_parallel_threads(0);
 }
 
 }  // namespace

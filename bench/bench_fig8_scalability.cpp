@@ -16,12 +16,10 @@
 //     handler compute, so these numbers are real contention, not simulated
 //     sleeps. Results are written to BENCH_fig8.json (override the path
 //     with GARFIELD_FIG8_JSON; one run per file — the committed copy is
-//     the trajectory record) and each row whose shape matches the
-//     committed pre-rework baseline prints its speedup.
+//     the trajectory record).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,23 +78,6 @@ void panel(const char* title, const char* model, const DeviceProfile& device,
 
 // ------------------------------------------------- live contention mode
 
-/// Pre-rework throughput on the reference shape (nw=8, auto pool, latency
-/// 0, 60 iterations of tiny_mlp/cluster, seed 7), measured with the
-/// sleep-on-pool + O(nps)-recompute transport this PR replaced — the
-/// committed "before" of BENCH_fig8.json's before/after speedups. 0 = no
-/// baseline for that deployment.
-struct PrePrBaseline {
-  const char* deployment;
-  std::size_t nps;
-  double its_per_sec;
-};
-constexpr PrePrBaseline kPrePr[] = {
-    {"vanilla", 1, 3121.2},
-    {"ssmw", 1, 3049.9},
-    {"msmw", 3, 1102.2},
-    {"decentralized", 1, 345.9},
-};
-
 struct LiveCell {
   gc::Deployment deployment;
   std::size_t nps = 1;
@@ -124,7 +105,6 @@ struct LiveResult {
   std::uint64_t bytes_received = 0;
   std::uint64_t bytes_saved = 0;
   double final_accuracy = 0.0;
-  double speedup_vs_pre_pr = 0.0;  // 0 = shape has no committed baseline
   /// codec=none bytes_sent of the same (deployment, transport, nw,
   /// network) shape divided by this row's bytes_sent — the compression
   /// headline. 0 = not a codec-frontier row or no baseline to compare.
@@ -185,17 +165,6 @@ LiveResult run_live(const LiveCell& cell, std::size_t iterations) {
       out.final_accuracy = r.final_accuracy;
     }
   }
-  // The committed baseline covers the reference shape only: nw=8, auto
-  // pool, full-length run.
-  if (!garfield::bench::smoke_mode() && cell.nw == 8 &&
-      cell.pool_threads == 0 && std::string(cell.transport) == "inproc") {
-    for (const PrePrBaseline& b : kPrePr) {
-      if (gc::to_string(cell.deployment) == b.deployment &&
-          cell.nps == b.nps && b.its_per_sec > 0) {
-        out.speedup_vs_pre_pr = out.its_per_sec / b.its_per_sec;
-      }
-    }
-  }
   return out;
 }
 
@@ -217,9 +186,6 @@ void write_row(std::FILE* f, const LiveResult& r, bool last) {
   if (r.bytes_ratio_vs_none > 0) {
     std::fprintf(f, ", \"bytes_ratio_vs_none\": %.2f", r.bytes_ratio_vs_none);
   }
-  if (r.speedup_vs_pre_pr > 0) {
-    std::fprintf(f, ", \"speedup_vs_pre_pr\": %.2f", r.speedup_vs_pre_pr);
-  }
   std::fprintf(f, "}%s\n", last ? "" : ",");
 }
 
@@ -239,12 +205,7 @@ void write_json(const std::vector<LiveResult>& results,
   std::fprintf(f, "  \"iterations\": %zu,\n", iterations);
   std::fprintf(f, "  \"workload\": \"tiny_mlp, cluster dataset, "
                   "train=2048, batch=16, latency=0, seed=7\",\n");
-  std::fprintf(f, "  \"pre_pr_baseline_its_per_sec\": {");
-  for (std::size_t i = 0; i < std::size(kPrePr); ++i) {
-    std::fprintf(f, "%s\"%s\": %.1f", i == 0 ? "" : ", ",
-                 kPrePr[i].deployment, kPrePr[i].its_per_sec);
-  }
-  std::fprintf(f, "},\n  \"results\": [\n");
+  std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     write_row(f, results[i], i + 1 == results.size());
   }
@@ -265,9 +226,9 @@ std::vector<LiveResult> live_mode(std::size_t iterations) {
   std::printf("\nLive real-contention mode — in-process trainer, latency "
               "0,\n(deployment x nps x nw x pool_threads), %zu iterations "
               "per cell\n", iterations);
-  std::printf("%-14s %-7s %-4s %-4s %-6s %-10s %-12s %-12s %-8s %-10s\n",
+  std::printf("%-14s %-7s %-4s %-4s %-6s %-10s %-12s %-12s %-8s\n",
               "deployment", "trans", "nps", "nw", "pool", "its/sec", "floats",
-              "bytes_sent", "wasted", "vs pre-PR");
+              "bytes_sent", "wasted");
 
   std::vector<LiveCell> cells;
   // nw floor is 6: multi_krum at fw=1 needs 2f+3 = 5 inputs and the
@@ -318,17 +279,13 @@ std::vector<LiveResult> live_mode(std::size_t iterations) {
       }
       throw;
     }
-    char speedup[32] = "-";
-    if (r.speedup_vs_pre_pr > 0) {
-      std::snprintf(speedup, sizeof speedup, "%.2fx", r.speedup_vs_pre_pr);
-    }
     std::printf("%-14s %-7s %-4zu %-4zu %-6zu %-10.1f %-12llu %-12llu "
-                "%-8llu %-10s\n",
+                "%-8llu\n",
                 gc::to_string(cell.deployment).c_str(), cell.transport,
                 cell.nps, cell.nw, cell.pool_threads, r.its_per_sec,
                 (unsigned long long)r.floats_transferred,
                 (unsigned long long)r.bytes_sent,
-                (unsigned long long)r.wasted_replies, speedup);
+                (unsigned long long)r.wasted_replies);
     results.push_back(r);
   }
   return results;

@@ -1,12 +1,14 @@
 // nn forward/backward per zoo model, and the matmul kernels underneath.
 //
-// Prints the matmul_nt path the host picked (baseline or avx2), then, each
-// as the median of the timed runs after warm-up runs:
+// Prints the SIMD path the host picked for matmul_nt and the distance matrix
+// (baseline or avx2), then, each as the median of the timed runs after
+// warm-up runs:
 //   (a) forward and backward us of every zoo model at batch 16. Backward is
 //       Module::backward_params, the pass Model::gradient runs;
 //   (b) us and GFLOP/s of matmul_nt (forward), matmul (input gradient) and
 //       matmul_tn (weight gradient) on every GEMM those models run, with
-//       dense N(0,1) operands.
+//       dense N(0,1) operands, and beside matmul_nt's the us of its
+//       baseline path, which hosts without AVX2 run.
 // The GEMM table's n and k are checked against each model's weight shapes,
 // so the table cannot drift from the zoo unnoticed. GARFIELD_BENCH_SMOKE=1
 // cuts the runs to a few.
@@ -127,9 +129,9 @@ std::pair<double, double> time_model(gn::Model& model) {
 
 int main() {
   std::printf("nn kernels at batch %zu: median of %zu runs after %zu warm-up "
-              "runs, matmul_nt path %s\n\n",
+              "runs, SIMD path %s\n\n",
               kBatch, timed_runs(), warmup_runs(),
-              gt::detail::path_name(gt::detail::matmul_nt_path()));
+              gt::detail::path_name(gt::detail::simd_path()));
   std::printf("%-15s %12s %12s\n", "model", "forward_us", "backward_us");
   for (const auto& [name, gemms] : kZooGemms) {
     gt::Rng rng(1);
@@ -143,11 +145,13 @@ int main() {
     std::printf("%-15s %12.1f %12.1f\n", name.c_str(), forward, backward);
   }
 
-  std::printf("\nGEMMs: forward {m,k}x{n,k}^T (matmul_nt), input gradient "
-              "{m,n}x{n,k} (matmul),\nweight gradient {m,n}^Tx{m,k} "
-              "(matmul_tn); us and GFLOP/s = 2mkn / time\n");
-  std::printf("%-15s %5s %4s %4s %9s %7s %9s %7s %9s %7s\n", "model", "m", "k",
-              "n", "nt_us", "nt_GF", "mm_us", "mm_GF", "tn_us", "tn_GF");
+  std::printf("\nGEMMs: forward {m,k}x{n,k}^T (matmul_nt; ntb_us on its "
+              "baseline path), input\ngradient {m,n}x{n,k} (matmul), weight "
+              "gradient {m,n}^Tx{m,k} (matmul_tn);\nus and GFLOP/s = 2mkn / "
+              "time\n");
+  std::printf("%-15s %5s %4s %4s %9s %7s %9s %9s %7s %9s %7s\n", "model", "m",
+              "k", "n", "nt_us", "nt_GF", "ntb_us", "mm_us", "mm_GF", "tn_us",
+              "tn_GF");
   for (const auto& [name, gemms] : kZooGemms) {
     for (const Gemm& g : gemms) {
       gt::Rng rng(2);
@@ -155,12 +159,16 @@ int main() {
       const gt::Tensor w = gt::Tensor::randn({g.n, g.k}, rng);
       const gt::Tensor dy = gt::Tensor::randn({g.m, g.n}, rng);
       const double nt = median_us([&] { (void)gt::matmul_nt(x, w); });
+      const double ntb = median_us([&] {
+        (void)gt::detail::matmul_nt(x, w, gt::detail::SimdPath::baseline);
+      });
       const double mm = median_us([&] { (void)gt::matmul(dy, w); });
       const double tn = median_us([&] { (void)gt::matmul_tn(dy, x); });
       const double kflop = 2e-3 * double(g.m * g.k * g.n);
-      std::printf("%-15s %5zu %4zu %4zu %9.1f %7.2f %9.1f %7.2f %9.1f %7.2f\n",
-                  name.c_str(), g.m, g.k, g.n, nt, kflop / nt, mm, kflop / mm,
-                  tn, kflop / tn);
+      std::printf(
+          "%-15s %5zu %4zu %4zu %9.1f %7.2f %9.1f %9.1f %7.2f %9.1f %7.2f\n",
+          name.c_str(), g.m, g.k, g.n, nt, kflop / nt, ntb, mm, kflop / mm, tn,
+          kflop / tn);
     }
   }
   return 0;

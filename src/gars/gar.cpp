@@ -12,6 +12,7 @@
 #include "gars/median3.h"
 #include "gars/registry.h"
 #include "tensor/parallel.h"
+#include "tensor/tensor.h"
 
 namespace garfield::gars {
 
@@ -52,39 +53,9 @@ void require(bool cond, const std::string& message) {
 void DistanceCache::reset(Rows inputs) {
   n_ = inputs.size();
   active_count_ = n_;
-  matrix_.assign(n_ * n_, 0.0);
+  matrix_.resize(n_ * n_);
   active_.assign(n_, true);
-  if (n_ < 2) return;
-  // Shard the upper triangle over cores by flat pair index. Each pair is
-  // one O(d) squared-distance computation, so the grain (minimum pairs per
-  // shard) scales inversely with d: small models stay on the inline serial
-  // path where handing pairs to other cores would dwarf the work. Every pair writes two
-  // disjoint matrix slots; results are bitwise independent of the layout.
-  const std::size_t n = n_;
-  const std::size_t pairs = n * (n - 1) / 2;
-  const std::size_t d = inputs.front().size();
-  const std::size_t grain = std::max<std::size_t>(
-      1, tensor::kParallelForGrain / std::max<std::size_t>(1, d));
-  parallel_for(pairs, grain, [&](std::size_t begin, std::size_t end) {
-    // Map the flat pair index `begin` to its (i, j) coordinates by walking
-    // row lengths (row i holds n-1-i pairs), then iterate in order.
-    std::size_t i = 0;
-    std::size_t p = begin;
-    while (p >= n - 1 - i) {
-      p -= n - 1 - i;
-      ++i;
-    }
-    std::size_t j = i + 1 + p;
-    for (std::size_t k = begin; k < end; ++k) {
-      const double dist = tensor::squared_distance(inputs[i], inputs[j]);
-      matrix_[i * n + j] = dist;
-      matrix_[j * n + i] = dist;
-      if (++j == n) {
-        ++i;
-        j = i + 1;
-      }
-    }
-  });
+  tensor::squared_distance_matrix(inputs, matrix_);
 }
 
 // ----------------------------------------------------- registry descriptors

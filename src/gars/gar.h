@@ -51,10 +51,13 @@ using Rows = std::span<const Row>;
 /// distance-based scores ... we cache the results of each of these
 /// iterations and hence remove redundant computations" — Bulyan's
 /// iterated-Krum phase computes the O(n^2 d) distance matrix once and
-/// reuses it across all selection rounds. The matrix fill is sharded over
-/// pairs with tensor::parallel_for (§4.3). reset() recomputes in place,
-/// reusing the allocation — AggregationContext keeps one instance alive
-/// across aggregation calls.
+/// reuses it across all selection rounds. The fill is
+/// tensor::squared_distance_matrix: register tiles of 4 rows against 2 or
+/// 4 partner rows (the host's SIMD path), sharded as whole tiles with
+/// tensor::parallel_for (§4.3). Every entry is bit for bit
+/// tensor::squared_distance of its pair, whatever the path or the shard
+/// count. reset() recomputes in place, reusing the allocation —
+/// AggregationContext keeps one instance alive across aggregation calls.
 class DistanceCache {
  public:
   /// Recompute the matrix for a new input set, reusing storage. All inputs

@@ -80,7 +80,8 @@ class Tensor {
 // The three GEMM kernels fix each output's sequence of operations: out[i][j]
 // sums its k terms for p = 0, 1, ..., k-1 in order. Tiling or vectorizing
 // them may change their speed, never their bits (tests/tensor_test.cpp holds
-// each one to a scalar reference by memcmp).
+// each one to a scalar reference by memcmp). The same holds for the distance
+// matrix (tests/distance_cache_test.cpp).
 
 /// out = a @ b for rank-2 tensors: (m,k) x (k,n) -> (m,n). Sums
 /// a[i][p] * b[p][j] in float over p in order, skipping terms whose
@@ -90,26 +91,46 @@ class Tensor {
 /// out = a @ b^T: (m,k) x (n,k) -> (m,n). out[i][j] is float(acc), where
 /// the double acc sums double(a[i][p]) * double(b[j][p]) over p in order.
 /// The forward kernel of Linear and Conv2d. Runs the widest path the host
-/// supports (detail::matmul_nt_path()); every path gives the same bits.
+/// supports (detail::simd_path()); a product of two floats is exact in
+/// double, so every path sums the same terms in the same order and rounds
+/// the same way.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
+
+/// The squared distance of every pair of the n `rows`, into `matrix`
+/// (n x n, row-major): matrix[i*n+j] and matrix[j*n+i] are
+/// squared_distance(rows[i], rows[j]) of tensor/vecops.h, bit for bit, for
+/// i < j, and the diagonal is 0. The rows must share one size. The Krum
+/// family's distance matrix: tiles of pairs run as parallel_for shards on
+/// the widest path the host supports (detail::simd_path()). Each tile owns
+/// whole pairs and each pair sums its terms in the reference's order, so
+/// neither the shard count nor the path changes a bit. Allocates nothing
+/// when it runs as one shard.
+void squared_distance_matrix(std::span<const std::span<const float>> rows,
+                             std::span<double> matrix);
 
 namespace detail {
 
-/// The builds of matmul_nt's tile: 2 double lanes per instruction
-/// (baseline, any target) or 4 (avx2, x86-64 hosts that have it). A
-/// product of two floats is exact in double, so every path sums the same
-/// terms in the same order and rounds the same way.
-enum class NtPath { baseline, avx2 };
+/// The builds of the double-lane kernels, matmul_nt's tile and the distance
+/// tile: 2 lanes per instruction (baseline, any target) or 4 (avx2, x86-64
+/// hosts that have it). A lane performs exactly the scalar IEEE operations
+/// of its output's reference loop; the lane count decides only how many
+/// outputs one instruction advances.
+enum class SimdPath { baseline, avx2 };
 
-[[nodiscard]] const char* path_name(NtPath path);
+[[nodiscard]] const char* path_name(SimdPath path);
 /// Whether this build and host can run `path`.
-[[nodiscard]] bool can_run(NtPath path);
-/// The path matmul_nt takes: the widest one can_run(), read once per
+[[nodiscard]] bool can_run(SimdPath path);
+/// The path the kernels take: the widest one can_run(), read once per
 /// process from CPUID.
-[[nodiscard]] NtPath matmul_nt_path();
+[[nodiscard]] SimdPath simd_path();
 /// matmul_nt on `path`, which the host must be able to run: lets tests
 /// hold each path to the reference, whichever the host picks.
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b, NtPath path);
+[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b,
+                               SimdPath path);
+
+/// squared_distance_matrix on `path`, which the host must be able to run.
+void squared_distance_matrix(std::span<const std::span<const float>> rows,
+                             std::span<double> matrix, SimdPath path);
 
 }  // namespace detail
 

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "gars/gar.h"
 #include "support/test_support.h"
 #include "tensor/rng.h"
+#include "tensor/tensor.h"
 
 namespace gg = garfield::gars;
 namespace gt = garfield::tensor;
@@ -25,6 +30,50 @@ std::vector<FlatVector> random_inputs(std::size_t n, std::size_t d,
   for (auto& v : out) {
     for (float& x : v) x = rng.normal();
   }
+  return out;
+}
+
+/// Finite rows that stress the exactness of a squared distance: about one
+/// coordinate in ten is +-0, a subnormal, a huge or a tiny value (whose
+/// difference with a normal one rounds in double), and every third row
+/// repeats an earlier one with a few coordinates nudged by one ulp, so
+/// most of its differences cancel to zero.
+std::vector<FlatVector> finite_rows(std::size_t n, std::size_t d,
+                                    std::uint64_t seed) {
+  const float specials[] = {0.0F,
+                            -0.0F,
+                            std::numeric_limits<float>::denorm_min(),
+                            -1e-40F,
+                            3e38F,
+                            -3e38F,
+                            1e-30F,
+                            -1e30F};
+  std::vector<FlatVector> out = random_inputs(n, d, seed);
+  gt::Rng rng(seed + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 2) {
+      out[i] = out[rng.index(i)];
+      for (float& x : out[i])
+        if (rng.bernoulli(0.05)) x = std::nextafter(x, 1e38F);
+      continue;
+    }
+    for (float& x : out[i])
+      if (rng.bernoulli(0.1)) x = specials[rng.index(std::size(specials))];
+  }
+  return out;
+}
+
+/// finite_rows with about 1% of the coordinates +inf, -inf or NaN.
+std::vector<FlatVector> non_finite_rows(std::size_t n, std::size_t d,
+                                        std::uint64_t seed) {
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  std::vector<FlatVector> out = finite_rows(n, d, seed);
+  gt::Rng rng(seed + 2);
+  for (FlatVector& row : out)
+    for (float& x : row)
+      if (rng.bernoulli(0.01)) x = specials[rng.index(3)];
   return out;
 }
 
@@ -234,23 +283,92 @@ TEST(DistanceCache, ResetReusesStorageAcrossInputSets) {
 }
 
 TEST(DistanceCache, MatrixEqualsSquaredDistanceAtAnyThreadCount) {
-  // At d = 20000 the pair grain is 3, so the 36 pairs of 9 inputs split
-  // into as many shards as the thread count allows, run on the pool. Each
-  // entry must still be exactly the serial squared distance.
-  const auto in = random_inputs(9, 20000, 29);
-  for (const std::size_t threads : {1U, 2U, 5U}) {
-    const ts::ShardCount shards(threads);
-    gg::DistanceCache cache;
-    cache.reset(ts::rows(in));
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      for (std::size_t j = 0; j < in.size(); ++j) {
-        EXPECT_EQ(cache.squared_distance(i, j),
-                  gt::squared_distance(in[i], in[j]))
-            << i << "," << j << " threads=" << threads;
+  // From d = 20000 up a tile of pairs is a whole shard, so the tiles of 8
+  // to 17 inputs split into as many shards as the thread count allows, run
+  // on the pool. Each entry must still be exactly the serial squared
+  // distance, on the path the host picks, also for rows of extreme values.
+  for (const auto& in :
+       {random_inputs(9, 20000, 29), finite_rows(8, 20000, 33),
+        finite_rows(17, 20000, 34), finite_rows(11, 874, 35)}) {
+    for (const std::size_t threads : {1U, 2U, 5U}) {
+      const ts::ShardCount shards(threads);
+      gg::DistanceCache cache;
+      cache.reset(ts::rows(in));
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        for (std::size_t j = 0; j < in.size(); ++j) {
+          EXPECT_EQ(cache.squared_distance(i, j),
+                    gt::squared_distance(in[i], in[j]))
+              << i << "," << j << " threads=" << threads;
+        }
       }
     }
   }
 }
+
+/// The distance matrix on each path the build has, whichever one the host
+/// picks: a host that picks avx2 still runs the baseline here.
+class SquaredDistancePath
+    : public ::testing::TestWithParam<gt::detail::SimdPath> {
+ protected:
+  void SetUp() override {
+    if (!gt::detail::can_run(GetParam())) {
+      GTEST_SKIP() << "this build or CPU lacks "
+                   << gt::detail::path_name(GetParam());
+    }
+  }
+
+  /// The path's matrix of `in` at 1, 2 and 5 shards against
+  /// tensor::squared_distance off the diagonal and 0 on it, entry by entry:
+  /// memcmp-equal, except that where the reference is NaN any NaN will do.
+  void check(const std::vector<FlatVector>& in) const {
+    const std::size_t n = in.size();
+    const std::string what =
+        "n=" + std::to_string(n) + " d=" + std::to_string(in.front().size());
+    std::vector<double> want(n * n);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        want[i * n + j] = i == j ? 0.0 : gt::squared_distance(in[i], in[j]);
+    for (const std::size_t threads : {1U, 2U, 5U}) {
+      const ts::ShardCount shards(threads);
+      std::vector<double> got(n * n, -1.0);
+      gt::detail::squared_distance_matrix(ts::rows(in), got, GetParam());
+      for (std::size_t e = 0; e < n * n; ++e) {
+        if (std::isnan(want[e])) {
+          EXPECT_TRUE(std::isnan(got[e]))
+              << what << " entry " << e << " threads=" << threads;
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[e]),
+                    std::bit_cast<std::uint64_t>(want[e]))
+              << what << " entry " << e << " threads=" << threads;
+        }
+      }
+    }
+  }
+};
+
+/// Short rows, 511 to 513 (around a power of two), and the benchmark
+/// workloads' tiny_mlp and small_mlp dimensions.
+const std::size_t kDims[] = {1, 2, 3, 5, 511, 512, 513, 874, 17226};
+
+TEST_P(SquaredDistancePath, MatchesSquaredDistanceBitwise) {
+  std::uint64_t seed = 100;
+  for (std::size_t n = 2; n <= 17; ++n)
+    for (const std::size_t d : kDims) check(finite_rows(n, d, seed++));
+}
+
+TEST_P(SquaredDistancePath, MatchesSquaredDistanceOnNonFiniteRows) {
+  std::uint64_t seed = 200;
+  for (std::size_t n = 2; n <= 17; ++n)
+    for (const std::size_t d : kDims) check(non_finite_rows(n, d, seed++));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, SquaredDistancePath,
+    ::testing::Values(gt::detail::SimdPath::baseline,
+                      gt::detail::SimdPath::avx2),
+    [](const ::testing::TestParamInfo<gt::detail::SimdPath>& info) {
+      return std::string(gt::detail::path_name(info.param));
+    });
 
 TEST(DistanceCache, ContextReusedAcrossCallsYieldsSameAggregates) {
   // One AggregationContext reused across many aggregate_into calls (the

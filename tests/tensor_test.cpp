@@ -299,7 +299,7 @@ TEST(Matmul, KernelsMatchReferenceOnNonFiniteInputs) {
 
 /// matmul_nt on each path the build has, whichever one the host picks:
 /// a host that picks avx2 still runs the baseline here.
-class MatmulNtPath : public ::testing::TestWithParam<gt::detail::NtPath> {
+class MatmulNtPath : public ::testing::TestWithParam<gt::detail::SimdPath> {
  protected:
   void SetUp() override {
     if (!gt::detail::can_run(GetParam())) {
@@ -310,7 +310,7 @@ class MatmulNtPath : public ::testing::TestWithParam<gt::detail::NtPath> {
 };
 
 TEST_P(MatmulNtPath, MatchesReferenceBitwise) {
-  const gt::detail::NtPath path = GetParam();
+  const gt::detail::SimdPath path = GetParam();
   std::vector<Gemm> shapes = kZooGemms;
   for (std::size_t m = 1; m <= 9; ++m)
     for (std::size_t k = 1; k <= 9; ++k)
@@ -340,8 +340,8 @@ TEST_P(MatmulNtPath, MatchesReferenceOnNonFiniteInputs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Paths, MatmulNtPath,
-    ::testing::Values(gt::detail::NtPath::baseline, gt::detail::NtPath::avx2),
-    [](const ::testing::TestParamInfo<gt::detail::NtPath>& info) {
+    ::testing::Values(gt::detail::SimdPath::baseline, gt::detail::SimdPath::avx2),
+    [](const ::testing::TestParamInfo<gt::detail::SimdPath>& info) {
       return std::string(gt::detail::path_name(info.param));
     });
 
