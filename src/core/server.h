@@ -33,7 +33,7 @@
 // that answers it calls Cluster::notify_ready(). This makes the
 // model-exchange round deterministic — peers aggregate same-iteration
 // states instead of whatever the replica happened to hold — without ever
-// blocking a pool thread or polling on a timer. The decentralized
+// blocking a thread or polling on a timer. The decentralized
 // contract() gossip is always step-tagged the same way (publish_aggr_grad
 // / skip_aggr_grad); every publication notifies after releasing mutex_,
 // since the redelivered handlers take it.
@@ -317,7 +317,7 @@ class ByzantineServer final : public Server {
  private:
   util::Mutex attack_mutex_;
   /// Stateful across rounds (alternating phase, adaptive_z intensity) and
-  /// reachable from every pool thread serving this node's pulls.
+  /// reachable from every thread serving this node's pulls.
   attacks::AttackPtr attack_ GARFIELD_GUARDED_BY(attack_mutex_);
   /// Never drawn from: each reply forks its own stream (see answer()).
   const tensor::Rng rng_;

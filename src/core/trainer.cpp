@@ -98,6 +98,11 @@ bool recover_from_peers(Runtime& rt, Server& server, net::NodeId self,
   for (std::size_t p = 0; p < cfg.nps; ++p) {
     if (p != self && !rt.cluster->is_crashed(p)) live.push_back(p);
   }
+  // This collect runs in the recovery hook, under the Cluster's lifecycle
+  // mutex, and its caller runs its sends itself: a pull of its own node
+  // would deliver over tcp's loopback edge, which advances the lifecycle
+  // and takes that mutex again.
+  assert(std::find(live.begin(), live.end(), self) == live.end());
   if (live.empty()) return false;
   std::vector<net::Reply> replies = rt.cluster->collect(
       self, live, kGetCheckpoint, iteration, nullptr, live.size(),

@@ -7,17 +7,6 @@ namespace garfield::core {
 
 namespace {
 
-/// Cached computations retained. Server replicas drift by at most a few
-/// iterations (model exchange bounds them), so a short ring covers every
-/// live pull; an evicted (very old) iteration is simply recomputed — the
-/// keyed batch sampler makes the recomputation bitwise identical for
-/// momentum-free workers. With momentum the recomputation folds against
-/// the *current* pre-commit velocity base, not the one that was live when
-/// the iteration was first served — an approximation only reachable in
-/// asynchronous runs whose replicas already drift by > kGradientCacheDepth
-/// iterations, where quorum membership is timing-dependent anyway.
-constexpr std::size_t kGradientCacheDepth = 8;
-
 /// Cohort-estimate size an omniscient worker attack samples per request.
 /// Enough batches for a usable mean/stddev estimate; small enough that the
 /// adversary's extra compute stays a constant factor.
@@ -63,6 +52,52 @@ class Worker::ComputeSlot {
   bool held_ = true;
 };
 
+class Worker::GradientBuffers {
+ public:
+  GradientBuffers() = default;
+  GradientBuffers(const GradientBuffers&) = delete;
+  GradientBuffers& operator=(const GradientBuffers&) = delete;
+
+  /// A buffer to compute into: a free one when there is one.
+  std::unique_ptr<net::Payload> take() {
+    {
+      util::MutexLock lock(mutex_);
+      if (!free_.empty()) {
+        std::unique_ptr<net::Payload> buffer = std::move(free_.back());
+        free_.pop_back();
+        return buffer;
+      }
+    }
+    return std::make_unique<net::Payload>();
+  }
+
+  /// `buffer`, computed, as a payload whose deleter hands it back to
+  /// `buffers`.
+  static net::PayloadPtr share(const std::shared_ptr<GradientBuffers>& buffers,
+                               std::unique_ptr<net::Payload> buffer) {
+    return net::PayloadPtr(buffer.release(),
+                           [buffers](const net::Payload* released) {
+                             // Made non-const by take(): the cast restores
+                             // what it was.
+                             buffers->give_back(std::unique_ptr<net::Payload>(
+                                 const_cast<net::Payload*>(released)));
+                           });
+  }
+
+ private:
+  /// Free buffers kept beyond this are freed: the cache's entries plus the
+  /// computes in flight are all a worker needs at once.
+  static constexpr std::size_t kMaxFree = kGradientCacheDepth + 2;
+
+  void give_back(std::unique_ptr<net::Payload> buffer) {
+    util::MutexLock lock(mutex_);
+    if (free_.size() < kMaxFree) free_.push_back(std::move(buffer));
+  }
+
+  util::Mutex mutex_;
+  std::vector<std::unique_ptr<net::Payload>> free_ GARFIELD_GUARDED_BY(mutex_);
+};
+
 Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
                data::Dataset shard, std::size_t batch_size, tensor::Rng rng,
                float momentum)
@@ -73,6 +108,7 @@ Worker::Worker(net::NodeId id, net::Cluster& cluster, nn::ModelPtr model,
       dimension_(model_->dimension()),
       shard_(std::move(shard)),
       sampler_(shard_, batch_size, rng_.fork(0xb0)),
+      buffers_(std::make_shared<GradientBuffers>()),
       probe_sampler_(shard_, batch_size, rng_.fork(0xb1)),
       momentum_(momentum) {
   register_handlers();
@@ -105,7 +141,10 @@ void Worker::rejoin() {
 Worker::ServedGradient Worker::compute_locked(const net::Request& req) {
   model_->set_parameters(*req.argument);
   const data::Batch batch = sampler_.batch_for(req.iteration);
-  nn::GradientResult result = model_->gradient(batch.inputs, batch.labels);
+  std::unique_ptr<net::Payload> buffer = buffers_->take();
+  net::Payload& gradient = *buffer;
+  const double loss =
+      model_->gradient_into(batch.inputs, batch.labels, gradient);
   if (momentum_ > 0.0F) {
     // Distributed momentum: v = m*v + g; the server receives v. The
     // velocity advances once per *iteration*: the first compute for
@@ -113,28 +152,26 @@ Worker::ServedGradient Worker::compute_locked(const net::Request& req) {
     // same (or an older) iteration — diverged replicas under asynchrony —
     // folds its gradient into the pre-commit base without moving the
     // committed state.
-    if (velocity_.size() != result.gradient.size()) {
-      velocity_.assign(result.gradient.size(), 0.0F);
-      velocity_pre_.assign(result.gradient.size(), 0.0F);
+    if (velocity_.size() != gradient.size()) {
+      velocity_.assign(gradient.size(), 0.0F);
+      velocity_pre_.assign(gradient.size(), 0.0F);
     }
     if (velocity_iteration_ == std::uint64_t(-1) ||
         req.iteration > velocity_iteration_) {
       velocity_pre_ = velocity_;
       for (std::size_t i = 0; i < velocity_.size(); ++i) {
-        velocity_[i] = momentum_ * velocity_[i] + result.gradient[i];
+        velocity_[i] = momentum_ * velocity_[i] + gradient[i];
       }
       velocity_iteration_ = req.iteration;
-      result.gradient = velocity_;
+      gradient = velocity_;
     } else {
-      for (std::size_t i = 0; i < result.gradient.size(); ++i) {
-        result.gradient[i] =
-            momentum_ * velocity_pre_[i] + result.gradient[i];
+      for (std::size_t i = 0; i < gradient.size(); ++i) {
+        gradient[i] = momentum_ * velocity_pre_[i] + gradient[i];
       }
     }
   }
-  return ServedGradient{
-      std::make_shared<const net::Payload>(std::move(result.gradient)),
-      result.loss};
+  return ServedGradient{GradientBuffers::share(buffers_, std::move(buffer)),
+                        loss};
 }
 
 std::optional<Worker::ServedGradient> Worker::honest_gradient(

@@ -21,10 +21,17 @@
 // transport_stress_test pins.
 //
 // Computation is single-flight: one forward/backward at a time, and no
-// pool thread ever waits on a worker lock across one. A pull that misses
+// puller ever waits on a worker lock across one. A pull that misses
 // the cache while another compute is in flight answers not-ready and
 // parks on the cluster; the compute's end (cached, counted) notifies, and
 // the redelivered pull is usually a cache hit.
+//
+// A compute runs on whichever thread delivered the pull — a pool thread,
+// or a server loop draining its own collect() — so gradients are computed
+// into buffers the worker recycles, not fresh allocations: a buffer comes
+// back through its payload's deleter once the last PayloadPtr to it is
+// gone, and never earlier. Fresh buffers would be freed on whatever thread
+// drops them last, and spread over every thread's malloc arena.
 //
 // The wire codec is the cluster's (net::Cluster::Options::codec). A
 // request argument — a server snapshot, possibly a state-class frame — is
@@ -53,6 +60,17 @@ inline constexpr const char* kGetGradient = "get_gradient";
 
 class Worker {
  public:
+  /// Cached computations retained. Server replicas drift by at most a few
+  /// iterations (model exchange bounds them), so a short ring covers every
+  /// live pull; an evicted (very old) iteration is simply recomputed — the
+  /// keyed batch sampler makes the recomputation bitwise identical for
+  /// momentum-free workers. With momentum the recomputation folds against
+  /// the *current* pre-commit velocity base, not the one that was live
+  /// when the iteration was first served — an approximation only reachable
+  /// in asynchronous runs whose replicas already drift by more than this
+  /// many iterations, where quorum membership is timing-dependent anyway.
+  static constexpr std::size_t kGradientCacheDepth = 8;
+
   /// momentum > 0 enables *worker-side* momentum (distributed momentum,
   /// [23] in the paper): the worker replies with its exponentially-averaged
   /// gradient v = m*v + g instead of the raw estimate. This reduces the
@@ -167,6 +185,11 @@ class Worker {
   /// pulls parked on this node with no lock held.
   class ComputeSlot;
 
+  /// The recycled gradient buffers (see the header comment). Shared with
+  /// the deleter of every payload made from one, so a payload may outlive
+  /// the worker.
+  class GradientBuffers;
+
   net::NodeId id_;
   net::Cluster& cluster_;  // handler (re-)registration, wake-ups
   /// The private model replica: every forward/backward (set_parameters +
@@ -176,6 +199,7 @@ class Worker {
   std::size_t dimension_;
   data::Dataset shard_;
   data::BatchSampler sampler_ GARFIELD_GUARDED_BY(compute_mutex_);
+  std::shared_ptr<GradientBuffers> buffers_;
   /// Omniscience probes (disjoint stream).
   data::BatchSampler probe_sampler_ GARFIELD_GUARDED_BY(compute_mutex_);
   float momentum_;
@@ -247,7 +271,7 @@ class ByzantineWorker final : public Worker {
  private:
   util::Mutex attack_mutex_;
   /// Stateful across rounds (alternating phase, adaptive_z intensity) and
-  /// reachable from every pool thread serving this node's pulls.
+  /// reachable from every thread serving this node's pulls.
   attacks::AttackPtr attack_ GARFIELD_GUARDED_BY(attack_mutex_);
   /// The cluster's parsed schedules, shared into every AttackContext.
   const net::NetworkConditions* conditions_;

@@ -46,6 +46,18 @@ void require(bool cond, const std::string& message) {
   if (!cond) throw std::invalid_argument(message);
 }
 
+/// Scratch for one shard body of a coordinate-wise rule. A shard runs on
+/// whichever thread claims it, so the caller's context cannot hand it a
+/// buffer; each thread keeps one per element type instead, grown to the
+/// largest request and then reused, so steady-state calls allocate
+/// nothing. No shard body here runs another that takes the same type.
+template <typename T>
+std::span<T> shard_scratch(std::size_t size) {
+  thread_local std::vector<T> buffer;
+  if (buffer.size() < size) buffer.resize(size);
+  return {buffer.data(), size};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- DistanceCache
@@ -55,7 +67,20 @@ void DistanceCache::reset(Rows inputs) {
   active_count_ = n_;
   matrix_.resize(n_ * n_);
   active_.assign(n_, true);
+  row_.reserve(n_);
   tensor::squared_distance_matrix(inputs, matrix_);
+}
+
+double DistanceCache::nearest_sum(std::size_t i, std::size_t k) {
+  assert(is_active(i) && k >= 1 && k < active_count_);
+  row_.clear();
+  for (std::size_t j = 0; j < n_; ++j) {
+    if (j != i && active_[j]) row_.push_back(matrix_[i * n_ + j]);
+  }
+  std::partial_sort(row_.begin(), row_.begin() + long(k), row_.end());
+  double sum = 0.0;
+  for (std::size_t m = 0; m < k; ++m) sum += row_[m];
+  return sum;
 }
 
 // ----------------------------------------------------- registry descriptors
@@ -234,7 +259,7 @@ void Median::do_aggregate(Rows inputs, AggregationContext&,
   const std::size_t mid = n / 2;
   const Float4 half = {0.5F, 0.5F, 0.5F, 0.5F};
   parallel_for(d, [&](std::size_t begin, std::size_t end) {
-    std::vector<Float4> lanes(n * kMedianGroups);
+    const std::span<Float4> lanes = shard_scratch<Float4>(n * kMedianGroups);
     for (std::size_t j = begin; j < end; j += kMedianBlock) {
       const std::size_t width = std::min(kMedianBlock, end - j);
       for (std::size_t i = 0; i < n; ++i) {
@@ -286,7 +311,7 @@ void TrimmedMean::do_aggregate(Rows inputs, AggregationContext&,
   const std::size_t keep = n - 2 * trim_;
   const std::size_t trim = trim_;
   parallel_for(d, [&](std::size_t begin, std::size_t end) {
-    std::vector<float> column(n);
+    const std::span<float> column = shard_scratch<float>(n);
     for (std::size_t j = begin; j < end; ++j) {
       for (std::size_t i = 0; i < n; ++i) column[i] = inputs[i][j];
       std::sort(column.begin(), column.end());
@@ -305,30 +330,21 @@ Krum::Krum(std::size_t n, std::size_t f) : Gar(n, f) {
               ", f=" + std::to_string(f) + ")");
 }
 
-void Krum::scores_cached(const DistanceCache& cache,
+std::size_t Krum::neighbours(std::size_t active) const {
+  assert(active >= 3);
+  return active > f_ + 2 ? active - f_ - 2 : std::size_t(1);
+}
+
+void Krum::scores_cached(DistanceCache& cache,
                          std::vector<double>& scores) const {
-  const std::size_t q = cache.active_count();
-  assert(q >= 3);
-  const std::size_t neighbours = q > f_ + 2 ? q - f_ - 2 : std::size_t(1);
+  const std::size_t k = neighbours(cache.active_count());
   scores.resize(cache.size());
-  std::vector<double> row;
-  row.reserve(q - 1);
   for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (!cache.is_active(i)) continue;
-    row.clear();
-    for (std::size_t j = 0; j < cache.size(); ++j) {
-      if (j != i && cache.is_active(j)) {
-        row.push_back(cache.squared_distance(i, j));
-      }
-    }
-    std::partial_sort(row.begin(), row.begin() + long(neighbours), row.end());
-    double score = 0.0;
-    for (std::size_t m = 0; m < neighbours; ++m) score += row[m];
-    scores[i] = score;
+    if (cache.is_active(i)) scores[i] = cache.nearest_sum(i, k);
   }
 }
 
-void Krum::selection_order_cached(const DistanceCache& cache, Rows inputs,
+void Krum::selection_order_cached(DistanceCache& cache, Rows inputs,
                                   std::vector<double>& scores,
                                   std::vector<std::size_t>& order) const {
   assert(cache.active_count() == inputs.size());
@@ -342,23 +358,22 @@ void Krum::selection_order_cached(const DistanceCache& cache, Rows inputs,
   });
 }
 
-std::size_t Krum::select_cached(const DistanceCache& cache,
-                                Rows inputs) const {
+std::size_t Krum::select_cached(DistanceCache& cache, Rows inputs) const {
   assert(cache.size() == inputs.size());
-  std::vector<double> scores;
-  scores_cached(cache, scores);
+  const std::size_t k = neighbours(cache.active_count());
   double best_score = std::numeric_limits<double>::infinity();
   std::size_t best = cache.size();
   for (std::size_t i = 0; i < cache.size(); ++i) {
     if (!cache.is_active(i)) continue;
+    const double score = cache.nearest_sum(i, k);
     const bool better =
-        scores[i] < best_score ||
-        (scores[i] == best_score && best < cache.size() &&
+        score < best_score ||
+        (score == best_score && best < cache.size() &&
          std::lexicographical_compare(inputs[i].begin(), inputs[i].end(),
                                       inputs[best].begin(),
                                       inputs[best].end()));
     if (better) {
-      best_score = scores[i];
+      best_score = score;
       best = i;
     }
   }
@@ -368,7 +383,7 @@ std::size_t Krum::select_cached(const DistanceCache& cache,
 
 void Krum::do_aggregate(Rows inputs, AggregationContext& ctx,
                         FlatVector& out) const {
-  const DistanceCache& cache = ctx.distance_cache(inputs);
+  DistanceCache& cache = ctx.distance_cache(inputs);
   const Row winner = inputs[select_cached(cache, inputs)];
   std::copy(winner.begin(), winner.end(), out.begin());
 }
@@ -388,7 +403,7 @@ MultiKrum::MultiKrum(std::size_t n, std::size_t f, std::size_t m)
 
 void MultiKrum::do_aggregate(Rows inputs, AggregationContext& ctx,
                              FlatVector& out) const {
-  const DistanceCache& cache = ctx.distance_cache(inputs);
+  DistanceCache& cache = ctx.distance_cache(inputs);
   std::vector<double>& scores = ctx.score_scratch(inputs.size());
   std::vector<std::size_t>& order = ctx.index_scratch(inputs.size());
   selection_order_cached(cache, inputs, scores, order);
@@ -412,9 +427,11 @@ void Mda::do_aggregate(Rows inputs, AggregationContext& ctx,
 
   // Enumerate all C(n, keep) subsets with the classic combination walk and
   // track the one with minimum diameter (max pairwise distance).
-  std::vector<std::size_t> comb(keep);
-  std::iota(comb.begin(), comb.end(), 0);
-  std::vector<std::size_t> best = comb;
+  std::vector<std::size_t>& scratch = ctx.index_scratch(2 * keep);
+  const std::span<std::size_t> comb(scratch.data(), keep);
+  const std::span<std::size_t> best(scratch.data() + keep, keep);
+  std::iota(comb.begin(), comb.end(), std::size_t(0));
+  std::copy(comb.begin(), comb.end(), best.begin());
   double best_diameter = std::numeric_limits<double>::infinity();
   while (true) {
     double diameter = 0.0;
@@ -427,7 +444,7 @@ void Mda::do_aggregate(Rows inputs, AggregationContext& ctx,
     }
     if (diameter < best_diameter) {
       best_diameter = diameter;
-      best = comb;
+      std::copy(comb.begin(), comb.end(), best.begin());
     }
     // Advance to the next combination.
     long i = long(keep) - 1;
@@ -445,11 +462,21 @@ void Mda::do_aggregate(Rows inputs, AggregationContext& ctx,
 
 // ---------------------------------------------------------------- Bulyan
 
-Bulyan::Bulyan(std::size_t n, std::size_t f) : Gar(n, f) {
+namespace {
+
+/// Bulyan's n, once its precondition holds: checked before the Krum it
+/// iterates is built, so a bad n names Bulyan's bound, not Krum's.
+std::size_t bulyan_n(std::size_t n, std::size_t f) {
   require(n >= 4 * f + 3,
           "bulyan: requires n >= 4f+3 (got n=" + std::to_string(n) +
               ", f=" + std::to_string(f) + ")");
+  return n;
 }
+
+}  // namespace
+
+Bulyan::Bulyan(std::size_t n, std::size_t f)
+    : Gar(n, f), krum_(bulyan_n(n, f), f) {}
 
 void Bulyan::do_aggregate(Rows inputs, AggregationContext& ctx,
                           FlatVector& out) const {
@@ -464,11 +491,10 @@ void Bulyan::do_aggregate(Rows inputs, AggregationContext& ctx,
   // round is then O(n^2) and no input vector is ever copied.
   DistanceCache& cache = ctx.distance_cache(inputs);
   std::vector<std::size_t>& selected = ctx.index_scratch(theta);
-  const Krum krum_rule(n, f_);
   for (std::size_t k = 0; k < theta; ++k) {
     std::size_t pick;
     if (cache.active_count() >= 3) {
-      pick = krum_rule.select_cached(cache, inputs);
+      pick = krum_.select_cached(cache, inputs);
     } else {
       // Degenerate tail (only reachable when f = 0): take the
       // lexicographically smallest remaining vector, deterministically.
@@ -490,7 +516,7 @@ void Bulyan::do_aggregate(Rows inputs, AggregationContext& ctx,
   // Phase 2: per coordinate, average the beta values closest to the median
   // of the selected set — coordinate shards across cores per §4.3.
   parallel_for(d, [&](std::size_t begin, std::size_t end) {
-    std::vector<float> column(theta);
+    const std::span<float> column = shard_scratch<float>(theta);
     for (std::size_t j = begin; j < end; ++j) {
       for (std::size_t i = 0; i < theta; ++i)
         column[i] = inputs[selected[i]][j];

@@ -15,11 +15,13 @@
 // borrow, so the caller keeps every payload they view alive until the call
 // returns. `ctx` is a caller-owned AggregationContext holding every scratch
 // buffer a rule needs (distance matrix, score/index arrays, work vectors).
-// Reusing one context across iterations makes steady-state aggregation
-// allocation-free on the O(d) and O(n^2) paths — the §4.4 caching story
-// generalized to all rule scratch state. A caller holding owned vectors
-// (std::vector<FlatVector>) passes them as they are: the context views
-// them as rows in a scratch it reuses, and the same kernel runs.
+// Reusing one context across iterations makes a steady-state call that
+// runs in one shard allocation-free — the §4.4 caching story generalized
+// to all rule scratch state. (A multi-shard call still allocates its
+// tensor::parallel_for fork-join and the helper tasks it queues.) A caller
+// holding owned vectors (std::vector<FlatVector>) passes them as they are:
+// the context views them as rows in a scratch it reuses, and the same
+// kernel runs.
 //
 // Rule construction goes through the GarRegistry (gars/registry.h):
 // make_gar accepts either a bare rule name ("krum") or a spec string with
@@ -83,18 +85,25 @@ class DistanceCache {
   [[nodiscard]] std::size_t active_count() const { return active_count_; }
   [[nodiscard]] std::size_t size() const { return n_; }
 
+  /// Sum of the k smallest squared distances from active input i to the
+  /// other active inputs, added in ascending order: Krum's score of i. Not
+  /// const: it sorts in a scratch row the cache keeps, sized by reset(),
+  /// so it allocates nothing. Requires 1 <= k < active_count().
+  [[nodiscard]] double nearest_sum(std::size_t i, std::size_t k);
+
  private:
   std::size_t n_ = 0;
   std::size_t active_count_ = 0;
   std::vector<double> matrix_;
   std::vector<bool> active_;
+  std::vector<double> row_;
 };
 
 /// Reusable scratch state for aggregation. One context per aggregating
 /// thread (a Server owns one for its loop); NOT thread-safe — the
 /// parallelism lives inside the kernels, not across contexts. Buffers grow
-/// to the high-water mark of (n, d) seen and are then reused, so
-/// steady-state calls perform no heap allocation on the O(d)/O(n^2) paths.
+/// to the high-water mark of (n, d) seen and are then reused, so a
+/// steady-state one-shard call performs no heap allocation.
 /// Lifetime rules: a context must outlive every aggregate_into call using
 /// it, and buffers handed out are valid only until the next request for the
 /// same buffer — rules own the context for the duration of one call.
@@ -292,9 +301,9 @@ class Krum : public Gar {
 
   /// Index of the Krum-selected input among the active subset of a
   /// distance cache of `inputs` — also the O(q^2) re-scoring path of
-  /// Bulyan's iterations, with no O(d) work. Score ties break on the rows'
-  /// lexicographic order, then on the lowest index.
-  [[nodiscard]] std::size_t select_cached(const DistanceCache& cache,
+  /// Bulyan's iterations, with no O(d) work and no allocation. Score ties
+  /// break on the rows' lexicographic order, then on the lowest index.
+  [[nodiscard]] std::size_t select_cached(DistanceCache& cache,
                                           Rows inputs) const;
 
  protected:
@@ -305,17 +314,20 @@ class Krum : public Gar {
   /// cache; inactive entries unspecified): its sum of squared distances to
   /// its q-f-2 nearest active neighbours, q being the active count (at
   /// least one neighbour).
-  void scores_cached(const DistanceCache& cache,
-                     std::vector<double>& scores) const;
+  void scores_cached(DistanceCache& cache, std::vector<double>& scores) const;
 
   /// Indices of an all-active cache ordered by ascending score into
   /// `order`. Exact score ties are real (mutual nearest neighbours score
   /// identically), so ties break on the vectors' lexicographic order —
   /// this keeps aggregation invariant to reply-arrival order, which is
   /// adversarial under asynchrony.
-  void selection_order_cached(const DistanceCache& cache, Rows inputs,
+  void selection_order_cached(DistanceCache& cache, Rows inputs,
                               std::vector<double>& scores,
                               std::vector<std::size_t>& order) const;
+
+ private:
+  /// Neighbours a score sums over when `active` inputs are left.
+  [[nodiscard]] std::size_t neighbours(std::size_t active) const;
 };
 
 /// Multi-Krum: average the m smallest-scoring vectors (default m = n-f-2,
@@ -360,6 +372,10 @@ class Bulyan final : public Gar {
  protected:
   void do_aggregate(Rows inputs, AggregationContext& ctx,
                     FlatVector& out) const override;
+
+ private:
+  /// The rule phase 1 iterates.
+  Krum krum_;
 };
 
 // ------------------------------------------------------------------------

@@ -436,6 +436,16 @@ void Cluster::call(NodeId from, NodeId to, const std::string& method,
                    std::function<void(PayloadPtr)> on_done,
                    Duration timeout,
                    std::optional<std::uint64_t> window_iteration) {
+  call_until(from, to, method, iteration, std::move(argument),
+             std::move(on_done), Clock::now() + timeout, window_iteration,
+             nullptr);
+}
+
+void Cluster::call_until(NodeId from, NodeId to, const std::string& method,
+                         std::uint64_t iteration, PayloadPtr argument,
+                         Callback on_done, Clock::time_point deadline,
+                         std::optional<std::uint64_t> window_iteration,
+                         FanOut* fanout) {
   assert(from < nodes_ && to < nodes_);
   requests_sent_.fetch_add(1, std::memory_order_relaxed);
   if (argument) {
@@ -445,14 +455,15 @@ void Cluster::call(NodeId from, NodeId to, const std::string& method,
   }
   auto cb = std::make_shared<Callback>(std::move(on_done));
   send_attempt(from, to, method, iteration, std::move(argument),
-               std::move(cb), Clock::now() + timeout, 0, window_iteration);
+               std::move(cb), deadline, 0, window_iteration, fanout);
 }
 
 void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
                            std::uint64_t iteration, PayloadPtr argument,
                            CallbackPtr cb, Clock::time_point deadline,
                            std::uint32_t attempt,
-                           std::optional<std::uint64_t> window_iteration) {
+                           std::optional<std::uint64_t> window_iteration,
+                           FanOut* fanout) {
   // The SENDER resolves the fault verdict: it is a pure hash of
   // (seed, edge, method, iteration, attempt), so the caller knows a lost
   // attempt is lost without waiting out a timeout — the retry fires after
@@ -498,12 +509,14 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
       return;
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
+    // A retry is a delayed step: it never joins a fan-out.
     std::function<void()> task = [this, from, to, method, iteration,
                                   argument = std::move(argument),
                                   cb = std::move(cb), deadline, attempt,
                                   window_iteration]() mutable {
       send_attempt(from, to, method, iteration, std::move(argument),
-                   std::move(cb), deadline, attempt + 1, window_iteration);
+                   std::move(cb), deadline, attempt + 1, window_iteration,
+                   nullptr);
     };
     if (!run_after(backoff, std::move(task))) {
       dropped_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -552,6 +565,11 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
     }
     (*cb)(std::move(payload));
   };
+  if (fanout != nullptr && send_delay.count() <= 0) {
+    fanout->sends.push_back(
+        Delivery{std::move(request), deadline, std::move(wrapped)});
+    return;
+  }
   std::function<void()> task = [this, request = std::move(request), deadline,
                                 wrapped = std::move(wrapped)]() mutable {
     transport_->send(std::move(request), deadline, std::move(wrapped));
@@ -565,6 +583,44 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
   }
 }
 
+void Cluster::drain(const std::shared_ptr<FanOut>& fanout) {
+  const std::size_t total = fanout->sends.size();
+  // Each participant wakes at most one helper, so helpers join as a chain:
+  // cheap handlers are all run before the first helper is up, and the
+  // caller pays one wake-up, not one per pool thread.
+  bool woke = false;
+  for (;;) {
+    const std::size_t i =
+        fanout->next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= total) return;
+    if (!woke && i + 1 < total) woke = wake_helper(fanout);
+    Delivery& send = fanout->sends[i];
+    transport_->send(std::move(send.request), send.deadline,
+                     std::move(send.respond));
+  }
+}
+
+bool Cluster::wake_helper(const std::shared_ptr<FanOut>& fanout) {
+  // With as many callers in collect() as pool threads, each caller drains
+  // its own sends and no send crosses threads.
+  const std::size_t threads = pool_.size();
+  if (collectors_.value.load(std::memory_order_relaxed) >= threads) {
+    return false;
+  }
+  std::size_t participants =
+      fanout->participants.load(std::memory_order_relaxed);
+  do {
+    if (participants >= threads) return false;
+  } while (!fanout->participants.compare_exchange_weak(
+      participants, participants + 1, std::memory_order_relaxed));
+  if (!pool_.submit([this, fanout] { drain(fanout); })) {
+    // Teardown refused the helper; the participants left drain it all.
+    fanout->participants.fetch_sub(1, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
+}
+
 std::vector<Reply> Cluster::collect(
     NodeId from, std::span<const NodeId> peers, const std::string& method,
     std::uint64_t iteration, PayloadPtr argument, std::size_t q,
@@ -573,6 +629,22 @@ std::vector<Reply> Cluster::collect(
     throw std::invalid_argument("Cluster::collect: q=" + std::to_string(q) +
                                 " > peers=" + std::to_string(peers.size()));
   }
+  // From entry, not from the end of the drain: a caller that ran a slow
+  // handler inline still returns on time.
+  const Clock::time_point deadline = Clock::now() + timeout;
+  // Counted until return, on a throwing handler too.
+  class Inside {
+   public:
+    explicit Inside(std::atomic<std::size_t>& count) : count_(count) {
+      count_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Inside() { count_.fetch_sub(1, std::memory_order_relaxed); }
+    Inside(const Inside&) = delete;
+    Inside& operator=(const Inside&) = delete;
+
+   private:
+    std::atomic<std::size_t>& count_;
+  } inside(collectors_.value);
   struct State {
     util::Mutex mutex;
     util::CondVar cv;
@@ -584,8 +656,13 @@ std::vector<Reply> Cluster::collect(
   };
   auto state = std::make_shared<State>();
   const std::size_t total = peers.size();
+  std::shared_ptr<FanOut> fanout;
+  if (q == total) {
+    fanout = std::make_shared<FanOut>();
+    fanout->sends.reserve(total);
+  }
   for (NodeId peer : peers) {
-    call(
+    call_until(
         from, peer, method, iteration, argument,
         [this, state, peer, q, total](PayloadPtr payload) {
           util::MutexLock lock(state->mutex);
@@ -609,12 +686,12 @@ std::vector<Reply> Cluster::collect(
             state->cv.notify_all();
           }
         },
-        timeout, window_iteration);
+        deadline, window_iteration, fanout.get());
   }
+  if (fanout) drain(fanout);
   std::vector<Reply> replies;
   {
     util::MutexLock lock(state->mutex);
-    const auto deadline = Clock::now() + timeout;
     (void)state->cv.wait_until(
         state->mutex, deadline, [&]() GARFIELD_REQUIRES(state->mutex) {
           return state->replies.size() >= q || state->responses == total;

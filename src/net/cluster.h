@@ -7,12 +7,14 @@
 // reproduces that abstraction in-process:
 //
 //  - every node registers handlers (method name -> function);
-//  - the Cluster owns the clock: handler compute executes on its one
-//    thread pool, sized to hardware concurrency, and every delayed step
-//    (delivery, fault retry, deadline sweep, bandwidth deferral) is an
-//    entry on its one TimerWheel, never a sleep on a pool thread; a
-//    Transport (net/transport.h) only moves a request to its callee and
-//    the reply back;
+//  - the Cluster owns the clock: one thread pool, sized to hardware
+//    concurrency, and one TimerWheel. Every delayed step (delivery, fault
+//    retry, deadline sweep, bandwidth deferral) is an entry on the wheel,
+//    never a sleep on a pool thread. A zero-delay send runs on the pool,
+//    except in a collect() that awaits every peer: there the calling
+//    thread runs its sends, handlers included, itself, and pool threads
+//    only help (see collect()). A Transport (net/transport.h) only moves a
+//    request to its callee and the reply back;
 //  - simulated link delay is resolved per edge from the deployment's
 //    NetworkConditions (net/conditions.h: base latency + deterministic
 //    per-edge hash jitter + heterogeneous slow links + iteration-scheduled
@@ -264,11 +266,28 @@ class Cluster {
       NodeId node, Duration timeout);
 
   /// Pull from every peer in `peers` in parallel and return the fastest
-  /// `q` replies (arrival order). Returns fewer than q only if the deadline
-  /// expires first; q > peers.size() is an error. `window_iteration` is
-  /// the training iteration the NetworkConditions schedules see when the
-  /// method tag (`iteration`) encodes more than it — e.g. the contraction
-  /// gossip tag; it defaults to the tag itself.
+  /// `q` replies, sorted by origin id. Returns fewer than q only if
+  /// `timeout`, counted from entry, expires first; q > peers.size() is an
+  /// error. `window_iteration` is the training iteration the
+  /// NetworkConditions schedules see when the method tag (`iteration`)
+  /// encodes more than it — e.g. the contraction gossip tag; it defaults
+  /// to the tag itself.
+  ///
+  /// A pull that awaits every peer (q == peers.size()) has no race between
+  /// its sends to keep, so its zero-delay sends become one fan-out that the
+  /// calling thread drains itself: it claims them one by one and runs each
+  /// inline (Transport::send, dispatch, the handler). Each participant
+  /// wakes one pool thread to help, at a claim that leaves more sends, but
+  /// only while fewer callers are inside collect() than the pool has
+  /// threads, and the caller plus its helpers never outnumber the pool
+  /// threads. Helpers thus join as a chain: a fan-out of cheap handlers is
+  /// done before the first helper is up, and slow ones spread over the
+  /// pool. A fastest-q pull (q < peers.size()), call(), and every
+  /// delayed step keep the pool and the wheel. The caller may therefore
+  /// run any peer's handler, so it must hold no lock a handler or a
+  /// delivery takes: a collect from a recovery hook (which runs under the
+  /// lifecycle mutex) must not include its own node, whose tcp loopback
+  /// delivery advances the lifecycle.
   [[nodiscard]] std::vector<Reply> collect(
       NodeId from, std::span<const NodeId> peers, const std::string& method,
       std::uint64_t iteration, PayloadPtr argument, std::size_t q,
@@ -335,12 +354,26 @@ class Cluster {
   using Callback = std::function<void(PayloadPtr)>;
   using CallbackPtr = std::shared_ptr<Callback>;
 
-  /// A delivered request still owed its one response: in flight through
-  /// dispatch(), or parked on its callee after a not-ready answer.
+  /// A request still owed its one response: a fan-out send not yet run,
+  /// in flight through dispatch(), or parked on its callee after a
+  /// not-ready answer.
   struct Delivery {
     Request request;
     Clock::time_point deadline{};
     Transport::Respond respond;
+  };
+
+  /// The zero-delay sends of one collect() that awaits every peer (see
+  /// collect()). Filled by the caller, then drained: each participant
+  /// claims the next send and runs it inline. Shared with the helper tasks
+  /// it wakes, so a helper dequeued after collect() returned finds every
+  /// send claimed and touches nothing else.
+  struct FanOut {
+    std::vector<Delivery> sends;
+    std::atomic<std::size_t> next{0};
+    /// The caller plus the helpers woken so far; never above the pool's
+    /// thread count.
+    std::atomic<std::size_t> participants{1};
   };
 
   /// Cache-line aligned: every delivery locks its callee's mutex and reads
@@ -371,8 +404,9 @@ class Cluster {
   };
 
   /// Callee-side arrival: the transport's sink. Advances a remote
-  /// callee's churn schedule, then dispatch(). Runs on a pool thread of
-  /// whichever process owns `request.to`.
+  /// callee's churn schedule, then dispatch(). Runs in whichever process
+  /// owns `request.to`: on a pool thread for a tcp arrival, on the
+  /// sending thread in process.
   void deliver_local(Request request, Clock::time_point deadline,
                      Transport::Respond respond);
 
@@ -410,15 +444,34 @@ class Cluster {
   /// no-op.
   void sweep_deadlines(NodeId node, Clock::time_point due);
 
+  /// call() with an absolute deadline. A non-null `fanout` takes the send
+  /// instead of the pool when its first attempt has no delay.
+  void call_until(NodeId from, NodeId to, const std::string& method,
+                  std::uint64_t iteration, PayloadPtr argument,
+                  Callback on_done, Clock::time_point deadline,
+                  std::optional<std::uint64_t> window_iteration,
+                  FanOut* fanout);
+
   /// One send attempt of call()'s bounded retry chain: resolve the fault
   /// verdict for `attempt`, either hand the message to the transport once
-  /// its delay has elapsed or model its loss and schedule the next
-  /// attempt.
+  /// its delay has elapsed (a zero delay with a `fanout` appends it there)
+  /// or model its loss and schedule the next attempt.
   void send_attempt(NodeId from, NodeId to, const std::string& method,
                     std::uint64_t iteration, PayloadPtr argument,
                     CallbackPtr cb, Clock::time_point deadline,
                     std::uint32_t attempt,
-                    std::optional<std::uint64_t> window_iteration);
+                    std::optional<std::uint64_t> window_iteration,
+                    FanOut* fanout);
+
+  /// Claim and run `fanout`'s sends until none is left. Every claim that
+  /// leaves more calls wake_helper(), until one call has woken a helper.
+  void drain(const std::shared_ptr<FanOut>& fanout);
+
+  /// Submit one pool task that drains `fanout` too, unless that would
+  /// break a rule of collect(): no helper while as many callers are inside
+  /// collect() as the pool has threads, and never more participants than
+  /// pool threads. True when it submitted one.
+  [[nodiscard]] bool wake_helper(const std::shared_ptr<FanOut>& fanout);
 
   /// Serialization delay of one `frame_bytes` frame on the directed edge
   /// (from, to) at `window_iteration`: frame_bytes / byte_rate, plus the
@@ -483,6 +536,14 @@ class Cluster {
   /// Set first thing in ~Cluster: from then on a not-ready delivery
   /// resolves at once (counted as dropped) instead of parking.
   std::atomic<bool> closing_{false};
+  /// Callers inside collect(), draining or waiting: a fan-out wakes
+  /// helpers only while this is below the pool's thread count. Every
+  /// collect() writes it twice, so it fills a cache line of its own, off
+  /// the traffic counters' and the members every send reads.
+  struct alignas(64) CollectorCount {
+    std::atomic<std::size_t> value{0};
+  };
+  CollectorCount collectors_;
   std::shared_ptr<Transport> transport_;
   // The clock, declared after everything its tasks use. ~Cluster stops the
   // wheel, then the pool: a stopped wheel or pool refuses work and stays

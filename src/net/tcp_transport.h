@@ -20,8 +20,10 @@
 //    (a silent callee sends an empty reply, so callers never hang on a
 //    crashed node);
 //  - NetworkConditions delays elapse sender-side on the Cluster's timer
-//    wheel before send() writes the frame, on a pool thread —
-//    `wan:`/`hetero:`/`churn:` specs drive both backends identically;
+//    wheel before send() writes the frame, on the thread that runs the
+//    send: a pool thread, or the caller of a collect() that awaits every
+//    peer — `wan:`/`hetero:`/`churn:` specs drive both backends
+//    identically;
 //  - arrivals hop from the peer's reader thread to the Cluster's pool
 //    (the post hook), so handler compute never runs on a reader;
 //  - a corrupted frame body fails the stream prefix CRC and is discarded

@@ -9,8 +9,9 @@
 // request to its callee, once its delay has elapsed, and of the reply back:
 //
 //  - Transport itself is the in-process backend: the request reaches the
-//    callee's delivery sink inline, on the pool thread the Cluster ran the
-//    send on, and the reply is the respond callback invoked wherever the
+//    callee's delivery sink inline, on the thread the Cluster ran the send
+//    on (a pool thread, or the caller of a collect() that awaits every
+//    peer), and the reply is the respond callback invoked wherever the
 //    handler answered;
 //  - TcpTransport (tcp_transport.h): each node is its own OS process and
 //    frames flow over localhost TCP streams (length-prefixed net/wire

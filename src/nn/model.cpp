@@ -1,5 +1,6 @@
 #include "nn/model.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -46,20 +47,27 @@ void Model::zero_grad() {
 
 GradientResult Model::gradient(const Tensor& inputs,
                                const std::vector<std::size_t>& labels) {
+  GradientResult result;
+  result.loss = gradient_into(inputs, labels, result.gradient);
+  return result;
+}
+
+double Model::gradient_into(const Tensor& inputs,
+                            const std::vector<std::size_t>& labels,
+                            FlatVector& out) {
   zero_grad();
   const Tensor logits = net_->forward(inputs, /*train=*/true);
   LossResult loss = loss_fn_.compute(logits, labels);
   // dL/d(inputs) would be a gradient on the data batch: never computed.
   net_->backward_params(loss.grad);
-  GradientResult result;
-  result.loss = loss.value;
-  result.gradient.reserve(dimension_);
+  out.resize(dimension_);
+  float* next = out.data();
   for (const Param& p : params_) {
     std::span<const float> g = p.grad->data();
-    result.gradient.insert(result.gradient.end(), g.begin(), g.end());
+    next = std::copy(g.begin(), g.end(), next);
   }
   zero_grad();
-  return result;
+  return loss.value;
 }
 
 double Model::loss(const Tensor& inputs,

@@ -58,6 +58,13 @@ class Model {
   [[nodiscard]] GradientResult gradient(const Tensor& inputs,
                                         const std::vector<std::size_t>& labels);
 
+  /// gradient() into a caller-owned buffer: `out` becomes the flat
+  /// gradient (resized to dimension(), so a buffer of that size is
+  /// overwritten in place, with no allocation) and the loss is returned.
+  double gradient_into(const Tensor& inputs,
+                       const std::vector<std::size_t>& labels,
+                       FlatVector& out);
+
   /// Mean loss on a batch without computing gradients' flattening.
   [[nodiscard]] double loss(const Tensor& inputs,
                             const std::vector<std::size_t>& labels);

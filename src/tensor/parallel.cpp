@@ -15,8 +15,6 @@ namespace garfield::tensor {
 
 namespace {
 
-using ShardFn = std::function<void(std::size_t, std::size_t)>;
-
 std::atomic<std::size_t> g_thread_override{0};
 
 std::size_t default_threads() {
@@ -51,8 +49,8 @@ util::ThreadPool& shard_pool() {
 // is dequeued after the call returned claims nothing and never touches fn.
 class ForkJoin {
  public:
-  ForkJoin(const ShardFn& fn, std::size_t n, std::size_t chunk)
-      : fn_(&fn), n_(n), chunk_(chunk), shards_((n + chunk - 1) / chunk) {}
+  ForkJoin(ShardFn fn, std::size_t n, std::size_t chunk)
+      : fn_(fn), n_(n), chunk_(chunk), shards_((n + chunk - 1) / chunk) {}
   ForkJoin(const ForkJoin&) = delete;
   ForkJoin& operator=(const ForkJoin&) = delete;
 
@@ -65,7 +63,7 @@ class ForkJoin {
       const std::size_t begin = s * chunk_;
       std::exception_ptr thrown;
       try {
-        (*fn_)(begin, std::min(begin + chunk_, n_));
+        fn_(begin, std::min(begin + chunk_, n_));
       } catch (...) {
         thrown = std::current_exception();
       }
@@ -90,7 +88,7 @@ class ForkJoin {
   }
 
  private:
-  const ShardFn* fn_;
+  const ShardFn fn_;
   const std::size_t n_;
   const std::size_t chunk_;
   const std::size_t shards_;
@@ -112,7 +110,7 @@ void set_parallel_threads(std::size_t n) {
   g_thread_override.store(n, std::memory_order_relaxed);
 }
 
-void parallel_for(std::size_t n, std::size_t grain, const ShardFn& fn) {
+void parallel_for(std::size_t n, std::size_t grain, ShardFn fn) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
   const std::size_t shards =
@@ -135,7 +133,7 @@ void parallel_for(std::size_t n, std::size_t grain, const ShardFn& fn) {
   job->join();
 }
 
-void parallel_for(std::size_t n, const ShardFn& fn) {
+void parallel_for(std::size_t n, ShardFn fn) {
   parallel_for(n, kParallelForGrain, fn);
 }
 

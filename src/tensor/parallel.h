@@ -35,9 +35,34 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <type_traits>
 
 namespace garfield::tensor {
+
+/// A non-owning reference to a shard body, fn(begin, end). Binding one
+/// copies nothing, so no call allocates for its body, however much it
+/// captures (std::function would, past two captured words). parallel_for
+/// returns only once no shard can still run, so a lambda passed to it
+/// outlives every use.
+class ShardFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ShardFn> &&
+             std::is_invocable_v<const F&, std::size_t, std::size_t>)
+  ShardFn(const F& fn)  // implicit: a lambda argument binds to it
+      : fn_(&fn),
+        call_([](const void* f, std::size_t begin, std::size_t end) {
+          (*static_cast<const F*>(f))(begin, end);
+        }) {}
+
+  void operator()(std::size_t begin, std::size_t end) const {
+    call_(fn_, begin, end);
+  }
+
+ private:
+  const void* fn_;
+  void (*call_)(const void*, std::size_t, std::size_t);
+};
 
 /// Default minimum work per shard, in cheap (per-coordinate) items. Below
 /// roughly this much work, handing a shard to another core (a pool wakeup,
@@ -60,11 +85,9 @@ void set_parallel_threads(std::size_t n);
 /// (~64k items, below which threads cost more than they save); heavy items
 /// (e.g. one O(d) distance computation each) pass grain = 1. Runs inline
 /// when only one shard results; otherwise see "Threads" above.
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+void parallel_for(std::size_t n, std::size_t grain, ShardFn fn);
 
 /// parallel_for with the default coordinate-work grain (~64k items).
-void parallel_for(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+void parallel_for(std::size_t n, ShardFn fn);
 
 }  // namespace garfield::tensor

@@ -329,7 +329,6 @@ void distance_matrix(RowViews rows, double* matrix) {
   const std::size_t work = rows.front().size() * kDistRows * W;
   const std::size_t grain = std::max<std::size_t>(
       1, kParallelForGrain / std::max<std::size_t>(1, work));
-  // Two captured words fit std::function's inline storage: no allocation.
   parallel_for(distance_tile_count<W>(rows.size()), grain,
                [&rows, matrix](std::size_t begin, std::size_t end) {
                  tiles(rows, matrix, begin, end);

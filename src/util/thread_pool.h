@@ -1,10 +1,11 @@
 // Fixed-size thread pool. It has two users:
 //   - each net::Cluster (net/cluster.h) executes RPC handler invocations
-//     on its own one, the way a gRPC server's completion queues would.
-//     Pool threads only ever run handler compute: simulated link delay
-//     lives in the Cluster's TimerWheel (net/timer_wheel.h), so the pool
-//     can be sized to hardware concurrency instead of over-provisioned to
-//     hide sleeps;
+//     on its own one, the way a gRPC server's completion queues would:
+//     sends after a delay, fastest-q pulls, call()s, tcp arrivals, and
+//     helpers that join a collect() draining its own sends. Pool threads
+//     only ever run handler compute: simulated link delay lives in the
+//     Cluster's TimerWheel (net/timer_wheel.h), so the pool can be sized
+//     to hardware concurrency instead of over-provisioned to hide sleeps;
 //   - tensor::parallel_for (tensor/parallel.h) keeps one process-wide
 //     instance whose threads help callers run their coordinate shards.
 //
