@@ -595,9 +595,39 @@ void Cluster::drain(const std::shared_ptr<FanOut>& fanout) {
     if (i >= total) return;
     if (!woke && i + 1 < total) woke = wake_helper(fanout);
     Delivery& send = fanout->sends[i];
+    // An ordered fan-out times each send, its handler included, for the
+    // next collect's order; no other send reads the clock.
+    NodeState& callee = *states_[send.request.to];
+    const Clock::time_point start =
+        fanout->timed ? Clock::now() : Clock::time_point{};
     transport_->send(std::move(send.request), send.deadline,
                      std::move(send.respond));
+    if (fanout->timed) {
+      callee.handler_ns.store(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               start)
+              .count(),
+          std::memory_order_relaxed);
+    }
   }
+}
+
+void Cluster::order_longest_first(std::vector<Delivery>& sends) const {
+  // Negated durations, so the ascending sort puts the longest first and
+  // the position breaks ties.
+  std::vector<std::pair<std::int64_t, std::size_t>> keys;
+  keys.reserve(sends.size());
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    keys.emplace_back(
+        -states_[sends[i].request.to]->handler_ns.load(
+            std::memory_order_relaxed),
+        i);
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<Delivery> sorted;
+  sorted.reserve(sends.size());
+  for (const auto& key : keys) sorted.push_back(std::move(sends[key.second]));
+  sends = std::move(sorted);
 }
 
 bool Cluster::wake_helper(const std::shared_ptr<FanOut>& fanout) {
@@ -646,6 +676,7 @@ std::vector<Reply> Cluster::collect(
     std::atomic<std::size_t>& count_;
   } inside(collectors_.value);
   struct State {
+    explicit State(std::size_t q) { replies.reserve(q); }
     util::Mutex mutex;
     util::CondVar cv;
     std::vector<Reply> replies GARFIELD_GUARDED_BY(mutex);
@@ -654,7 +685,7 @@ std::vector<Reply> Cluster::collect(
     /// Caller harvested; late replies are wasted.
     bool closed GARFIELD_GUARDED_BY(mutex) = false;
   };
-  auto state = std::make_shared<State>();
+  auto state = std::make_shared<State>(q);
   const std::size_t total = peers.size();
   std::shared_ptr<FanOut> fanout;
   if (q == total) {
@@ -688,7 +719,16 @@ std::vector<Reply> Cluster::collect(
         },
         deadline, window_iteration, fanout.get());
   }
-  if (fanout) drain(fanout);
+  if (fanout) {
+    // Only helpers make the order matter: a lone participant runs every
+    // send anyway. A tcp caller runs no remote handler, so has none to time.
+    if (fanout->sends.size() > 1 && !transport_->remote() &&
+        collectors_.value.load(std::memory_order_relaxed) < pool_.size()) {
+      order_longest_first(fanout->sends);
+      fanout->timed = true;
+    }
+    drain(fanout);
+  }
   std::vector<Reply> replies;
   {
     util::MutexLock lock(state->mutex);

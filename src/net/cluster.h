@@ -282,7 +282,13 @@ class Cluster {
   /// threads, and the caller plus its helpers never outnumber the pool
   /// threads. Helpers thus join as a chain: a fan-out of cheap handlers is
   /// done before the first helper is up, and slow ones spread over the
-  /// pool. A fastest-q pull (q < peers.size()), call(), and every
+  /// pool. When helpers can join (fewer callers inside collect() than pool
+  /// threads, on the in-process backend), the sends are claimed longest
+  /// handler first, by a snapshot of how long each callee's handler took
+  /// when an earlier such fan-out ran it, ties in peer order: the slowest
+  /// handler starts at once instead of deciding when the pull ends. The
+  /// order shapes timing only; the replies come back sorted by sender
+  /// either way. A fastest-q pull (q < peers.size()), call(), and every
   /// delayed step keep the pool and the wheel. The caller may therefore
   /// run any peer's handler, so it must hold no lock a handler or a
   /// delivery takes: a collect from a recovery hook (which runs under the
@@ -374,6 +380,9 @@ class Cluster {
     /// The caller plus the helpers woken so far; never above the pool's
     /// thread count.
     std::atomic<std::size_t> participants{1};
+    /// Set when collect() ordered the sends longest first: drain() then
+    /// times each send it runs, into its callee's handler_ns.
+    bool timed = false;
   };
 
   /// Cache-line aligned: every delivery locks its callee's mutex and reads
@@ -401,6 +410,10 @@ class Cluster {
     /// Atomic rather than guarded: dispatch() reads it lock-free on every
     /// delivery; the lifecycle_mutex_ serializes writers (transitions).
     std::atomic<NodeLifecycle> lifecycle{NodeLifecycle::kRunning};
+    /// How long the last timed send to this node took, handler included
+    /// (FanOut::timed), in nanoseconds: the key collect() orders a fan-out
+    /// by. Relaxed: a stale or racing value only changes the order.
+    std::atomic<std::int64_t> handler_ns{0};
   };
 
   /// Callee-side arrival: the transport's sink. Advances a remote
@@ -466,6 +479,12 @@ class Cluster {
   /// Claim and run `fanout`'s sends until none is left. Every claim that
   /// leaves more calls wake_helper(), until one call has woken a helper.
   void drain(const std::shared_ptr<FanOut>& fanout);
+
+  /// Reorder `sends` longest handler first by a snapshot of their callees'
+  /// handler_ns, ties in their current order. The snapshot is what gets
+  /// sorted: other drains store durations meanwhile, and a comparator
+  /// reading the live values would not be a strict weak order.
+  void order_longest_first(std::vector<Delivery>& sends) const;
 
   /// Submit one pool task that drains `fanout` too, unless that would
   /// break a rule of collect(): no helper while as many callers are inside

@@ -19,6 +19,16 @@
 //                                    largest-|value| coordinates as
 //                                    (index, value) pairs (k in (0, 1])
 //
+// topk ranks a coordinate by its float bits with the sign cleared: for
+// every non-NaN float that key orders as |value| does (+0 and -0 tie), and
+// a NaN's key is above +inf's, so a frame keeps its NaN coordinates first
+// and the receiver's finiteness gate rejects it. Ties go to the lower
+// index. A radix select finds the kc-th largest key (one pass counting
+// the keys by exponent byte, then passes counting only the keys that share
+// the digits found so far), and one branch-free pass in index order
+// writes the kept coordinates into the frame: a few microseconds at
+// d = 874 (bench_codec). int8 maps non-finite coordinates to 0.
+//
 // Two payload classes, because one lossy knob does not fit both:
 //
 //  - *gradient* payloads (worker gradient replies, decentralized gradient
@@ -102,8 +112,9 @@ class Codec {
 
   /// Encode a gradient-class payload with the configured codec. When
   /// `residual` is non-null it is the caller's error-feedback memory:
-  /// sized to the tensor on first use, added to `dense` before
-  /// compression, and rewritten to what this round's encoding dropped.
+  /// sized to the tensor on first use, then `dense + residual` is formed
+  /// in its storage, compressed, and left as what this round's encoding
+  /// dropped. The frame is the one allocation once the residual is sized.
   /// Identity codec returns a copy of `dense` untouched.
   [[nodiscard]] Payload encode_gradient(const Payload& dense,
                                         Payload* residual = nullptr) const;

@@ -1,9 +1,10 @@
 // Tests of net::Cluster's fan-out: a collect() that awaits every peer runs
 // its zero-delay sends on the calling thread, with pool threads joining
 // only as helpers (net/cluster.h). Covers where handlers run, how many
-// threads run one collect's handlers, the wait deadline, exactly-once
-// resolution through park/notify, crash and teardown, and the worker's
-// recycled gradient buffers that handlers on loop threads rely on.
+// threads run one collect's handlers, the order sends are claimed in, the
+// wait deadline, exactly-once resolution through park/notify, crash and
+// teardown, and the worker's recycled gradient buffers that handlers on
+// loop threads rely on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -306,6 +307,158 @@ TEST(FanOut, EverySendResolvesOnceThroughParkNotifyCrashAndTeardown) {
   ASSERT_EQ(transport->sends(), 5u);
   for (std::size_t s = 0; s < transport->sends(); ++s) {
     EXPECT_EQ(transport->resolved(s), 1) << "send " << s;
+  }
+}
+
+namespace {
+
+/// Records, per collect tag, the order handlers started in and the thread
+/// each ran on.
+class StartLog {
+ public:
+  struct Start {
+    gn::NodeId node = 0;
+    std::thread::id thread;
+  };
+
+  /// A handler for `node` that logs its start, stays busy for `busy`, then
+  /// answers.
+  gn::Handler handler(gn::NodeId node, std::chrono::milliseconds busy) {
+    return [this, node, busy](const gn::Request& req) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        starts_[req.iteration].push_back(
+            Start{node, std::this_thread::get_id()});
+      }
+      std::this_thread::sleep_for(busy);
+      return gn::HandlerResult::reply(gn::Payload{float(node)});
+    };
+  }
+
+  std::vector<Start> of(std::uint64_t tag) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return starts_[tag];
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::uint64_t, std::vector<Start>> starts_;
+};
+
+/// collect() from node 0 over `peers`, awaiting all; its replies must come
+/// back sorted by sender.
+void collect_all(gn::Cluster& cluster, const std::vector<gn::NodeId>& peers,
+                 std::uint64_t tag) {
+  const std::vector<gn::Reply> replies =
+      cluster.collect(0, peers, "m", tag, nullptr, peers.size());
+  ASSERT_EQ(replies.size(), peers.size()) << "collect " << tag;
+  for (std::size_t k = 0; k < peers.size(); ++k) {
+    EXPECT_EQ(replies[k].from, peers[k]) << "collect " << tag;
+  }
+}
+
+/// Expect collect `tag` to have run every handler on `caller`, in peer
+/// order.
+void expect_peer_order_on(StartLog& log, std::uint64_t tag,
+                          const std::vector<gn::NodeId>& peers,
+                          std::thread::id caller) {
+  const std::vector<StartLog::Start> starts = log.of(tag);
+  ASSERT_EQ(starts.size(), peers.size()) << "collect " << tag;
+  for (std::size_t k = 0; k < peers.size(); ++k) {
+    EXPECT_EQ(starts[k].node, peers[k]) << "collect " << tag;
+    EXPECT_EQ(starts[k].thread, caller) << "collect " << tag;
+  }
+}
+
+}  // namespace
+
+TEST(FanOut, ALoneCallerWithAHelperClaimsTheSlowestHandlerFirst) {
+  // One caller, two pool threads: a helper can join, so each collect times
+  // its sends and the next claims them longest first. Peer 8's handler,
+  // last in peer order, is the slow one, by far more than a loaded host's
+  // scheduling delay makes a fast one look slow.
+  constexpr auto kSlow = 150ms;
+  constexpr auto kFast = 10ms;
+  gn::Cluster cluster(options(9, 2));
+  StartLog log;
+  const std::vector<gn::NodeId> peers = node_range(1, 8);
+  for (gn::NodeId p : peers) {
+    cluster.register_handler(p, "m", log.handler(p, p == 8 ? kSlow : kFast));
+  }
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::chrono::steady_clock::duration> walls;
+  for (std::uint64_t it = 0; it < 6; ++it) {
+    const auto entry = std::chrono::steady_clock::now();
+    collect_all(cluster, peers, it);
+    walls.push_back(std::chrono::steady_clock::now() - entry);
+  }
+  // The caller claims first and wakes the helper after that claim, so its
+  // first handler is the head of the order: peer 1 while no duration is
+  // known, the slow peer 8 from the second collect on.
+  for (std::uint64_t it = 0; it < 6; ++it) {
+    const std::vector<StartLog::Start> starts = log.of(it);
+    ASSERT_EQ(starts.size(), peers.size()) << "collect " << it;
+    const auto first = std::find_if(
+        starts.begin(), starts.end(),
+        [&](const StartLog::Start& s) { return s.thread == caller; });
+    ASSERT_NE(first, starts.end()) << "collect " << it;
+    EXPECT_EQ(first->node, it == 0 ? 1u : 8u) << "collect " << it;
+  }
+  // The helper runs the seven fast handlers beside the slow one, so a
+  // collect takes about the slow handler alone. In peer order the slow
+  // handler could not start before three rounds of fast ones: kSlow +
+  // 3 * kFast at least.
+  std::sort(walls.begin() + 1, walls.end());
+  const auto median = walls[3];
+  EXPECT_GE(median, kSlow);
+  EXPECT_LT(median, kSlow + 2 * kFast);
+}
+
+TEST(FanOut, WithoutHelpersHandlersRunInPeerOrder) {
+  const std::vector<gn::NodeId> peers = node_range(1, 5);
+  const std::thread::id caller = std::this_thread::get_id();
+  {
+    // One pool thread spares no helper: the caller runs every send, in
+    // peer order.
+    gn::Cluster cluster(options(6, 1));
+    StartLog log;
+    for (gn::NodeId p : peers) {
+      cluster.register_handler(p, "m", log.handler(p, p == 5 ? 5ms : 0ms));
+    }
+    for (std::uint64_t it = 0; it < 3; ++it) {
+      collect_all(cluster, peers, it);
+      expect_peer_order_on(log, it, peers, caller);
+    }
+  }
+  {
+    // As many callers as pool threads: each drains its own sends in peer
+    // order, though a lone collect first timed peer 5 as the slowest.
+    gn::Cluster cluster(options(7, 2));
+    StartLog log;
+    for (gn::NodeId p : peers) {
+      cluster.register_handler(p, "m", log.handler(p, p == 5 ? 5ms : 0ms));
+    }
+    collect_all(cluster, peers, 0);
+    std::promise<void> entered;
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    cluster.register_handler(6, "block", [&](const gn::Request&) {
+      entered.set_value();
+      released.wait();
+      return gn::HandlerResult::reply(gn::Payload{6.0F});
+    });
+    // The second caller sits inside collect(), running node 6's handler.
+    std::thread other([&] {
+      const std::vector<gn::NodeId> six{6};
+      EXPECT_EQ(cluster.collect(0, six, "block", 0, nullptr, 1).size(), 1u);
+    });
+    entered.get_future().wait();
+    for (std::uint64_t it = 1; it < 4; ++it) {
+      collect_all(cluster, peers, it);
+      expect_peer_order_on(log, it, peers, caller);
+    }
+    release.set_value();
+    other.join();
   }
 }
 

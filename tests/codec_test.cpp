@@ -1,13 +1,19 @@
 // Tests for the gradient-compression wire codecs (net/codec.h): spec
 // parsing, round-trips, the int8 saturation rails, top-k selection and
 // index canonicalization, error-feedback residuals, degenerate tensors
-// (empty, denormal, tiny) and the Byzantine-garbage ingress gate.
+// (empty, denormal, tiny), the Byzantine-garbage ingress gate, and the
+// encoders held bit for bit to a reference copy of their plain
+// nth_element/lround form.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "net/codec.h"
 #include "tensor/rng.h"
@@ -312,4 +318,227 @@ TEST(Codec, MagicWordsAreQuietNans) {
   EXPECT_TRUE(gn::Codec::looks_encoded(wire));
   EXPECT_FALSE(gn::Codec::looks_encoded(random_payload(8, 10)));
   EXPECT_FALSE(gn::Codec::looks_encoded({}));
+}
+
+// ------------------------------------------------------------- reference
+
+namespace {
+
+/// The encoders in their plain form, the oracle for the radix-select topk
+/// and the libm-free int8: topk ranks every coordinate with nth_element on
+/// (|value| descending, index ascending) and sorts the kept indices; int8
+/// quantizes with std::lround. Valid for NaN-free inputs only: the
+/// comparator is no strict weak order under NaN.
+gn::Payload reference_encode(const gn::CodecSpec& spec,
+                             const gn::Payload& dense,
+                             gn::Payload* residual) {
+  const std::size_t d = dense.size();
+  gn::Payload compensated = dense;
+  if (residual != nullptr) {
+    if (residual->size() != d) residual->assign(d, 0.0F);
+    for (std::size_t i = 0; i < d; ++i) {
+      compensated[i] = compensated[i] + (*residual)[i];
+    }
+  }
+  // The frame magic words of net/codec.cpp.
+  const float int8_magic = std::bit_cast<float>(0x7fc06938U);
+  const float topk_magic = std::bit_cast<float>(0x7fc0674bU);
+  if (spec.kind == gn::CodecKind::kInt8) {
+    float max_abs = 0.0F;
+    for (const float x : compensated) {
+      if (std::isfinite(x)) max_abs = std::max(max_abs, std::abs(x));
+    }
+    const float scale = max_abs / 127.0F;
+    const auto quantize = [scale](float x) -> std::int8_t {
+      if (scale <= 0.0F || !std::isfinite(x)) return 0;
+      const long q = std::lround(double(x) / double(scale));
+      return std::int8_t(std::clamp<long>(q, -127, 127));
+    };
+    gn::Payload out{int8_magic, float(d), scale};
+    for (std::size_t i = 0; i < d; i += 4) {
+      std::int8_t packed[4] = {0, 0, 0, 0};
+      for (std::size_t j = 0; j < 4 && i + j < d; ++j) {
+        packed[j] = quantize(compensated[i + j]);
+        if (residual != nullptr) {
+          (*residual)[i + j] =
+              compensated[i + j] - float(packed[j]) * scale;
+        }
+      }
+      float slot;
+      std::memcpy(&slot, packed, sizeof(slot));
+      out.push_back(slot);
+    }
+    return out;
+  }
+  const std::size_t kc = spec.topk_count(d);
+  std::vector<std::uint32_t> order(d);
+  std::iota(order.begin(), order.end(), 0U);
+  const auto heavier = [&](std::uint32_t a, std::uint32_t b) {
+    const float fa = std::abs(compensated[a]);
+    const float fb = std::abs(compensated[b]);
+    if (fa != fb) return fa > fb;
+    return a < b;
+  };
+  if (kc < d) {
+    std::nth_element(order.begin(), order.begin() + std::ptrdiff_t(kc),
+                     order.end(), heavier);
+    order.resize(kc);
+  }
+  std::sort(order.begin(), order.end());
+  gn::Payload out{topk_magic, float(d), float(kc)};
+  for (const std::uint32_t idx : order) out.push_back(float(idx));
+  for (const std::uint32_t idx : order) out.push_back(compensated[idx]);
+  if (residual != nullptr) {
+    *residual = std::move(compensated);
+    for (const std::uint32_t idx : order) (*residual)[idx] = 0.0F;
+  }
+  return out;
+}
+
+bool same_bytes(const gn::Payload& a, const gn::Payload& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Input families the selection and the quantizer must agree on. None
+/// produces a NaN, alone or summed into a residual: an inf coordinate has
+/// the same sign in every round.
+enum class Shape {
+  kNormal,      ///< N(0, 1)
+  kTies,        ///< five magnitudes, both signs: long runs of equal keys
+  kZeros,       ///< mostly +0 and -0, a few normals
+  kSubnormal,   ///< subnormals and tiny normals, where int8's scale rounds
+  kInf,         ///< normals with fixed ±inf coordinates
+  kAllEqual,    ///< one value everywhere
+  kHalfSteps,   ///< (m + 1/2) * 2^-6: int8 ties on every coordinate
+};
+
+constexpr Shape kShapes[] = {Shape::kNormal,    Shape::kTies,
+                             Shape::kZeros,     Shape::kSubnormal,
+                             Shape::kInf,       Shape::kAllEqual,
+                             Shape::kHalfSteps};
+
+gn::Payload shaped_payload(Shape shape, std::size_t d, std::uint64_t seed) {
+  gt::Rng rng(seed);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  gn::Payload out(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    const float sign = rng.bernoulli(0.5) ? -1.0F : 1.0F;
+    switch (shape) {
+      case Shape::kNormal:
+        out[i] = rng.normal(0.0F, 1.0F);
+        break;
+      case Shape::kTies:
+        out[i] = sign * float(rng.index(5)) * 0.25F;
+        break;
+      case Shape::kZeros:
+        out[i] = rng.bernoulli(0.9) ? sign * 0.0F : rng.normal(0.0F, 1.0F);
+        break;
+      case Shape::kSubnormal:
+        out[i] = rng.bernoulli(0.8)
+                     ? sign * denorm * float(rng.index(300))
+                     : sign * std::numeric_limits<float>::min() *
+                           rng.uniform(0.0F, 4.0F);
+        break;
+      case Shape::kInf:
+        out[i] = i % 13 == 5 ? (i % 2 == 0 ? kInf : -kInf)
+                             : rng.normal(0.0F, 1.0F);
+        break;
+      case Shape::kAllEqual:
+        out[i] = -0.375F;
+        break;
+      case Shape::kHalfSteps:
+        out[i] = i == 0 ? 127.0F / 64.0F
+                        : sign * (float(rng.index(127)) + 0.5F) / 64.0F;
+        break;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(CodecReference, FramesAndResidualsMatchTheReferenceBitForBit) {
+  const std::size_t dims[] = {1, 2, 3, 4, 5, 7, 16, 100, 874, 1000, 17226};
+  std::vector<gn::CodecSpec> specs{gn::CodecSpec::parse("int8")};
+  for (const char* k : {"0.01", "0.1", "0.5", "1"}) {
+    specs.push_back(gn::CodecSpec::parse(std::string("topk:k=") + k));
+  }
+  std::size_t compared = 0;
+  for (const gn::CodecSpec& spec : specs) {
+    const gn::Codec codec(spec);
+    for (const std::size_t d : dims) {
+      for (const Shape shape : kShapes) {
+        const std::string where = "kind " + std::to_string(int(spec.kind)) +
+                                  " k " + std::to_string(spec.k) + " d " +
+                                  std::to_string(d) + " shape " +
+                                  std::to_string(int(shape));
+        // Without a residual.
+        const gn::Payload dense = shaped_payload(shape, d, 100 + d);
+        EXPECT_TRUE(same_bytes(codec.encode_gradient(dense),
+                               reference_encode(spec, dense, nullptr)))
+            << where;
+        // A five-encode error-feedback chain, from an empty residual.
+        gn::Payload residual;
+        gn::Payload expect_residual;
+        for (std::uint64_t round = 0; round < 5; ++round) {
+          const gn::Payload g = shaped_payload(shape, d, 1000 * round + d);
+          const gn::Payload frame = codec.encode_gradient(g, &residual);
+          const gn::Payload expect =
+              reference_encode(spec, g, &expect_residual);
+          ASSERT_TRUE(same_bytes(frame, expect)) << where << " round "
+                                                 << round;
+          ASSERT_TRUE(same_bytes(residual, expect_residual))
+              << where << " round " << round;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, specs.size() * std::size(dims) * std::size(kShapes) * 5);
+}
+
+TEST(CodecReference, StateFramesMatchTheReferenceInt8) {
+  const gn::CodecSpec int8 = gn::CodecSpec::parse("int8");
+  const gn::Codec topk = make("topk:k=0.01");
+  for (const Shape shape : kShapes) {
+    const gn::Payload model = shaped_payload(shape, 1001, 5);
+    EXPECT_TRUE(same_bytes(topk.encode_state(model),
+                           reference_encode(int8, model, nullptr)))
+        << "shape " << int(shape);
+  }
+}
+
+TEST(CodecReference, TopkKeepsNanBeforeInfinity) {
+  // A NaN's key is above +inf's, so NaN coordinates are kept first, then
+  // the infinities (ties to the lower index), then finite values.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const gn::Codec codec = make("topk:k=0.25");  // d=12 -> keep 3
+  const gn::Payload dense{1.0F, kInf, 3.0F, nan,  0.0F, -kInf,
+                          nan,  2.0F, -1.0F, 5.0F, 0.5F, 4.0F};
+  gn::Payload residual;
+  const gn::Payload wire = codec.encode_gradient(dense, &residual);
+  ASSERT_EQ(wire.size(), 3U + 2U * 3U);
+  EXPECT_FLOAT_EQ(wire[3], 1.0F);
+  EXPECT_FLOAT_EQ(wire[4], 3.0F);
+  EXPECT_FLOAT_EQ(wire[5], 6.0F);
+  EXPECT_EQ(wire[6], kInf);
+  EXPECT_TRUE(std::isnan(wire[7]));
+  EXPECT_TRUE(std::isnan(wire[8]));
+  for (const float x : residual) EXPECT_FALSE(std::isnan(x));
+  EXPECT_EQ(residual[5], -kInf);  // the -inf tie lost to index 1
+
+  // One NaN among many finite coordinates survives even k = 0.01, so the
+  // decoded gradient still fails a finiteness gate.
+  gn::Payload poisoned = random_payload(874, 11);
+  poisoned[431] = nan;
+  const gn::Codec sparse = make("topk:k=0.01");
+  gn::Payload carry;
+  const auto back =
+      gn::Codec::decode(sparse.encode_gradient(poisoned, &carry), 874);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(std::isnan((*back)[431]));
+  for (const float x : carry) EXPECT_FALSE(std::isnan(x));
 }

@@ -764,6 +764,24 @@ TEST(Deployments, SurvivesNanPoisonEvenWithAveraging) {
   EXPECT_GT(result.rejected_payloads, 0u);
 }
 
+TEST(Deployments, TopkFramesCarryNanPoisonToTheGate) {
+  // At fraction=0.001, nan_poison hides one NaN or inf among tiny_mlp's
+  // finite coordinates. topk ranks a NaN above every finite value, as it
+  // does inf, so each poisoned frame keeps its poison and the ingress gate
+  // rejects every Byzantine reply, as it does under codec=none.
+  gc::DeploymentConfig cfg = fast_config();
+  cfg.deployment = gc::Deployment::kVanilla;
+  cfg.nw = 8;
+  cfg.fw = 2;
+  cfg.worker_attack = "nan_poison:fraction=0.001";
+  cfg.codec = "topk:k=0.1";
+  cfg.iterations = 100;
+  cfg.eval_every = 0;
+  cfg.seed = 7;
+  const gc::TrainResult result = gc::train(cfg);
+  EXPECT_EQ(result.rejected_payloads, cfg.iterations * cfg.fw);
+}
+
 TEST(Deployments, WorkerMomentumStillConverges) {
   gc::DeploymentConfig cfg = fast_config();
   cfg.deployment = gc::Deployment::kSsmw;

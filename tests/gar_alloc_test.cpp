@@ -5,13 +5,11 @@
 // operator new to count the allocations made between two points of a test.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "gars/gar.h"
+#include "support/allocation_counter.h"
 #include "support/test_support.h"
 #include "tensor/rng.h"
 
@@ -19,55 +17,7 @@ namespace gg = garfield::gars;
 namespace gt = garfield::tensor;
 namespace ts = garfield::testsupport;
 
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size, std::size_t align) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (size == 0) size = 1;
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (size + align - 1) / align * align)
-                : std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-/// Heap allocations made by `fn`.
-template <typename Fn>
-std::size_t allocations_in(Fn&& fn) {
-  g_allocations.store(0);
-  g_counting.store(true);
-  fn();
-  g_counting.store(false);
-  return g_allocations.load();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size, 0); }
-void* operator new[](std::size_t size) { return counted_alloc(size, 0); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, std::size_t(align));
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, std::size_t(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+using ts::allocations_in;
 
 TEST(GarAllocations, CounterSeesAnAllocation) {
   // The probe itself works: a vector's storage is one counted allocation.
