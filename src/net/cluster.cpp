@@ -567,7 +567,8 @@ void Cluster::send_attempt(NodeId from, NodeId to, const std::string& method,
   };
   if (fanout != nullptr && send_delay.count() <= 0) {
     fanout->sends.push_back(
-        Delivery{std::move(request), deadline, std::move(wrapped)});
+        Delivery{std::move(request), deadline, std::move(wrapped),
+                 states_[to]->handler_ns.load(std::memory_order_relaxed)});
     return;
   }
   std::function<void()> task = [this, request = std::move(request), deadline,
@@ -595,48 +596,40 @@ void Cluster::drain(const std::shared_ptr<FanOut>& fanout) {
     if (i >= total) return;
     if (!woke && i + 1 < total) woke = wake_helper(fanout);
     Delivery& send = fanout->sends[i];
-    // An ordered fan-out times each send, its handler included, for the
-    // next collect's order; no other send reads the clock.
+    // Timed, its handler included, for the order of later fan-outs.
     NodeState& callee = *states_[send.request.to];
-    const Clock::time_point start =
-        fanout->timed ? Clock::now() : Clock::time_point{};
+    const Clock::time_point start = Clock::now();
     transport_->send(std::move(send.request), send.deadline,
                      std::move(send.respond));
-    if (fanout->timed) {
-      callee.handler_ns.store(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               start)
-              .count(),
-          std::memory_order_relaxed);
-    }
+    callee.handler_ns.store(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start)
+            .count(),
+        std::memory_order_relaxed);
   }
 }
 
-void Cluster::order_longest_first(std::vector<Delivery>& sends) const {
-  // Negated durations, so the ascending sort puts the longest first and
-  // the position breaks ties.
-  std::vector<std::pair<std::int64_t, std::size_t>> keys;
-  keys.reserve(sends.size());
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    keys.emplace_back(
-        -states_[sends[i].request.to]->handler_ns.load(
-            std::memory_order_relaxed),
-        i);
+void Cluster::order_longest_first(std::vector<Delivery>& sends) {
+  for (std::size_t i = 1; i < sends.size(); ++i) {
+    Delivery send = std::move(sends[i]);
+    std::size_t j = i;
+    // Strictly less: an equal key stays behind its predecessor.
+    for (; j > 0 && sends[j - 1].expected_ns < send.expected_ns; --j) {
+      sends[j] = std::move(sends[j - 1]);
+    }
+    sends[j] = std::move(send);
   }
-  std::sort(keys.begin(), keys.end());
-  std::vector<Delivery> sorted;
-  sorted.reserve(sends.size());
-  for (const auto& key : keys) sorted.push_back(std::move(sends[key.second]));
-  sends = std::move(sorted);
+}
+
+bool Cluster::helpers_can_join() const {
+  // With as many callers in collect() as pool threads, each caller drains
+  // its own sends and no send crosses threads.
+  return collectors_.value.load(std::memory_order_relaxed) < pool_.size();
 }
 
 bool Cluster::wake_helper(const std::shared_ptr<FanOut>& fanout) {
-  // With as many callers in collect() as pool threads, each caller drains
-  // its own sends and no send crosses threads.
+  if (!helpers_can_join()) return false;
   const std::size_t threads = pool_.size();
-  if (collectors_.value.load(std::memory_order_relaxed) >= threads) {
-    return false;
-  }
   std::size_t participants =
       fanout->participants.load(std::memory_order_relaxed);
   do {
@@ -721,11 +714,10 @@ std::vector<Reply> Cluster::collect(
   }
   if (fanout) {
     // Only helpers make the order matter: a lone participant runs every
-    // send anyway. A tcp caller runs no remote handler, so has none to time.
-    if (fanout->sends.size() > 1 && !transport_->remote() &&
-        collectors_.value.load(std::memory_order_relaxed) < pool_.size()) {
+    // send anyway. A tcp caller runs no remote handler, so its sends' times
+    // say nothing of one.
+    if (!transport_->remote() && helpers_can_join()) {
       order_longest_first(fanout->sends);
-      fanout->timed = true;
     }
     drain(fanout);
   }

@@ -285,7 +285,7 @@ class Cluster {
   /// pool. When helpers can join (fewer callers inside collect() than pool
   /// threads, on the in-process backend), the sends are claimed longest
   /// handler first, by a snapshot of how long each callee's handler took
-  /// when an earlier such fan-out ran it, ties in peer order: the slowest
+  /// when a fan-out last ran it, ties in peer order: the slowest
   /// handler starts at once instead of deciding when the pull ends. The
   /// order shapes timing only; the replies come back sorted by sender
   /// either way. A fastest-q pull (q < peers.size()), call(), and every
@@ -367,6 +367,9 @@ class Cluster {
     Request request;
     Clock::time_point deadline{};
     Transport::Respond respond;
+    /// A fan-out send's callee handler_ns, read when the send was queued:
+    /// the key collect() orders the fan-out by.
+    std::int64_t expected_ns = 0;
   };
 
   /// The zero-delay sends of one collect() that awaits every peer (see
@@ -380,9 +383,6 @@ class Cluster {
     /// The caller plus the helpers woken so far; never above the pool's
     /// thread count.
     std::atomic<std::size_t> participants{1};
-    /// Set when collect() ordered the sends longest first: drain() then
-    /// times each send it runs, into its callee's handler_ns.
-    bool timed = false;
   };
 
   /// Cache-line aligned: every delivery locks its callee's mutex and reads
@@ -410,9 +410,11 @@ class Cluster {
     /// Atomic rather than guarded: dispatch() reads it lock-free on every
     /// delivery; the lifecycle_mutex_ serializes writers (transitions).
     std::atomic<NodeLifecycle> lifecycle{NodeLifecycle::kRunning};
-    /// How long the last timed send to this node took, handler included
-    /// (FanOut::timed), in nanoseconds: the key collect() orders a fan-out
-    /// by. Relaxed: a stale or racing value only changes the order.
+    /// How long drain() last took to run a send to this node, handler
+    /// included, in nanoseconds: what later fan-outs order their sends by
+    /// (Delivery::expected_ns). Relaxed: a stale or racing value only
+    /// changes the order. On tcp, where no fan-out is ordered, nothing
+    /// reads it.
     std::atomic<std::int64_t> handler_ns{0};
   };
 
@@ -476,20 +478,28 @@ class Cluster {
                     std::optional<std::uint64_t> window_iteration,
                     FanOut* fanout);
 
-  /// Claim and run `fanout`'s sends until none is left. Every claim that
-  /// leaves more calls wake_helper(), until one call has woken a helper.
+  /// Claim and run `fanout`'s sends until none is left, timing each into
+  /// its callee's handler_ns. Every claim that leaves more calls
+  /// wake_helper(), until one call has woken a helper.
   void drain(const std::shared_ptr<FanOut>& fanout);
 
-  /// Reorder `sends` longest handler first by a snapshot of their callees'
-  /// handler_ns, ties in their current order. The snapshot is what gets
-  /// sorted: other drains store durations meanwhile, and a comparator
-  /// reading the live values would not be a strict weak order.
-  void order_longest_first(std::vector<Delivery>& sends) const;
+  /// Reorder `sends` longest expected_ns first, ties in their current
+  /// order, in place: an insertion sort, which allocates nothing (a
+  /// fan-out has one send per peer). It sorts the snapshots the sends
+  /// carry, never the live handler_ns: other drains store durations
+  /// meanwhile, and a comparator reading those would not be a strict weak
+  /// order.
+  static void order_longest_first(std::vector<Delivery>& sends);
+
+  /// True while fewer callers are inside collect() than the pool has
+  /// threads: only then may a fan-out wake a helper, so only then does the
+  /// order of its sends matter.
+  [[nodiscard]] bool helpers_can_join() const;
 
   /// Submit one pool task that drains `fanout` too, unless that would
-  /// break a rule of collect(): no helper while as many callers are inside
-  /// collect() as the pool has threads, and never more participants than
-  /// pool threads. True when it submitted one.
+  /// break a rule of collect(): no helper unless helpers_can_join(), and
+  /// never more participants than pool threads. True when it submitted
+  /// one.
   [[nodiscard]] bool wake_helper(const std::shared_ptr<FanOut>& fanout);
 
   /// Serialization delay of one `frame_bytes` frame on the directed edge
